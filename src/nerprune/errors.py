@@ -57,5 +57,9 @@ class ConfigError(NerpruneError):
     """Invalid run or experiment configuration."""
 
 
+class DivergenceError(NerpruneError):
+    """Training produced a non-finite loss or a NaN masked weight."""
+
+
 class CheckpointError(NerpruneError):
     """Unreadable or inconsistent checkpoint directory."""

@@ -186,8 +186,11 @@ def compute_masks(
 
 
 def _mask_group(tensors: list[ParamTensor], sparsity: float) -> None:
+    # live weights of every tensor in (name rank, flat index) order, so a
+    # position in their concatenation is the tie-break rank
+    live_idx = [np.flatnonzero(t.mask) for t in tensors]
     n = sum(t.size for t in tensors)
-    masked = sum(int((t.mask == 0).sum()) for t in tensors)
+    masked = n - sum(idx.size for idx in live_idx)
     target = _target_count(sparsity, n)
     if target < masked:
         raise MonotonicityError(
@@ -196,25 +199,23 @@ def _mask_group(tensors: list[ParamTensor], sparsity: float) -> None:
     extra = target - masked
     if extra == 0:
         return
-    mags = []
-    owner = []
-    flat_idx = []
-    for rank, tensor in enumerate(tensors):
-        live = tensor.mask.reshape(-1) == 1
-        idx = np.nonzero(live)[0]
-        mags.append(np.abs(tensor.values.reshape(-1)[idx]))
-        owner.append(np.full(idx.size, rank, dtype=np.int64))
-        flat_idx.append(idx)
-    mags = np.concatenate(mags)
-    owner = np.concatenate(owner)
-    flat_idx = np.concatenate(flat_idx)
-    # lexsort keys: last is primary, so magnitude, then name rank, then index
-    order = np.lexsort((flat_idx, owner, mags))
-    chosen = order[:extra]
-    for rank, tensor in enumerate(tensors):
-        hits = flat_idx[chosen[owner[chosen] == rank]]
-        if hits.size:
-            tensor.mask.flat[hits] = 0
+    mags = np.abs(np.concatenate(
+        [t.values.reshape(-1)[idx] for t, idx in zip(tensors, live_idx)]
+    ))
+    threshold = np.partition(mags, extra - 1)[extra - 1]
+    if np.isnan(threshold):
+        # NaN magnitudes rank after every number, as they sort
+        below, ties = ~np.isnan(mags), np.isnan(mags)
+    else:
+        below, ties = mags < threshold, mags == threshold
+    n_ties = extra - int(below.sum())
+    chosen = below
+    chosen[np.flatnonzero(ties)[:n_ties]] = True
+    start = 0
+    for tensor, idx in zip(tensors, live_idx):
+        hits = idx[chosen[start:start + idx.size]]
+        start += idx.size
+        tensor.mask.flat[hits] = 0
 
 
 def apply_masks(params: Sequence[ParamTensor]) -> Sequence[ParamTensor]:

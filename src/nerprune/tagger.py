@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import TAGSET, Corpus, Sentence
-from .errors import CheckpointError, ConfigError, ScheduleError
+from .errors import CheckpointError, ConfigError, DivergenceError, ScheduleError
 from .pruning import (
     ParamTensor,
     PruneSchedule,
@@ -209,9 +209,13 @@ def _batch_loss(params: dict[str, ParamTensor], ids: np.ndarray,
 
 def _batch_loss_grads(
     params: dict[str, ParamTensor], ids: np.ndarray, tags: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch tokens and gradients for all
-    five tensors."""
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """Mean cross-entropy over the batch tokens, the embedding rows the
+    batch reads (sorted, unique) and gradients for all five tensors.
+
+    The E gradient covers only those rows, shape (rows, embed_dim); it
+    is accumulated in token order, as into a zeroed full-size table.
+    """
     e = params["E"].values
     w1, b1 = params["W1"].values, params["b1"].values
     w2, b2 = params["W2"].values, params["b2"].values
@@ -236,10 +240,11 @@ def _batch_loss_grads(
     gh[z1 <= 0.0] = 0.0
     grad_w1 = x.T @ gh
     grad_b1 = gh.sum(axis=0)
-    gx = (gh @ w1.T).reshape(n, k, d)
-    grad_e = np.zeros_like(e)
-    np.add.at(grad_e, ids.reshape(-1), gx.reshape(n * k, d))
-    return loss, {
+    gx = (gh @ w1.T).reshape(n * k, d)
+    rows, slot = np.unique(ids.reshape(-1), return_inverse=True)
+    grad_e = np.zeros((rows.size, d))
+    np.add.at(grad_e, slot, gx)
+    return loss, rows, {
         "E": grad_e, "W1": grad_w1, "b1": grad_b1,
         "W2": grad_w2, "b2": grad_b2,
     }
@@ -253,7 +258,10 @@ def loss_and_gradients(
         return 0.0, {name: np.zeros_like(p.values)
                      for name, p in model.params.items()}
     ids, tags = encode_sentence(model, sentence)
-    return _batch_loss_grads(model.params, ids, tags)
+    loss, rows, grads = _batch_loss_grads(model.params, ids, tags)
+    grad_e = np.zeros_like(model.params["E"].values)
+    grad_e[rows] = grads["E"]
+    return loss, {**grads, "E": grad_e}
 
 
 def train(
@@ -269,7 +277,15 @@ def train(
     schedule event step the masking pass runs before that step's update,
     and masks are re-applied after every update so masked weights stay
     exactly zero. A schedule whose end_step exceeds the total number of
-    updates is rejected up front.
+    updates is rejected up front. Training stops with DivergenceError at
+    the first step whose loss is not finite or that leaves NaN in a
+    masked weight.
+
+    A step's cost scales with the batch, not the vocabulary: it updates,
+    re-masks and re-checks only the embedding rows its batch reads (and
+    only tensors that hold a masked weight), and sparsity is measured
+    only when masks change. The first step and event steps make a full
+    pass over every tensor.
     """
     config = model.config
     sentences = _sentences(train_data)
@@ -288,6 +304,8 @@ def train(
     rng = np.random.default_rng([config.seed, 1])
     params = model.params
     tensors = model.param_list
+    emb = params["E"]
+    rest = [tensor for tensor in tensors if tensor is not emb]
     lr = config.learning_rate
     history: list[TrainStep] = []
     step = 0
@@ -296,35 +314,63 @@ def train(
         order = rng.permutation(len(sentences))
         for b in range(n_batches):
             step += 1
+            full_pass = step == 1
             while ev < len(events) and events[ev][0] <= step:
                 compute_masks(tensors, events[ev][1], strategy)
                 ev += 1
+                full_pass = True
             chosen = order[b * config.batch_size:(b + 1) * config.batch_size]
             ids = np.concatenate([encoded[i][0] for i in chosen])
             tags = np.concatenate([encoded[i][1] for i in chosen])
             if len(tags) == 0:
-                loss = 0.0
+                loss, rows = 0.0, np.zeros(0, dtype=np.int64)
             else:
-                loss, grads = _batch_loss_grads(params, ids, tags)
-                for name, tensor in params.items():
-                    tensor.values -= lr * grads[name]
-            apply_masks(tensors)
+                loss, rows, grads = _batch_loss_grads(params, ids, tags)
+                emb.values[rows] -= lr * grads["E"]
+                for tensor in rest:
+                    tensor.values -= lr * grads[tensor.name]
+            if full_pass:
+                apply_masks(tensors)
+                sparsity = measure_sparsity(tensors, strategy)
+                # until masks next change, a tensor without a masked entry
+                # needs no re-masking and adds nothing to the check
+                masked = [tensor for tensor in rest if not tensor.mask.all()]
+                emb_masked = not emb.mask.all()
+                emb_worst = _masked_row_max(emb.values, emb.mask)
+            else:
+                apply_masks(masked)
+                if emb_masked:
+                    mask_rows = emb.mask[rows]
+                    emb.values[rows] = kept = emb.values[rows] * mask_rows
+                    emb_worst[rows] = _masked_row_max(kept, mask_rows)
+            worst = _max_abs_masked(masked, emb_worst)
+            if not math.isfinite(loss) or math.isnan(worst):
+                raise DivergenceError(
+                    f"training diverged at step {step}: loss {loss}, "
+                    f"largest masked magnitude {worst}"
+                )
             history.append(TrainStep(
                 step=step,
                 loss=loss,
-                sparsity=measure_sparsity(tensors, strategy),
-                max_abs_masked=_max_abs_masked(tensors),
+                sparsity=sparsity,
+                max_abs_masked=worst,
             ))
     return model, history
 
 
-def _max_abs_masked(tensors: Iterable[ParamTensor]) -> float:
-    worst = 0.0
-    for tensor in tensors:
-        masked = tensor.values[tensor.mask == 0]
-        if masked.size:
-            worst = max(worst, float(np.abs(masked).max()))
-    return worst
+def _masked_row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the largest magnitude among masked entries (0 if none);
+    NaN wherever a masked entry is NaN."""
+    return np.abs(np.where(mask == 0, values, 0.0)).max(axis=1, initial=0.0)
+
+
+def _max_abs_masked(tensors: Iterable[ParamTensor],
+                    *row_maxima: np.ndarray) -> float:
+    """Largest magnitude among the masked weights of tensors and among
+    row maxima from _masked_row_max; NaN if any of them is NaN."""
+    maxima = [np.abs(t.values[t.mask == 0]).max(initial=0.0) for t in tensors]
+    maxima += [rows.max(initial=0.0) for rows in row_maxima]
+    return float(np.max(maxima, initial=0.0))
 
 
 def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nerprune.cli import build_parser, main
-from worlds import METADATA, write_world
+from worlds import DIVERGING_TAGGER, METADATA, write_world
 
 HELP_DIR = Path(__file__).parent / "data" / "cli_help"
 
@@ -122,6 +122,18 @@ def test_train_then_evaluate_round_trip(tmp_path, capsys):
     ]) == 0
     perturbed = json.loads(capsys.readouterr().out)
     assert perturbed["split"] == "perturbed-in-language"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path, extra={"tagger": DIVERGING_TAGGER})
+    ckpt = tmp_path / "ckpt"
+    assert main([
+        "train", "--config", str(config), "--language", "aa",
+        "--sparsity", "50", "--seed", "0", "--out", str(ckpt),
+    ]) == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_train_validates_language_against_mode(tmp_path, capsys):

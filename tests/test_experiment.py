@@ -15,7 +15,7 @@ from nerprune.experiment import (
     run,
     train_test_overlaps,
 )
-from worlds import write_world
+from worlds import DIVERGING_TAGGER, write_world
 
 
 @pytest.fixture
@@ -208,6 +208,22 @@ def test_failures_are_recorded_and_do_not_stop_the_grid(tmp_path):
     lines = [json.loads(l) for l in results.read_text().splitlines()]
     assert {l["sparsity"] for l in lines} == {0}
     assert len(lines) == 2 * 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_cells_are_failures_not_zero_scores(tmp_path):
+    config = config_from_file(
+        write_world(tmp_path, extra={"tagger": DIVERGING_TAGGER})
+    )
+    results = run(config)
+    failures = [
+        json.loads(l)
+        for l in (results.parent / "failures.jsonl").read_text().splitlines()
+    ]
+    assert {f["run_id"] for f in failures} == {s.run_id for s in plan(config)}
+    assert all(f["error"] == "DivergenceError" for f in failures)
+    assert all("at step" in f["message"] for f in failures)
+    assert results.read_text() == ""
 
 
 def test_output_directory_guard_rejects_foreign_configs(world):

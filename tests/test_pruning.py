@@ -21,6 +21,7 @@ from nerprune.pruning import (
     save_checkpoint,
     schedule_events,
 )
+from oracles import oracle_compute_masks
 
 
 def tensor_set(rng, with_excluded=True):
@@ -192,6 +193,49 @@ def test_masked_count_is_exactly_the_floor_target(seed, pct, strategy):
     masked = sum(int((p.mask == 0).sum()) for p in params if p.role in roles)
     assert masked == (pct * n) // 100
     assert measure_sparsity(params, strategy) == masked / n
+
+
+# few distinct values, both zeros and NaN, so magnitude ties are the norm
+TIE_VALUES = (0.0, -0.0, 0.25, -0.25, 1.0, -1.0, np.inf, np.nan)
+
+
+@st.composite
+def tie_heavy_tensors(draw):
+    # listed out of name order, so the name rank of a tie matters
+    specs = (("w2", Role.DENSE), ("emb", Role.EMBEDDING),
+             ("w1", Role.DENSE), ("bias", Role.EXCLUDED))
+    params = []
+    for name, role in specs:
+        size = draw(st.integers(1, 12))
+        values = draw(st.lists(st.sampled_from(TIE_VALUES),
+                               min_size=size, max_size=size))
+        mask = draw(st.lists(st.sampled_from((1, 1, 1, 0)),
+                             min_size=size, max_size=size))
+        params.append(ParamTensor(name, np.array(values), role, np.array(mask)))
+    return params
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=tie_heavy_tensors(),
+    levels=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 0.98, 1.0]),
+                    min_size=1, max_size=3).map(sorted),
+    strategy=st.sampled_from(list(PruneStrategy)),
+    scope=st.sampled_from(["global", "per_tensor"]),
+)
+def test_mask_selection_matches_the_full_sort(params, levels, strategy, scope):
+    reference = [
+        ParamTensor(p.name, p.values.copy(), p.role, p.mask.copy())
+        for p in params
+    ]
+    for sparsity in levels:
+        try:
+            compute_masks(params, sparsity, strategy, scope)
+        except MonotonicityError:
+            return  # pre-masked entries already exceed this level
+        oracle_compute_masks(reference, sparsity, strategy, scope)
+        for got, want in zip(params, reference):
+            assert got.mask.tobytes() == want.mask.tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -62,6 +62,13 @@ aa,Latin,Fam1,4,0.1
 bb,Latin,Fam1,4,0.1
 """
 
+# a learning rate this large drives the world's tagger to NaN within a
+# few steps
+DIVERGING_TAGGER = {
+    "embed_dim": 4, "hidden_dim": 6, "learning_rate": 1e4,
+    "epochs": 10, "batch_size": 2,
+}
+
 
 def write_world(root, mode="monolingual", sparsity_levels=(0, 50),
                 schedule=(2, 10, 2), extra=None):
