@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import LanguageMeta
 from .errors import MissingMetadataError
-from .evaluation import RunRecord, aggregate_seeds
+from .evaluation import STRATEGY_NAMES, RunRecord, aggregate_seeds
 
 ALL_GROUP = "all"
 
@@ -306,7 +306,7 @@ def emit_report(
         rows = []
         for lang in sorted(overlaps):
             dense = None
-            for strategy in ("partial", "incl_embeddings"):
+            for strategy in STRATEGY_NAMES:
                 dense = means.get((lang, 0, strategy, "regular"))
                 if dense is not None:
                     break

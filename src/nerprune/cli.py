@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, experiment, perturb, tagger
 from .corpus import count_mentions, load_language_metadata, parse_iob2, serialize_iob2
 from .errors import ConfigError, MissingMetadataError, NerpruneError
-from .evaluation import read_run_records, score_corpus
+from .evaluation import SPLIT_NAMES, STRATEGY_NAMES, read_run_records, score_corpus
 
 PROG = "nerprune"
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("corpora", nargs="+", help="test corpus files to perturb")
     p.add_argument("--scope", required=True,
-                   choices=[s.value for s in perturb.Scope],
+                   choices=perturb.SCOPE_NAMES,
                    help="which languages contribute replacement surfaces")
     p.add_argument("--seed", required=True, type=int,
                    help="seed for the draw stream (one stream per corpus)")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", required=True, type=int,
                    help="target sparsity percent, 0 trains dense")
     p.add_argument("--strategy", default="partial",
-                   choices=["partial", "incl_embeddings"],
+                   choices=STRATEGY_NAMES,
                    help="pruning strategy (default: partial)")
     p.add_argument("--seed", required=True, type=int, help="training seed")
     p.add_argument("--out", required=True, help="checkpoint output directory")
@@ -105,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.add_argument("--language", required=True, help="language to evaluate")
     p.add_argument("--split", default="regular",
-                   choices=["regular", "perturbed-in-language",
-                            "perturbed-in-script", "perturbed-in-family"],
+                   choices=SPLIT_NAMES,
                    help="test condition (default: regular)")
 
     p = sub.add_parser(
@@ -232,9 +231,11 @@ def _cmd_train(args) -> int:
     spec = experiment.RunSpec(
         config.mode, language, args.sparsity, args.strategy, args.seed
     )
-    trains, tests = experiment.load_corpora(config)
+    trains, tests = experiment.load_corpora(config.corpus_root_path, config.languages)
     meta = experiment.load_metadata(config)
-    perturbed = experiment.build_perturbed(config, meta, tests)
+    perturbed = experiment.build_perturbed(
+        meta, tests, spec.languages(config), config.scopes, config.perturbation_seed
+    )
     lines, _ = experiment.execute_run(
         spec, config, trains, tests, perturbed, checkpoint_dir=Path(args.out)
     )
@@ -253,15 +254,18 @@ def _cmd_evaluate(args) -> int:
     if args.language not in config.languages:
         raise ConfigError(f"language {args.language!r} not in config languages")
     model = tagger.load_model(args.checkpoint)
+    root = config.corpus_root_path
     if args.split == "regular":
-        corpus = experiment.load_split(config, args.language, "test")
+        corpus = experiment.load_split(root, args.language, "test")
     else:
         scope_name = args.split.removeprefix("perturbed-")
         if scope_name not in config.scopes:
             raise ConfigError(f"scope {scope_name!r} not in config scopes")
         meta = experiment.load_metadata(config)
-        _, tests = experiment.load_corpora(config)
-        perturbed = experiment.build_perturbed(config, meta, tests)
+        tests = {l: experiment.load_split(root, l, "test") for l in config.languages}
+        perturbed = experiment.build_perturbed(
+            meta, tests, [args.language], [scope_name], config.perturbation_seed
+        )
         corpus = perturbed[(args.language, scope_name)][0]
     report = score_corpus(corpus, tagger.predict(model, corpus))
     payload = dataclasses.asdict(report)
@@ -301,24 +305,10 @@ def _cmd_report(args) -> int:
         meta = load_language_metadata(f, name=args.meta)
     overlaps = None
     if args.corpus_root:
-        root = Path(args.corpus_root)
-        trains = {}
-        tests = {}
-        for language in sorted({r.language for r in records}):
-            train_path = root / language / "train.iob2"
-            test_path = root / language / "test.iob2"
-            try:
-                with open(train_path, encoding="utf-8") as f:
-                    trains[language] = parse_iob2(
-                        f, language, "train", name=str(train_path)
-                    )
-                with open(test_path, encoding="utf-8") as f:
-                    tests[language] = parse_iob2(
-                        f, language, "test", name=str(test_path)
-                    )
-            except OSError as exc:
-                raise ConfigError(f"{exc}") from None
-        overlaps = experiment.train_test_overlaps(trains, tests)
+        languages = sorted({r.language for r in records})
+        overlaps = experiment.train_test_overlaps(
+            *experiment.load_corpora(args.corpus_root, languages)
+        )
     written = analysis.emit_report(records, meta, args.out_dir, overlaps=overlaps)
     for path in written:
         print(path)

@@ -16,14 +16,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import ENTITY_TYPES, VALID_TAGS, Corpus, decode_spans
 from .errors import AlignmentError, TagError
+from .perturb import SCOPE_NAMES
+from .pruning import PruneStrategy
 
-STRATEGY_NAMES = ("partial", "incl_embeddings")
-SPLIT_NAMES = (
-    "regular",
-    "perturbed-in-language",
-    "perturbed-in-script",
-    "perturbed-in-family",
-)
+STRATEGY_NAMES = tuple(s.value for s in PruneStrategy)
+SPLIT_NAMES = ("regular",) + tuple(f"perturbed-{s}" for s in SCOPE_NAMES)
 SPARSITY_LEVELS = (0, 50, 70, 80, 90, 95, 98)
 
 

@@ -20,7 +20,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,14 +32,20 @@ from .corpus import (
     parse_iob2,
     serialize_iob2,
 )
-from .errors import ConfigError, MissingMetadataError, NerpruneError, PruningError
+from .errors import (
+    ConfigError,
+    MissingMetadataError,
+    NerpruneError,
+    PruningError,
+    ScheduleError,
+)
 from .evaluation import (
     SPARSITY_LEVELS,
     STRATEGY_NAMES,
     RunRecord,
     score_corpus,
 )
-from .perturb import Scope, build_pool, perturb_corpus, write_replacement_log
+from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
 from .pruning import PruneSchedule, PruneStrategy, measure_sparsity
 from .tagger import TaggerConfig, build_vocab, init_model, predict, save_model, train
 
@@ -76,7 +82,7 @@ class ExperimentConfig:
     metadata_path: str
     output_dir: str
     strategies: tuple[str, ...] = STRATEGY_NAMES
-    scopes: tuple[str, ...] = tuple(s.value for s in Scope)
+    scopes: tuple[str, ...] = SCOPE_NAMES
     tagger: TaggerConfig = TaggerConfig()
     schedule_table: tuple[tuple[int, tuple[int, int, int]], ...] = (
         DEFAULT_SCHEDULE_TABLE
@@ -86,12 +92,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.languages:
-            raise ConfigError("languages must be non-empty")
-        if len(set(self.languages)) != len(self.languages):
-            raise ConfigError("duplicate languages")
-        if not self.sparsity_levels:
-            raise ConfigError("sparsity_levels must be non-empty")
+        for axis in ("languages", "sparsity_levels", "strategies", "seeds",
+                     "schedule_table"):
+            if not getattr(self, axis):
+                raise ConfigError(f"{axis} must be non-empty")
+        for axis in ("languages", "strategies", "seeds", "scopes"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {axis}")
         if list(self.sparsity_levels) != sorted(set(self.sparsity_levels)):
             raise ConfigError("sparsity_levels must be strictly ascending")
         for level in self.sparsity_levels:
@@ -99,44 +107,25 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sparsity level {level} not in supported {SPARSITY_LEVELS}"
                 )
-        if not self.strategies:
-            raise ConfigError("strategies must be non-empty")
         for strategy in self.strategies:
             if strategy not in STRATEGY_NAMES:
                 raise ConfigError(f"unknown strategy {strategy!r}")
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigError("duplicate strategies")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("duplicate seeds")
+        for scope in self.scopes:
+            if scope not in SCOPE_NAMES:
+                raise ConfigError(f"unknown scope {scope!r}")
         for seed in self.seeds:
             if seed < 0:
                 raise ConfigError("seeds must be non-negative")
         if self.perturbation_seed < 0:
             raise ConfigError("perturbation_seed must be non-negative")
-        for scope in self.scopes:
-            try:
-                Scope.parse(scope)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if len(set(self.scopes)) != len(self.scopes):
-            raise ConfigError("duplicate scopes")
-        if not self.schedule_table:
-            raise ConfigError("schedule_table must be non-empty")
         sizes = [size for size, _ in self.schedule_table]
         if sizes != sorted(set(sizes)) or any(size <= 0 for size in sizes):
             raise ConfigError("schedule_table sizes must be unique, positive, ascending")
-        for size, (start, end, freq) in self.schedule_table:
-            if start < 0 or end < start:
-                raise ConfigError(
-                    f"schedule for size {size}: need 0 <= start <= end"
-                )
-            if freq < 1 or (end - start) % freq != 0:
-                raise ConfigError(
-                    f"schedule for size {size}: end - start must be a "
-                    f"multiple of the frequency"
-                )
+        for size, row in self.schedule_table:
+            try:
+                PruneSchedule(*row, 0.0)
+            except ScheduleError as exc:
+                raise ConfigError(f"schedule for size {size}: {exc}") from None
 
     def canonical_dict(self) -> dict:
         return {
@@ -147,16 +136,7 @@ class ExperimentConfig:
             "seeds": list(self.seeds),
             "scopes": list(self.scopes),
             "perturbation_seed": self.perturbation_seed,
-            "tagger": {
-                "embed_dim": self.tagger.embed_dim,
-                "window": self.tagger.window,
-                "hidden_dim": self.tagger.hidden_dim,
-                "learning_rate": self.tagger.learning_rate,
-                "epochs": self.tagger.epochs,
-                "batch_size": self.tagger.batch_size,
-                "seed": self.tagger.seed,
-                "vocab_min_count": self.tagger.vocab_min_count,
-            },
+            "tagger": asdict(self.tagger),
             "schedule_table": {
                 str(size): list(row) for size, row in self.schedule_table
             },
@@ -190,15 +170,13 @@ class ExperimentConfig:
         return self._resolve(self.output_dir)
 
     def schedule_for(self, train_size: int) -> tuple[int, int, int]:
-        """Schedule row for a training set size: exact match, otherwise
-        the largest size not above it, otherwise the smallest row."""
-        best = None
+        """Schedule row of the largest size not above a training set
+        size, or the smallest row when every size is above it."""
+        best = self.schedule_table[0][1]
         for size, row in self.schedule_table:
-            if size == train_size:
-                return row
-            if size < train_size:
+            if size <= train_size:
                 best = row
-        return best if best is not None else self.schedule_table[0][1]
+        return best
 
 
 _TOP_KEYS = {
@@ -252,8 +230,7 @@ def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentCon
             metadata_path=str(paths["metadata"]),
             output_dir=str(paths["output"]),
             strategies=tuple(str(s) for s in data.get("strategies", STRATEGY_NAMES)),
-            scopes=tuple(str(s) for s in
-                         data.get("scopes", [s.value for s in Scope])),
+            scopes=tuple(str(s) for s in data.get("scopes", SCOPE_NAMES)),
             tagger=tagger,
             schedule_table=schedule_table,
             base_dir=str(base_dir),
@@ -288,6 +265,10 @@ class RunSpec:
     strategy: str
     seed: int
 
+    def languages(self, config: ExperimentConfig) -> list[str]:
+        """Languages this run trains on and is scored on."""
+        return [self.language] if self.language is not None else list(config.languages)
+
     @property
     def run_id(self) -> str:
         if self.mode == "monolingual":
@@ -300,23 +281,14 @@ def plan(config: ExperimentConfig) -> list[RunSpec]:
     """Cartesian product of the grid. Sparsity 0 cells train dense and
     skip pruning; they are kept per strategy so every strategy column
     has its own dense baseline row."""
-    specs = []
-    if config.mode == "monolingual":
-        for language in config.languages:
-            for sparsity in config.sparsity_levels:
-                for strategy in config.strategies:
-                    for seed in config.seeds:
-                        specs.append(RunSpec(
-                            config.mode, language, sparsity, strategy, seed
-                        ))
-    else:
-        for sparsity in config.sparsity_levels:
-            for strategy in config.strategies:
-                for seed in config.seeds:
-                    specs.append(RunSpec(
-                        config.mode, None, sparsity, strategy, seed
-                    ))
-    return specs
+    languages = config.languages if config.mode == "monolingual" else (None,)
+    return [
+        RunSpec(config.mode, language, sparsity, strategy, seed)
+        for language in languages
+        for sparsity in config.sparsity_levels
+        for strategy in config.strategies
+        for seed in config.seeds
+    ]
 
 
 def load_metadata(config: ExperimentConfig) -> dict[str, LanguageMeta]:
@@ -332,8 +304,9 @@ def load_metadata(config: ExperimentConfig) -> dict[str, LanguageMeta]:
     return meta
 
 
-def load_split(config: ExperimentConfig, language: str, split: str) -> Corpus:
-    path = config.corpus_root_path / language / f"{split}.iob2"
+def load_split(root: str | Path, language: str, split: str) -> Corpus:
+    """Parse <root>/<language>/<split>.iob2."""
+    path = Path(root) / language / f"{split}.iob2"
     try:
         with open(path, encoding="utf-8") as f:
             return parse_iob2(f, language, split, name=str(path))
@@ -342,31 +315,35 @@ def load_split(config: ExperimentConfig, language: str, split: str) -> Corpus:
 
 
 def load_corpora(
-    config: ExperimentConfig,
+    root: str | Path, languages: Sequence[str],
 ) -> tuple[dict[str, Corpus], dict[str, Corpus]]:
-    trains = {l: load_split(config, l, "train") for l in config.languages}
-    tests = {l: load_split(config, l, "test") for l in config.languages}
+    trains = {l: load_split(root, l, "train") for l in languages}
+    tests = {l: load_split(root, l, "test") for l in languages}
     return trains, tests
 
 
 def build_perturbed(
-    config: ExperimentConfig,
     meta: Mapping[str, LanguageMeta],
     tests: Mapping[str, Corpus],
+    languages: Sequence[str],
+    scopes: Sequence[str],
+    seed: int,
 ) -> dict[tuple[str, str], tuple[Corpus, list]]:
-    """Perturbed test set and replacement log per (language, scope)."""
+    """Perturbed test set and replacement log per (language, scope) of the
+    given languages and scopes. Pools draw on every corpus in tests, so a
+    set is the same whichever others are built with it."""
     corpora = list(tests.values())
     result = {}
     pools: dict[tuple[str, str], object] = {}
-    for scope_name in config.scopes:
+    for scope_name in scopes:
         scope = Scope.parse(scope_name)
-        for language in config.languages:
+        for language in languages:
             group_key = scope.group_key(meta[language])
             cache_key = (scope_name, group_key)
             if cache_key not in pools:
                 pools[cache_key] = build_pool(corpora, meta, scope, group_key)
             result[(language, scope_name)] = perturb_corpus(
-                tests[language], pools[cache_key], config.perturbation_seed
+                tests[language], pools[cache_key], seed
             )
     return result
 
@@ -398,7 +375,7 @@ def execute_run(
     must be achieved within 1/N of the prunable weight count or the run
     fails.
     """
-    languages = [spec.language] if spec.mode == "monolingual" else list(config.languages)
+    languages = spec.languages(config)
     train_corpora = [trains[l] for l in languages]
     vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
     model = init_model(replace(config.tagger, seed=spec.seed), vocab)
@@ -455,14 +432,32 @@ def execute_run(
 
 
 def _existing_run_ids(results_path: Path) -> set[str]:
-    done = set()
-    if results_path.is_file():
-        with open(results_path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    done.add(json.loads(line).get("run_id"))
-    return done
+    """Run ids with results on disk. A run appends all its lines in one
+    write, so an unterminated last line is a torn write of the last run:
+    it is cut off together with the complete lines of the run before it,
+    which may be the same run, so that run reruns. A malformed complete
+    line is a ConfigError."""
+    if not results_path.is_file():
+        return set()
+    data = results_path.read_bytes()
+    done = []  # (run id, offset just past its line)
+    offset = 0
+    for number, line in enumerate(data.split(b"\n")[:-1], 1):
+        offset += len(line) + 1
+        if line.strip():
+            try:
+                done.append((json.loads(line)["run_id"], offset))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"{results_path}:{number}: malformed results line: {exc!r}"
+                ) from None
+    if offset < len(data):
+        last = done[-1][0] if done else None
+        while done and done[-1][0] == last:
+            done.pop()
+        with open(results_path, "r+b") as f:
+            f.truncate(done[-1][1] if done else 0)
+    return {run_id for run_id, _ in done}
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> Path:
@@ -481,8 +476,14 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     snapshot_path = out_dir / "config_snapshot.json"
     snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
     if snapshot_path.is_file():
-        existing = json.loads(snapshot_path.read_text(encoding="utf-8"))
-        if existing.get("config_hash") != config.config_hash:
+        try:
+            existing = json.loads(snapshot_path.read_text(encoding="utf-8"))
+            existing_hash = existing["config_hash"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"{snapshot_path}: malformed config snapshot: {exc!r}"
+            ) from None
+        if existing_hash != config.config_hash:
             raise ConfigError(
                 f"{snapshot_path}: directory belongs to a different config"
             )
@@ -492,8 +493,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         )
 
     meta = load_metadata(config)
-    trains, tests = load_corpora(config)
-    perturbed = build_perturbed(config, meta, tests)
+    trains, tests = load_corpora(config.corpus_root_path, config.languages)
+    perturbed = build_perturbed(
+        meta, tests, config.languages, config.scopes, config.perturbation_seed
+    )
 
     perturbed_dir = out_dir / "perturbed"
     perturbed_dir.mkdir(exist_ok=True)

@@ -55,6 +55,9 @@ class Scope(Enum):
         return meta.family
 
 
+SCOPE_NAMES = tuple(s.value for s in Scope)
+
+
 @dataclass(frozen=True)
 class EntityPool:
     """Deduplicated mention surfaces per entity type for one scope group.

@@ -159,37 +159,23 @@ def compute_masks(
     params: Sequence[ParamTensor],
     sparsity: float,
     strategy: PruneStrategy,
-    scope: str = "global",
 ) -> Sequence[ParamTensor]:
     """Mask the smallest-magnitude live weights up to floor(s * N).
 
     Already masked entries stay masked; the pass only adds new zeros.
-    scope "global" ranks all prunable tensors together, "per_tensor"
-    ranks within each tensor and masks floor(s * size) of it. Ties are
-    broken by tensor name, then flat index. Requesting a sparsity below
-    the current achieved level raises MonotonicityError.
+    All prunable tensors are ranked together; ties are broken by tensor
+    name, then flat index. Requesting a sparsity below the current
+    achieved level raises MonotonicityError.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise PruningError(f"sparsity must be in [0, 1], got {sparsity}")
-    if scope not in ("global", "per_tensor"):
-        raise ValueError(f"unknown scope {scope!r}")
-    prunable = _prunable(params, strategy)
-    if not prunable or sum(p.size for p in prunable) == 0:
+    tensors = sorted(_prunable(params, strategy), key=lambda p: p.name)
+    n = sum(t.size for t in tensors)
+    if n == 0:
         raise PruningError(f"no prunable weights for {strategy.value}")
-    prunable = sorted(prunable, key=lambda p: p.name)
-    if scope == "per_tensor":
-        for tensor in prunable:
-            _mask_group([tensor], sparsity)
-    else:
-        _mask_group(prunable, sparsity)
-    return params
-
-
-def _mask_group(tensors: list[ParamTensor], sparsity: float) -> None:
     # live weights of every tensor in (name rank, flat index) order, so a
     # position in their concatenation is the tie-break rank
     live_idx = [np.flatnonzero(t.mask) for t in tensors]
-    n = sum(t.size for t in tensors)
     masked = n - sum(idx.size for idx in live_idx)
     target = _target_count(sparsity, n)
     if target < masked:
@@ -198,7 +184,7 @@ def _mask_group(tensors: list[ParamTensor], sparsity: float) -> None:
         )
     extra = target - masked
     if extra == 0:
-        return
+        return params
     mags = np.abs(np.concatenate(
         [t.values.reshape(-1)[idx] for t, idx in zip(tensors, live_idx)]
     ))
@@ -216,6 +202,7 @@ def _mask_group(tensors: list[ParamTensor], sparsity: float) -> None:
         hits = idx[chosen[start:start + idx.size]]
         start += idx.size
         tensor.mask.flat[hits] = 0
+    return params
 
 
 def apply_masks(params: Sequence[ParamTensor]) -> Sequence[ParamTensor]:
@@ -285,21 +272,30 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
         raise CheckpointError(f"{manifest_path}: no manifest")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        entries = list(manifest.get("tensors", []))
+    except (ValueError, AttributeError, TypeError) as exc:
         raise CheckpointError(f"{manifest_path}: {exc}") from None
     params = []
-    for entry in manifest.get("tensors", []):
-        name = entry["name"]
-        if not _NAME_RE.fullmatch(name):
+    for entry in entries:
+        try:
+            name, role = entry["name"], entry["role"]
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{manifest_path}: malformed tensor entry {entry!r}: {exc!r}"
+            ) from None
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise CheckpointError(f"unsafe tensor name {name!r}")
-        shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         try:
-            role = Role(entry["role"])
+            role = Role(role)
         except ValueError:
-            raise CheckpointError(f"{name}: unknown role {entry['role']!r}") from None
-        values_raw = (directory / f"{name}.values.bin").read_bytes()
-        mask_raw = (directory / f"{name}.mask.bin").read_bytes()
+            raise CheckpointError(f"{name}: unknown role {role!r}") from None
+        try:
+            values_raw = (directory / f"{name}.values.bin").read_bytes()
+            mask_raw = (directory / f"{name}.mask.bin").read_bytes()
+        except OSError as exc:
+            raise CheckpointError(f"{name}: {exc}") from None
         if len(values_raw) != count * 8:
             raise CheckpointError(
                 f"{name}: values file holds {len(values_raw)} bytes, "

@@ -452,12 +452,17 @@ def load_model(directory: str | Path) -> TaggerModel:
     sidecar_path = directory / MODEL_SIDECAR
     if not sidecar_path.is_file():
         raise CheckpointError(f"{sidecar_path}: no model sidecar")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    config = TaggerConfig(**sidecar["config"])
-    tagset = tuple(sidecar["tagset"])
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        config = TaggerConfig(**sidecar["config"])
+        tagset = tuple(sidecar["tagset"])
+        vocab = {token: idx for idx, token in enumerate(sidecar["vocab_tokens"])}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"{sidecar_path}: malformed model sidecar: {exc!r}"
+        ) from None
     if tagset != TAGSET:
         raise CheckpointError(f"unsupported tagset {tagset}")
-    vocab = {token: idx for idx, token in enumerate(sidecar["vocab_tokens"])}
     if vocab.get(UNK_TOKEN) != UNK_ID or vocab.get(PAD_TOKEN) != PAD_ID:
         raise CheckpointError("vocab sidecar must map <unk> to 0 and <pad> to 1")
     params_list, _ = load_checkpoint(directory)

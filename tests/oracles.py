@@ -115,14 +115,12 @@ def oracle_mask_group(tensors, sparsity):
         tensor.mask.flat[flat_idx[chosen[owner[chosen] == rank]]] = 0
 
 
-def oracle_compute_masks(params, sparsity, strategy, scope="global"):
+def oracle_compute_masks(params, sparsity, strategy):
     prunable = sorted(
         (p for p in params if p.role in strategy.prunable_roles),
         key=lambda p: p.name,
     )
-    groups = [[p] for p in prunable] if scope == "per_tensor" else [prunable]
-    for group in groups:
-        oracle_mask_group(group, sparsity)
+    oracle_mask_group(prunable, sparsity)
 
 
 def _dense_loss_grads(params, ids, tags):

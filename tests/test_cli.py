@@ -136,6 +136,71 @@ def test_diverged_training_exits_two(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A world and a checkpoint trained on it, made once for the module."""
+    root = tmp_path_factory.mktemp("trained")
+    config = write_world(root)
+    assert main([
+        "train", "--config", str(config), "--language", "aa",
+        "--sparsity", "50", "--seed", "0", "--out", str(root / "ckpt"),
+    ]) == 0
+    return config, root / "ckpt"
+
+
+def _drop_values_file(ckpt):
+    (ckpt / "W1.values.bin").unlink()
+
+
+def _garble_sidecar(ckpt):
+    (ckpt / "model.json").write_text("{not json")
+
+
+def _drop_tensor_name(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["tensors"][0]["name"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _non_integer_shape(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"][0]["shape"] = ["x"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_not_an_object(ckpt):
+    (ckpt / "manifest.json").write_text("[]")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_values_file, "W1.values.bin"),
+    (_garble_sidecar, "malformed model sidecar"),
+    (_drop_tensor_name, "malformed tensor entry"),
+    (_non_integer_shape, "malformed tensor entry"),
+    (_manifest_not_an_object, "manifest.json"),
+])
+def test_evaluate_broken_checkpoint_exits_two(trained, tmp_path, capsys,
+                                              corrupt, message):
+    config, ckpt = trained
+    broken = tmp_path / "ckpt"
+    shutil.copytree(ckpt, broken)
+    corrupt(broken)
+    assert main([
+        "evaluate", "--config", str(config), "--checkpoint", str(broken),
+        "--language", "aa",
+    ]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_experiment_with_malformed_snapshot_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    results = Path(capsys.readouterr().out.strip())
+    (results.parent / "config_snapshot.json").write_text('{"config_hash": ')
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert "config_snapshot.json: malformed" in capsys.readouterr().err
+
+
 def test_train_validates_language_against_mode(tmp_path, capsys):
     config = write_world(tmp_path)
     assert main([
@@ -197,6 +262,18 @@ def test_analyze_rejects_missing_results_file(tmp_path, capsys):
         "--meta", str(meta),
     ]) == 2
     assert "absent.jsonl" in capsys.readouterr().err
+
+
+def test_report_with_missing_corpus_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    results = capsys.readouterr().out.strip()
+    missing = tmp_path / "absent"
+    assert main([
+        "report", "--results", results, "--meta", str(tmp_path / "languages.csv"),
+        "--out-dir", str(tmp_path / "report"), "--corpus-root", str(missing),
+    ]) == 2
+    assert str(missing / "aa" / "train.iob2") in capsys.readouterr().err
 
 
 def test_console_script_is_installed(tmp_path):

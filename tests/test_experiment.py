@@ -1,20 +1,26 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
+from nerprune.corpus import serialize_iob2
 from nerprune.errors import ConfigError, MissingMetadataError
 from nerprune.evaluation import read_run_records
 from nerprune.experiment import (
     DEFAULT_SCHEDULE_TABLE,
     ExperimentConfig,
     RunSpec,
+    build_perturbed,
     config_from_dict,
     config_from_file,
+    load_corpora,
+    load_metadata,
     load_split,
     plan,
     run,
     train_test_overlaps,
 )
+from nerprune.tagger import TaggerConfig
 from worlds import DIVERGING_TAGGER, write_world
 
 
@@ -51,7 +57,7 @@ def test_config_validation_catches_bad_grids():
         ExperimentConfig(**base_kwargs(strategies=("dense",)))
     with pytest.raises(ConfigError, match="unknown scope"):
         ExperimentConfig(**base_kwargs(scopes=("global",)))
-    with pytest.raises(ConfigError, match="multiple of the frequency"):
+    with pytest.raises(ConfigError, match="multiple of frequency"):
         ExperimentConfig(**base_kwargs(schedule_table=((100, (0, 10, 3)),)))
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig(**base_kwargs(seeds=(0, 0)))
@@ -65,6 +71,22 @@ def test_config_hash_ignores_base_dir_but_not_contents():
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
     assert a.config_hash != d.config_hash
+
+
+def test_config_hash_is_pinned():
+    # the hash names the output directory, so a change moves every grid
+    config = ExperimentConfig(**base_kwargs())
+    assert config.config_hash == (
+        "438c88ef34465ff659e0c2ce9661cb66f1216244626c3de405e4c874efe7d3fd"
+    )
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(TaggerConfig)])
+def test_config_hash_covers_every_tagger_field(field):
+    config = ExperimentConfig(**base_kwargs())
+    value = getattr(config.tagger, field) * 2 + 1
+    changed = replace(config, tagger=replace(config.tagger, **{field: value}))
+    assert changed.config_hash != config.config_hash
 
 
 def test_config_round_trips_through_canonical_dict():
@@ -144,7 +166,7 @@ def test_plan_enumerates_the_grid(world):
 
 def test_load_split_reports_missing_files(world):
     with pytest.raises(ConfigError, match="dev.iob2"):
-        load_split(world, "aa", "dev")
+        load_split(world.corpus_root_path, "aa", "dev")
 
 
 def test_monolingual_run_produces_full_grid(world):
@@ -189,6 +211,40 @@ def test_interrupted_run_resumes_missing_cells(world):
     final = [json.loads(l) for l in results.read_text().splitlines()]
     assert len(final) == len(lines)
     assert {l["run_id"] for l in final} == {s.run_id for s in plan(world)}
+
+
+def _lines_without_timing(results):
+    return sorted(
+        json.dumps({k: v for k, v in json.loads(l).items() if k != "train_seconds"},
+                   sort_keys=True)
+        for l in results.read_text().splitlines()
+    )
+
+
+# (whole lines, then bytes) cut off the end: only the newline, inside the
+# last line, inside the first line of the last run
+@pytest.mark.parametrize("lines_cut, bytes_cut", [(0, 1), (0, 40), (1, 40)])
+def test_torn_last_line_is_cut_and_its_run_reruns(world, lines_cut, bytes_cut):
+    results = run(world)
+    before = _lines_without_timing(results)
+    lines = results.read_bytes().splitlines(keepends=True)
+    kept = lines[:len(lines) - lines_cut]
+    results.write_bytes(b"".join(kept)[:-bytes_cut])
+    torn_id = json.loads(kept[-1])["run_id"]
+    (results.parent / "checkpoints" / torn_id / "manifest.json").unlink()
+    run(world)
+    assert results.read_bytes().endswith(b"\n")
+    assert _lines_without_timing(results) == before
+    assert (results.parent / "checkpoints" / torn_id / "manifest.json").is_file()
+
+
+def test_malformed_complete_results_line_is_a_config_error(world):
+    results = run(world)
+    lines = results.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    results.write_text("".join(lines))
+    with pytest.raises(ConfigError, match="results.jsonl:2: malformed"):
+        run(world)
 
 
 def test_failures_are_recorded_and_do_not_stop_the_grid(tmp_path):
@@ -251,31 +307,38 @@ def test_multilingual_run_scores_every_language(tmp_path):
 
 def test_parallel_run_matches_serial_results(world):
     results = run(world)
-    serial = sorted(
-        json.dumps({k: v for k, v in json.loads(l).items() if k != "train_seconds"},
-                   sort_keys=True)
-        for l in results.read_text().splitlines()
-    )
+    serial = _lines_without_timing(results)
     results.unlink()
     run(world, workers=2)
-    parallel = sorted(
-        json.dumps({k: v for k, v in json.loads(l).items() if k != "train_seconds"},
-                   sort_keys=True)
-        for l in results.read_text().splitlines()
-    )
-    assert parallel == serial
+    assert _lines_without_timing(results) == serial
 
 
 def test_overlap_helper_skips_mention_free_test_sets(world):
     from conftest import corpus_of, sent
-    from nerprune.experiment import load_corpora
 
-    trains, tests = load_corpora(world)
+    trains, tests = load_corpora(world.corpus_root_path, world.languages)
     trains = {**trains, "cc": corpus_of([sent(["x"], ["O"], "cc")], "cc", "train")}
     tests = {**tests, "cc": corpus_of([sent(["y"], ["O"], "cc")], "cc", "test")}
     overlaps = train_test_overlaps(trains, tests)
     assert set(overlaps) == {"aa", "bb"}
     assert 0.0 <= overlaps["aa"] <= 1.0
+
+
+def test_subset_of_perturbed_sets_matches_the_full_build(tmp_path):
+    config = config_from_file(write_world(
+        tmp_path, extra={"scopes": ["in-language", "in-script", "in-family"]}
+    ))
+    meta = load_metadata(config)
+    _, tests = load_corpora(config.corpus_root_path, config.languages)
+    seed = config.perturbation_seed
+    full = build_perturbed(meta, tests, config.languages, config.scopes, seed)
+    assert len(full) == 2 * 3
+    for languages, scopes in ((["bb"], ["in-script"]), (["aa"], config.scopes)):
+        subset = build_perturbed(meta, tests, languages, scopes, seed)
+        assert set(subset) == {(l, s) for l in languages for s in scopes}
+        for key, (corpus, records) in subset.items():
+            assert serialize_iob2(corpus) == serialize_iob2(full[key][0])
+            assert records == full[key][1]
 
 
 def test_metadata_must_cover_the_languages(tmp_path):

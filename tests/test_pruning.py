@@ -113,16 +113,6 @@ def test_global_scope_selects_smallest_magnitudes_across_tensors():
     assert params[1].mask.tolist() == [0, 1, 0]
 
 
-def test_per_tensor_scope_masks_each_tensor_independently():
-    params = [
-        ParamTensor("a", np.array([0.1, 0.2, 5.0, 6.0]), Role.DENSE),
-        ParamTensor("b", np.array([8.0, 9.0, 10.0, 11.0]), Role.DENSE),
-    ]
-    compute_masks(params, 0.5, PruneStrategy.PARTIAL, scope="per_tensor")
-    assert params[0].mask.tolist() == [0, 0, 1, 1]
-    assert params[1].mask.tolist() == [0, 0, 1, 1]
-
-
 def test_magnitude_ties_break_by_name_then_index():
     params = [
         ParamTensor("b", np.array([1.0, 1.0]), Role.DENSE),
@@ -221,19 +211,18 @@ def tie_heavy_tensors(draw):
     levels=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 0.98, 1.0]),
                     min_size=1, max_size=3).map(sorted),
     strategy=st.sampled_from(list(PruneStrategy)),
-    scope=st.sampled_from(["global", "per_tensor"]),
 )
-def test_mask_selection_matches_the_full_sort(params, levels, strategy, scope):
+def test_mask_selection_matches_the_full_sort(params, levels, strategy):
     reference = [
         ParamTensor(p.name, p.values.copy(), p.role, p.mask.copy())
         for p in params
     ]
     for sparsity in levels:
         try:
-            compute_masks(params, sparsity, strategy, scope)
+            compute_masks(params, sparsity, strategy)
         except MonotonicityError:
             return  # pre-masked entries already exceed this level
-        oracle_compute_masks(reference, sparsity, strategy, scope)
+        oracle_compute_masks(reference, sparsity, strategy)
         for got, want in zip(params, reference):
             assert got.mask.tobytes() == want.mask.tobytes()
 
