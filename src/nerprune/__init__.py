@@ -33,6 +33,7 @@ from .errors import (
     AlignmentError,
     CheckpointError,
     ConfigError,
+    DivergenceError,
     EmptyGroupError,
     MetadataError,
     MissingMetadataError,

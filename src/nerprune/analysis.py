@@ -80,6 +80,29 @@ def _stat(values: Sequence[float], stat: str) -> float:
     raise ValueError(f"unknown stat {stat!r}")
 
 
+def _grouped_f1(
+    means: Mapping[tuple[str, int, str, str], float],
+    meta: Mapping[str, LanguageMeta],
+    dim: GroupDimension,
+) -> dict[tuple[int, str, str], dict[object, list[float]]]:
+    """Seed-mean F1 values per (sparsity, strategy, split) cell and group,
+    then an "all" entry over every language of the cell. Values keep the
+    order of means, so sums over them do not depend on the grouping.
+    Languages missing from meta raise MissingMetadataError."""
+    missing = {lang for (lang, _, _, _) in means if lang not in meta}
+    if missing:
+        raise MissingMetadataError(missing)
+    cells: dict[tuple[int, str, str], dict[object, list[float]]] = {}
+    every: dict[tuple[int, str, str], list[float]] = {}
+    for (lang, sparsity, strategy, split), value in means.items():
+        cell_key = (sparsity, strategy, split)
+        cells.setdefault(cell_key, {}).setdefault(dim.key(meta[lang]), []).append(value)
+        every.setdefault(cell_key, []).append(value)
+    for cell_key, values in every.items():
+        cells[cell_key][ALL_GROUP] = values
+    return cells
+
+
 def group_stats(
     records: Iterable[RunRecord],
     meta: Mapping[str, LanguageMeta],
@@ -93,24 +116,10 @@ def group_stats(
     languages, plus an "all" entry over every language. Languages
     missing from meta raise MissingMetadataError.
     """
-    means = seed_mean_f1(records)
-    missing = {lang for (lang, _, _, _) in means if lang not in meta}
-    if missing:
-        raise MissingMetadataError(missing)
-    cells: dict[tuple[int, str, str], dict] = {}
-    per_language: dict[tuple[int, str, str], dict[str, float]] = {}
-    for (lang, sparsity, strategy, split), value in means.items():
-        per_language.setdefault((sparsity, strategy, split), {})[lang] = value
-    for cell_key, lang_values in per_language.items():
-        groups: dict = {}
-        by_group: dict = {}
-        for lang, value in lang_values.items():
-            by_group.setdefault(dim.key(meta[lang]), []).append(value)
-        for group_key, values in by_group.items():
-            groups[group_key] = _stat(values, stat)
-        groups[ALL_GROUP] = _stat(list(lang_values.values()), stat)
-        cells[cell_key] = groups
-    return cells
+    return {
+        cell_key: {group: _stat(values, stat) for group, values in groups.items()}
+        for cell_key, groups in _grouped_f1(seed_mean_f1(records), meta, dim).items()
+    }
 
 
 def multilingual_gain(
@@ -223,9 +232,8 @@ def emit_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     aggregated = aggregate_seeds(records)
-    missing = {lang for (lang, _, _, _) in aggregated if lang not in meta}
-    if missing:
-        raise MissingMetadataError(missing)
+    means = {key: stats.mean for key, stats in aggregated.items()}
+    grouped = {dim: _grouped_f1(means, meta, dim) for dim in GroupDimension}
     written = []
 
     rows = [
@@ -238,36 +246,19 @@ def emit_report(
                       "mean_f1", "std_f1", "n_seeds"), rows)
     written.append(path)
 
-    for dim in GroupDimension:
-        cells_mean = group_stats(records, meta, dim, "mean") if records else {}
-        cells_median = group_stats(records, meta, dim, "median") if records else {}
-        cells_std = group_stats(records, meta, dim, "std") if records else {}
-        rows = []
-        for cell in sorted(cells_mean):
-            sparsity, strategy, split = cell
-            langs_in_cell = {lang for (lang, sp, st, spl) in aggregated
-                             if (sp, st, spl) == cell}
-            for group_key in sorted(cells_mean[cell], key=str):
-                if group_key == ALL_GROUP:
-                    n_langs = len(langs_in_cell)
-                else:
-                    n_langs = sum(
-                        1 for lang in langs_in_cell
-                        if dim.key(meta[lang]) == group_key
-                    )
-                rows.append((
-                    group_key, sparsity, strategy, split,
-                    _fmt(cells_mean[cell][group_key]),
-                    _fmt(cells_median[cell][group_key]),
-                    _fmt(cells_std[cell][group_key]),
-                    n_langs,
-                ))
+    for dim, cells in grouped.items():
+        rows = [
+            (group_key, *cell_key,
+             _fmt(_stat(values, "mean")), _fmt(_stat(values, "median")),
+             _fmt(_stat(values, "std")), len(values))
+            for cell_key, groups in sorted(cells.items())
+            for group_key, values in sorted(groups.items(), key=lambda kv: str(kv[0]))
+        ]
         path = out_dir / f"by_{dim.value}.csv"
         _write_csv(path, ("group", "sparsity", "strategy", "split",
                           "mean_f1", "median_f1", "std_f1", "n_languages"), rows)
         written.append(path)
 
-    means = {key: stats.mean for key, stats in aggregated.items()}
     rows = []
     for (lang, sparsity, strategy, split), value in sorted(means.items()):
         if sparsity == 0:

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, experiment, perturb, tagger
-from .corpus import count_mentions, load_language_metadata, parse_iob2, serialize_iob2
-from .errors import ConfigError, MissingMetadataError, NerpruneError
+from .corpus import count_mentions, load_language_metadata, parse_iob2
+from .errors import ConfigError, NerpruneError
 from .evaluation import SPLIT_NAMES, STRATEGY_NAMES, read_run_records, score_corpus
 
 PROG = "nerprune"
@@ -160,6 +160,8 @@ def _open_text(path: str):
 
 
 def _cmd_validate(args) -> int:
+    if not args.language:
+        raise ConfigError("--language must be non-empty")
     with _open_text(args.corpus) as f:
         corpus = parse_iob2(
             f, args.language, split="test",
@@ -177,36 +179,27 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
     with _open_text(args.meta) as f:
         meta = load_language_metadata(f, name=args.meta)
-    scope = perturb.Scope.parse(args.scope)
-    corpora = []
+    tests = {}
     for path in args.corpora:
         language = Path(path).name.split(".")[0]
         if not language:
             raise ConfigError(f"{path}: cannot read language code from file name")
+        if language in tests:
+            raise ConfigError(f"{path}: a second input for language {language!r}")
         with _open_text(path) as f:
-            corpora.append(parse_iob2(f, language, split="test", name=path))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for corpus in corpora:
-        group_key = scope.group_key(_require_meta(meta, corpus.language))
-        pool = perturb.build_pool(corpora, meta, scope, group_key)
-        perturbed, records = perturb.perturb_corpus(corpus, pool, args.seed)
-        stem = f"{corpus.language}.{scope.value}"
-        (out_dir / f"{stem}.iob2").write_text(
-            serialize_iob2(perturbed), encoding="utf-8"
-        )
-        perturb.write_replacement_log(records, out_dir / f"{stem}.log.jsonl")
-        print(f"{corpus.language}: {sum(1 for r in records if r.replaced)} "
+            tests[language] = parse_iob2(f, language, split="test", name=path)
+    perturbed = experiment.build_perturbed(
+        meta, tests, list(tests), [args.scope], args.seed
+    )
+    experiment.write_perturbed(Path(args.out_dir), perturbed)
+    for (language, _), (_, records) in perturbed.items():
+        print(f"{language}: {sum(1 for r in records if r.replaced)} "
               f"of {len(records)} mentions replaced")
     return 0
-
-
-def _require_meta(meta, code):
-    if code not in meta:
-        raise MissingMetadataError([code])
-    return meta[code]
 
 
 def _cmd_train(args) -> int:
@@ -231,10 +224,13 @@ def _cmd_train(args) -> int:
     spec = experiment.RunSpec(
         config.mode, language, args.sparsity, args.strategy, args.seed
     )
-    trains, tests = experiment.load_corpora(config.corpus_root_path, config.languages)
+    root = config.corpus_root_path
+    languages = spec.languages(config)
+    trains = {l: experiment.load_split(root, l, "train") for l in languages}
+    tests = {l: experiment.load_split(root, l, "test") for l in config.languages}
     meta = experiment.load_metadata(config)
     perturbed = experiment.build_perturbed(
-        meta, tests, spec.languages(config), config.scopes, config.perturbation_seed
+        meta, tests, languages, config.scopes, config.perturbation_seed
     )
     lines, _ = experiment.execute_run(
         spec, config, trains, tests, perturbed, checkpoint_dir=Path(args.out)
@@ -269,7 +265,6 @@ def _cmd_evaluate(args) -> int:
         corpus = perturbed[(args.language, scope_name)][0]
     report = score_corpus(corpus, tagger.predict(model, corpus))
     payload = dataclasses.asdict(report)
-    payload["per_type"] = {k: list(v) for k, v in report.per_type.items()}
     payload.update({"language": args.language, "split": args.split})
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -320,7 +315,7 @@ def _read_results(path: str):
         return read_run_records(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed results file: {exc}") from None
 
 

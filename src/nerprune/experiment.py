@@ -295,13 +295,9 @@ def load_metadata(config: ExperimentConfig) -> dict[str, LanguageMeta]:
     path = config.metadata_file
     try:
         with open(path, encoding="utf-8") as f:
-            meta = load_language_metadata(f, name=str(path))
+            return load_language_metadata(f, name=str(path))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    missing = [l for l in config.languages if l not in meta]
-    if missing:
-        raise MissingMetadataError(missing)
-    return meta
 
 
 def load_split(root: str | Path, language: str, split: str) -> Corpus:
@@ -331,7 +327,11 @@ def build_perturbed(
 ) -> dict[tuple[str, str], tuple[Corpus, list]]:
     """Perturbed test set and replacement log per (language, scope) of the
     given languages and scopes. Pools draw on every corpus in tests, so a
-    set is the same whichever others are built with it."""
+    set is the same whichever others are built with it. Languages of tests
+    missing from meta raise MissingMetadataError."""
+    missing = [l for l in tests if l not in meta]
+    if missing:
+        raise MissingMetadataError(missing)
     corpora = list(tests.values())
     result = {}
     pools: dict[tuple[str, str], object] = {}
@@ -346,6 +346,18 @@ def build_perturbed(
                 tests[language], pools[cache_key], seed
             )
     return result
+
+
+def write_perturbed(
+    out_dir: Path, perturbed: Mapping[tuple[str, str], tuple[Corpus, list]]
+) -> None:
+    """Write each set of build_perturbed as <language>.<scope>.iob2 with
+    its replacement log <language>.<scope>.log.jsonl."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (language, scope_name), (corpus, records) in sorted(perturbed.items()):
+        stem = f"{language}.{scope_name}"
+        (out_dir / f"{stem}.iob2").write_text(serialize_iob2(corpus), encoding="utf-8")
+        write_replacement_log(records, out_dir / f"{stem}.log.jsonl")
 
 
 def train_test_overlaps(
@@ -498,14 +510,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         meta, tests, config.languages, config.scopes, config.perturbation_seed
     )
 
-    perturbed_dir = out_dir / "perturbed"
-    perturbed_dir.mkdir(exist_ok=True)
-    for (language, scope_name), (corpus, records) in sorted(perturbed.items()):
-        stem = f"{language}.{scope_name}"
-        (perturbed_dir / f"{stem}.iob2").write_text(
-            serialize_iob2(corpus), encoding="utf-8"
-        )
-        write_replacement_log(records, perturbed_dir / f"{stem}.log.jsonl")
+    write_perturbed(out_dir / "perturbed", perturbed)
 
     results_path = out_dir / "results.jsonl"
     failures_path = out_dir / "failures.jsonl"

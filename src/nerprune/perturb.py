@@ -148,18 +148,6 @@ class ReplacementRecord:
     draw_index: int | None
     replaced: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sentence_index": self.sentence_index,
-            "start": self.start,
-            "end": self.end,
-            "entity_type": self.entity_type,
-            "original": list(self.original),
-            "replacement": list(self.replacement),
-            "draw_index": self.draw_index,
-            "replaced": self.replaced,
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ReplacementRecord":
         return cls(
@@ -201,31 +189,22 @@ def perturb_sentence(
             for surface in pool.by_type.get(mention.entity_type, ())
             if surface != mention.surface
         ]
-        if candidates:
+        replaced = bool(candidates)
+        if replaced:
             pick = candidates[int(rng.integers(len(candidates)))]
-            records.append(ReplacementRecord(
-                sentence_index=sentence_index,
-                start=mention.start,
-                end=mention.end,
-                entity_type=mention.entity_type,
-                original=mention.surface,
-                replacement=pick,
-                draw_index=draw,
-                replaced=True,
-            ))
-            draw += 1
         else:
             pick = mention.surface
-            records.append(ReplacementRecord(
-                sentence_index=sentence_index,
-                start=mention.start,
-                end=mention.end,
-                entity_type=mention.entity_type,
-                original=mention.surface,
-                replacement=pick,
-                draw_index=None,
-                replaced=False,
-            ))
+        records.append(ReplacementRecord(
+            sentence_index=sentence_index,
+            start=mention.start,
+            end=mention.end,
+            entity_type=mention.entity_type,
+            original=mention.surface,
+            replacement=pick,
+            draw_index=draw if replaced else None,
+            replaced=replaced,
+        ))
+        draw += replaced
         start = len(new_tokens)
         new_tokens.extend(pick)
         new_spans.append((start, len(new_tokens), mention.entity_type))
@@ -263,7 +242,9 @@ def write_replacement_log(
 ) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            # same bytes as dataclasses.asdict (json writes tuples as
+            # arrays) without its deep copy of every value
+            f.write(json.dumps(vars(record), sort_keys=True) + "\n")
 
 
 def read_replacement_log(path: str | Path) -> list[ReplacementRecord]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -56,6 +56,10 @@ class TaggerConfig:
     vocab_min_count: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and (type(value) is bool or not isinstance(value, int)):
+                raise ConfigError(f"{field.name} must be an integer, got {value!r}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("embed_dim and hidden_dim must be >= 1")
         if self.window < 0:

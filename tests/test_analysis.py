@@ -174,6 +174,23 @@ def test_report_files_and_contents(tmp_path):
     assert row.endswith(",2")
 
 
+def test_report_group_table_text(tmp_path):
+    emit_report(REPORT_RECORDS, META, tmp_path)
+    assert (tmp_path / "by_size.csv").read_text().splitlines() == [
+        "group,sparsity,strategy,split,mean_f1,median_f1,std_f1,n_languages",
+        "100,0,partial,perturbed-in-language,0.6000,0.6000,0.0000,1",
+        "all,0,partial,perturbed-in-language,0.6000,0.6000,0.0000,1",
+        "100,0,partial,regular,0.8500,0.8500,0.0000,1",
+        "1000,0,partial,regular,0.5000,0.5000,0.0000,1",
+        "all,0,partial,regular,0.6750,0.6750,0.1750,2",
+        "100,50,partial,perturbed-in-language,0.3000,0.3000,0.0000,1",
+        "all,50,partial,perturbed-in-language,0.3000,0.3000,0.0000,1",
+        "100,50,partial,regular,0.7000,0.7000,0.0000,1",
+        "1000,50,partial,regular,0.5500,0.5500,0.0000,1",
+        "all,50,partial,regular,0.6250,0.6250,0.0750,2",
+    ]
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import nerprune.experiment
 from nerprune.cli import build_parser, main
-from worlds import DIVERGING_TAGGER, METADATA, write_world
+from worlds import AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, write_world
 
 HELP_DIR = Path(__file__).parent / "data" / "cli_help"
 
@@ -65,6 +66,13 @@ def test_validate_rejects_malformed_input_with_exit_two(tmp_path, capsys):
     assert "bad.iob2:1" in err
 
 
+def test_validate_rejects_an_empty_language_with_exit_two(tmp_path, capsys):
+    path = tmp_path / "aa.iob2"
+    path.write_text(AA_TEST_FILE)
+    assert main(["validate", str(path), "--language", ""]) == 2
+    assert "--language must be non-empty" in capsys.readouterr().err
+
+
 def test_validate_strip_prefix(tmp_path, capsys):
     path = tmp_path / "aa.iob2"
     path.write_text("aa:ada\tB-PER\n")
@@ -91,6 +99,67 @@ def test_perturb_writes_corpora_and_logs(tmp_path, capsys):
     first = produced
     assert main(argv) == 0
     assert (out / "aa.in-language.iob2").read_text() == first
+
+
+@pytest.mark.parametrize("names, extra, message", [
+    (["aa.iob2"], ["--seed", "-1"], "seed must be non-negative"),
+    (["aa.x.iob2", "aa.y.iob2"], ["--seed", "5"], "aa.y.iob2: a second input"),
+    (["aa.iob2", "zz.iob2"], ["--seed", "5"], "no metadata for language(s): zz"),
+], ids=["negative-seed", "duplicate-language", "missing-metadata"])
+def test_perturb_rejects_bad_inputs_with_exit_two(tmp_path, capsys,
+                                                  names, extra, message):
+    for name in names:
+        (tmp_path / name).write_text(AA_TEST_FILE)
+    (tmp_path / "languages.csv").write_text(METADATA)
+    assert main([
+        "perturb", *(str(tmp_path / name) for name in names),
+        "--scope", "in-language", *extra,
+        "--meta", str(tmp_path / "languages.csv"), "--out-dir", str(tmp_path / "out"),
+    ]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+CC_TEST = """\
+zeus\tB-PER
+rules\tO
+delphi\tB-LOC
+
+sparta\tB-ORG
+fights\tO
+"""
+
+
+def test_perturb_matches_the_grids_perturbed_sets(tmp_path, capsys):
+    config = write_world(tmp_path, sparsity_levels=(0,), extra={
+        "languages": ["aa", "bb", "cc"], "scopes": ["in-script"],
+    })
+    (tmp_path / "corpus" / "cc").mkdir()
+    for split in ("train", "test"):
+        (tmp_path / "corpus" / "cc" / f"{split}.iob2").write_text(CC_TEST)
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA + "cc,Greek,Fam1,4,0.1\n")
+    assert main(["experiment", "--config", str(config)]) == 0
+    grid_dir = Path(capsys.readouterr().out.strip()).parent / "perturbed"
+
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths = []
+    for language, text in (("aa", AA_TEST), ("bb", BB_TEST), ("cc", CC_TEST)):
+        paths.append(inputs / f"{language}.test.iob2")
+        paths[-1].write_text(text)
+    out = tmp_path / "cli"
+    assert main([
+        "perturb", *map(str, paths), "--scope", "in-script", "--seed", "7",
+        "--meta", str(meta), "--out-dir", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["aa", "bb", "cc"]
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in grid_dir.iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (out / name).read_bytes() == (grid_dir / name).read_bytes()
 
 
 def test_train_then_evaluate_round_trip(tmp_path, capsys):
@@ -201,6 +270,35 @@ def test_experiment_with_malformed_snapshot_exits_two(tmp_path, capsys):
     assert "config_snapshot.json: malformed" in capsys.readouterr().err
 
 
+def test_train_parses_the_cells_train_split_only(tmp_path, monkeypatch):
+    config = write_world(tmp_path)
+    calls = []
+    load_split = nerprune.experiment.load_split
+
+    def recording(root, language, split):
+        calls.append(f"{language}/{split}")
+        return load_split(root, language, split)
+
+    monkeypatch.setattr(nerprune.experiment, "load_split", recording)
+    assert main([
+        "train", "--config", str(config), "--language", "aa",
+        "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
+    ]) == 0
+    assert sorted(calls) == ["aa/test", "aa/train", "bb/test"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("embed_dim", 2.0), ("hidden_dim", 6.5), ("epochs", 1.5), ("batch_size", 2.5),
+])
+def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
+    config = write_world(tmp_path)
+    data = json.loads(config.read_text())
+    data["tagger"][field] = value
+    config.write_text(json.dumps(data))
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
 def test_train_validates_language_against_mode(tmp_path, capsys):
     config = write_world(tmp_path)
     assert main([
@@ -262,6 +360,26 @@ def test_analyze_rejects_missing_results_file(tmp_path, capsys):
         "--meta", str(meta),
     ]) == 2
     assert "absent.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("analyze", "[1, 2]"),
+    ("report", json.dumps({
+        "language": "aa", "sparsity": 0, "strategy": "partial", "seed": 0,
+        "split": "regular", "tp": 1, "fp": 0, "fn": 0,
+        "precision": 1.0, "recall": 1.0, "f1": None,
+    })),
+], ids=["analyze-non-object-line", "report-null-f1"])
+def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
+    results = tmp_path / "results.jsonl"
+    results.write_text(line + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    argv = [command, "--results", str(results), "--meta", str(meta)]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "report")]
+    assert main(argv) == 2
+    assert "malformed results file" in capsys.readouterr().err
 
 
 def test_report_with_missing_corpus_exits_two(tmp_path, capsys):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import nerprune
 import synth
 from conftest import corpus_of, sent
 from nerprune.corpus import TAGSET
@@ -146,6 +147,10 @@ def test_masked_nan_makes_the_check_nan_and_stays():
     rows = np.array([1, 2])
     rows_worst[rows] = _masked_row_max(emb[rows], mask[rows])
     assert np.isnan(_max_abs_masked([], rows_worst))
+
+
+def test_package_exports_divergence_error():
+    assert nerprune.DivergenceError is DivergenceError
 
 
 def test_training_stops_at_a_nan_masked_weight():
