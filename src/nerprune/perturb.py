@@ -162,6 +162,14 @@ class ReplacementRecord:
         )
 
 
+def _surface_positions(pool: EntityPool) -> dict[str, dict[tuple[str, ...], int]]:
+    """Per entity type, each pool surface's position in its tuple."""
+    return {
+        etype: {surface: i for i, surface in enumerate(surfaces)}
+        for etype, surfaces in pool.by_type.items()
+    }
+
+
 def perturb_sentence(
     sentence: Sentence,
     pool: EntityPool,
@@ -176,6 +184,24 @@ def perturb_sentence(
     with replaced=False. All mentions, kept or replaced, are re-tagged
     as strict IOB2 in the output.
     """
+    return _perturb_sentence(sentence, pool, _surface_positions(pool), rng,
+                             sentence_index, first_draw_index)
+
+
+def _perturb_sentence(
+    sentence: Sentence,
+    pool: EntityPool,
+    positions: Mapping[str, Mapping[tuple[str, ...], int]],
+    rng: np.random.Generator,
+    sentence_index: int,
+    first_draw_index: int,
+) -> tuple[Sentence, list[ReplacementRecord]]:
+    """perturb_sentence with the pool's surface positions given.
+
+    A draw is O(1): it picks among the surfaces other than the mention's
+    own by skipping the own position, which consumes the same draws as
+    picking from the list of candidates.
+    """
     mentions = extract_entities(sentence)
     records = []
     draw = first_draw_index
@@ -184,14 +210,15 @@ def perturb_sentence(
     cursor = 0
     for mention in mentions:
         new_tokens.extend(sentence.tokens[cursor:mention.start])
-        candidates = [
-            surface
-            for surface in pool.by_type.get(mention.entity_type, ())
-            if surface != mention.surface
-        ]
-        replaced = bool(candidates)
+        surfaces = pool.by_type.get(mention.entity_type, ())
+        own = positions.get(mention.entity_type, {}).get(mention.surface)
+        n_candidates = len(surfaces) - (own is not None)
+        replaced = n_candidates > 0
         if replaced:
-            pick = candidates[int(rng.integers(len(candidates)))]
+            pick_index = int(rng.integers(n_candidates))
+            if own is not None and pick_index >= own:
+                pick_index += 1
+            pick = surfaces[pick_index]
         else:
             pick = mention.surface
         records.append(ReplacementRecord(
@@ -221,14 +248,18 @@ def perturb_corpus(
 
     Sentences are processed in order and mentions left to right, so the
     log and the output are fully determined by (corpus, pool, seed).
+    The pool's surface positions are indexed once per call and dropped
+    with it: kept on the pool, they would stay in memory for as long as
+    the pool does.
     """
     rng = np.random.default_rng(seed)
+    positions = _surface_positions(pool)
     sentences = []
     records: list[ReplacementRecord] = []
     draws = 0
     for index, sentence in enumerate(corpus):
-        perturbed, sent_records = perturb_sentence(
-            sentence, pool, rng,
+        perturbed, sent_records = _perturb_sentence(
+            sentence, pool, positions, rng,
             sentence_index=index, first_draw_index=draws,
         )
         sentences.append(perturbed)

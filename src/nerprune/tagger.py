@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,6 +45,9 @@ PAD_ID = 1
 
 MODEL_SIDECAR = "model.json"
 
+# sentences per encode-and-score pass in predict
+PREDICT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class TaggerConfig:
@@ -64,8 +69,13 @@ class TaggerConfig:
             raise ConfigError("embed_dim and hidden_dim must be >= 1")
         if self.window < 0:
             raise ConfigError("window must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        lr = self.learning_rate
+        # NaN fails both comparisons; an int too large for a float fails
+        # the second instead of overflowing in the first update
+        if (type(lr) is bool or not isinstance(lr, numbers.Real)
+                or not 0 < lr <= sys.float_info.max):
+            raise ConfigError(
+                f"learning_rate must be a finite positive number, got {lr!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
@@ -162,24 +172,45 @@ def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
 _TAG_TO_ID = {tag: i for i, tag in enumerate(TAGSET)}
 
 
+def encode_sentences(
+    model: TaggerModel, sentences: Sequence[Sentence]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window token ids (N, 2w+1), gold tag ids (N,) and offsets
+    (len(sentences) + 1,) for sentences laid end to end; sentence i owns
+    rows offsets[i]:offsets[i + 1].
+
+    Out-of-vocabulary tokens map to <unk>, positions beyond the edge of
+    a token's own sentence to <pad>.
+    """
+    w = model.config.window
+    vocab = model.vocab
+    lengths = np.array([len(sent) for sent in sentences], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    flat = np.array(
+        [vocab.get(token, UNK_ID) for sent in sentences for token in sent.tokens],
+        dtype=np.int64,
+    )
+    tags = np.array(
+        [_TAG_TO_ID[tag] for sent in sentences for tag in sent.tags],
+        dtype=np.int64,
+    )
+    n = flat.size
+    position = np.arange(n) - np.repeat(offsets[:-1], lengths)
+    length = np.repeat(lengths, lengths)
+    padded = np.concatenate((np.full(w, PAD_ID), flat, np.full(w, PAD_ID)))
+    ids = np.empty((n, 2 * w + 1), dtype=np.int64)
+    for j in range(2 * w + 1):
+        source = position + (j - w)
+        inside = (source >= 0) & (source < length)
+        ids[:, j] = np.where(inside, padded[j:j + n], PAD_ID)
+    return ids, tags, offsets
+
+
 def encode_sentence(
     model: TaggerModel, sentence: Sentence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window token ids (n, 2w+1) and gold tag ids (n,) for one sentence.
-
-    Out-of-vocabulary tokens map to <unk>, positions beyond the sentence
-    edge to <pad>.
-    """
-    w = model.config.window
-    n = len(sentence)
-    token_ids = [model.vocab.get(token, UNK_ID) for token in sentence.tokens]
-    ids = np.full((n, 2 * w + 1), PAD_ID, dtype=np.int64)
-    for i in range(n):
-        for j, pos in enumerate(range(i - w, i + w + 1)):
-            if 0 <= pos < n:
-                ids[i, j] = token_ids[pos]
-    tags = np.array([_TAG_TO_ID[tag] for tag in sentence.tags], dtype=np.int64)
-    return ids, tags
+    """Window token ids (n, 2w+1) and gold tag ids (n,) for one sentence."""
+    return encode_sentences(model, [sentence])[:2]
 
 
 def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
@@ -194,10 +225,7 @@ def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
 
 def forward(model: TaggerModel, sentence: Sentence) -> np.ndarray:
     """Per-token tag scores for one sentence, shape (n_tokens, n_tags)."""
-    if len(sentence) == 0:
-        return np.zeros((0, len(model.tagset)))
-    ids, _ = encode_sentence(model, sentence)
-    return _scores(model.params, ids)
+    return _scores(model.params, encode_sentence(model, sentence)[0])
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -304,7 +332,9 @@ def train(
         )
     events = schedule_events(schedule, ramp) if schedule is not None else []
 
-    encoded = [encode_sentence(model, sent) for sent in sentences]
+    all_ids, all_tags, offsets = encode_sentences(model, sentences)
+    sentence_ids = np.split(all_ids, offsets[1:-1])
+    sentence_tags = np.split(all_tags, offsets[1:-1])
     rng = np.random.default_rng([config.seed, 1])
     params = model.params
     tensors = model.param_list
@@ -324,8 +354,8 @@ def train(
                 ev += 1
                 full_pass = True
             chosen = order[b * config.batch_size:(b + 1) * config.batch_size]
-            ids = np.concatenate([encoded[i][0] for i in chosen])
-            tags = np.concatenate([encoded[i][1] for i in chosen])
+            ids = np.concatenate([sentence_ids[i] for i in chosen])
+            tags = np.concatenate([sentence_tags[i] for i in chosen])
             if len(tags) == 0:
                 loss, rows = 0.0, np.zeros(0, dtype=np.int64)
             else:
@@ -379,14 +409,20 @@ def _max_abs_masked(tensors: Iterable[ParamTensor],
 
 def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
     """Most likely tag per token; ties resolve to the lowest tag id,
-    which puts O first."""
-    out = []
-    for sent in corpus:
-        if len(sent) == 0:
-            out.append([])
-            continue
-        scores = forward(model, sent)
-        out.append([model.tagset[i] for i in scores.argmax(axis=1)])
+    which puts O first.
+
+    Sentences are encoded and scored PREDICT_CHUNK at a time, which
+    bounds the size of the window and score arrays.
+    """
+    sentences = corpus.sentences
+    out: list[list[str]] = []
+    for begin in range(0, len(sentences), PREDICT_CHUNK):
+        ids, _, offsets = encode_sentences(
+            model, sentences[begin:begin + PREDICT_CHUNK])
+        best = _scores(model.params, ids).argmax(axis=1).tolist()
+        labels = [model.tagset[i] for i in best]
+        bounds = offsets.tolist()
+        out.extend(labels[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
     return out
 
 

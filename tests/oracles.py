@@ -3,8 +3,10 @@
 Everything here is written down a different route than the library:
 span decoding via an explicit start predicate, scoring via greedy
 per-mention matching, rank correlation via quadratic pair counting,
-mask selection via a full three-key sort and training via a dense step
-that updates, re-masks and re-checks every tensor in full. Slow and
+mask selection via a full three-key sort, training via a dense step
+that updates, re-masks and re-checks every tensor in full, window
+encoding via a per-position loop, prediction one sentence at a time and
+perturbation by drawing from a freshly built candidate list. Slow and
 obvious on purpose.
 """
 
@@ -12,8 +14,10 @@ import math
 
 import numpy as np
 
+from nerprune.corpus import TAGSET, Corpus, Sentence, encode_tags, extract_entities
+from nerprune.perturb import ReplacementRecord
 from nerprune.pruning import _target_count, apply_masks, measure_sparsity, schedule_events
-from nerprune.tagger import TrainStep, _log_softmax, _sentences, encode_sentence
+from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores, _sentences
 
 
 def oracle_spans(tags):
@@ -160,7 +164,7 @@ def oracle_train(model, train_data, schedule, strategy, ramp="cubic"):
     sentences = _sentences(train_data)
     n_batches = math.ceil(len(sentences) / config.batch_size)
     events = schedule_events(schedule, ramp) if schedule is not None else []
-    encoded = [encode_sentence(model, s) for s in sentences]
+    encoded = [oracle_encode_sentence(model, s) for s in sentences]
     rng = np.random.default_rng([config.seed, 1])
     tensors = model.param_list
     history = []
@@ -186,3 +190,60 @@ def oracle_train(model, train_data, schedule, strategy, ramp="cubic"):
                 _dense_max_abs_masked(tensors),
             ))
     return history
+
+
+def oracle_encode_sentence(model, sentence):
+    """Window ids (n, 2w+1) and tag ids (n,) filled one position at a time."""
+    w = model.config.window
+    n = len(sentence)
+    token_ids = [model.vocab.get(token, UNK_ID) for token in sentence.tokens]
+    ids = np.full((n, 2 * w + 1), PAD_ID, dtype=np.int64)
+    for i in range(n):
+        for j, pos in enumerate(range(i - w, i + w + 1)):
+            if 0 <= pos < n:
+                ids[i, j] = token_ids[pos]
+    tags = np.array([TAGSET.index(tag) for tag in sentence.tags], dtype=np.int64)
+    return ids, tags
+
+
+def oracle_predict(model, corpus):
+    """Labels from one forward pass per sentence."""
+    out = []
+    for sentence in corpus:
+        if len(sentence) == 0:
+            out.append([])
+            continue
+        scores = _scores(model.params, oracle_encode_sentence(model, sentence)[0])
+        out.append([model.tagset[i] for i in scores.argmax(axis=1)])
+    return out
+
+
+def oracle_perturb_corpus(corpus, pool, seed):
+    """Each mention draws from the list of its type's pool surfaces
+    without its own surface, rebuilt for every mention."""
+    rng = np.random.default_rng(seed)
+    sentences, records = [], []
+    for index, sentence in enumerate(corpus):
+        tokens, spans, cursor = [], [], 0
+        for mention in extract_entities(sentence):
+            tokens.extend(sentence.tokens[cursor:mention.start])
+            candidates = [
+                surface for surface in pool.by_type.get(mention.entity_type, ())
+                if surface != mention.surface
+            ]
+            pick = mention.surface
+            if candidates:
+                pick = candidates[int(rng.integers(len(candidates)))]
+            draws = sum(r.replaced for r in records)
+            records.append(ReplacementRecord(
+                index, mention.start, mention.end, mention.entity_type,
+                mention.surface, pick, draws if candidates else None,
+                bool(candidates),
+            ))
+            spans.append((len(tokens), len(tokens) + len(pick), mention.entity_type))
+            tokens.extend(pick)
+            cursor = mention.end
+        tokens.extend(sentence.tokens[cursor:])
+        sentences.append(Sentence(
+            tuple(tokens), encode_tags(len(tokens), spans), sentence.language))
+    return Corpus(tuple(sentences), corpus.language, corpus.split), records

@@ -287,6 +287,17 @@ def test_train_parses_the_cells_train_split_only(tmp_path, monkeypatch):
     assert sorted(calls) == ["aa/test", "aa/train", "bb/test"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.3", 10**400])
+def test_bad_learning_rate_exits_two(tmp_path, capsys, value):
+    config = write_world(tmp_path)
+    data = json.loads(config.read_text())
+    data["tagger"]["learning_rate"] = value
+    config.write_text(json.dumps(data))
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert "learning_rate must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("embed_dim", 2.0), ("hidden_dim", 6.5), ("epochs", 1.5), ("batch_size", 2.5),
 ])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
+from oracles import oracle_perturb_corpus
 from nerprune.corpus import (
     TAGSET,
     LanguageMeta,
@@ -203,3 +204,31 @@ def test_replacement_log_round_trip(tmp_path):
     path = tmp_path / "log.jsonl"
     write_replacement_log(records, path)
     assert read_replacement_log(path) == records
+
+
+# a small alphabet so that mentions often are pool surfaces
+mention_token_st = st.sampled_from(["x", "y", "z"])
+tagged_sentence_st = st.lists(
+    st.tuples(mention_token_st, st.sampled_from(TAGSET)), max_size=7
+).map(lambda pairs: sent([t for t, _ in pairs], [g for _, g in pairs], "aa"))
+pool_surfaces_st = st.lists(
+    st.lists(mention_token_st, min_size=1, max_size=3).map(tuple),
+    max_size=6, unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sentences=st.lists(tagged_sentence_st, max_size=6),
+    # a type is missing from the pool, or holds zero or more surfaces
+    by_type=st.dictionaries(st.sampled_from(["PER", "LOC", "ORG"]), pool_surfaces_st),
+    seed=st.integers(0, 1000),
+)
+def test_perturb_corpus_matches_the_candidate_list_draw(sentences, by_type, seed):
+    pool = pool_of({etype: tuple(s) for etype, s in by_type.items() if s})
+    corpus = corpus_of(sentences, "aa")
+    out, records = perturb_corpus(corpus, pool, seed)
+    want_out, want_records = oracle_perturb_corpus(corpus, pool, seed)
+    assert out == want_out
+    assert records == want_records
+    assert serialize_iob2(out) == serialize_iob2(want_out)

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
+from oracles import oracle_encode_sentence, oracle_predict
 from nerprune.corpus import TAGSET
 from nerprune.errors import CheckpointError, ConfigError, ScheduleError
 from nerprune.pruning import PruneSchedule, PruneStrategy, Role, measure_sparsity
 from nerprune.tagger import (
     PAD_ID,
+    PREDICT_CHUNK,
     UNK_ID,
     TaggerConfig,
     build_vocab,
     encode_sentence,
+    encode_sentences,
     forward,
     grad_check,
     init_model,
@@ -98,6 +103,47 @@ def test_encode_pads_window_edges_and_maps_oov():
     ids, tags = encode_sentence(model, sent(["ada", "mystery"], ["B-PER", "O"]))
     assert ids.tolist() == [[PAD_ID, 2, UNK_ID], [2, UNK_ID, PAD_ID]]
     assert tags.tolist() == [1, 0]
+
+
+# "zz" and "qq" are out of vocabulary
+token_st = st.sampled_from(["ada", "oslo", "acme", "zz", "qq"])
+sentence_st = st.lists(st.tuples(token_st, st.sampled_from(TAGSET)), max_size=5).map(
+    lambda pairs: sent([t for t, _ in pairs], [g for _, g in pairs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=st.integers(0, 3), sentences=st.lists(sentence_st, max_size=8))
+def test_encode_sentences_matches_the_per_sentence_loop(window, sentences):
+    config = TaggerConfig(embed_dim=2, window=window, hidden_dim=2)
+    model = init_model(config, {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3, "acme": 4})
+    ids, tags, offsets = encode_sentences(model, sentences)
+    expected = [oracle_encode_sentence(model, s) for s in sentences]
+    assert offsets.tolist() == np.cumsum([0] + [len(s) for s in sentences]).tolist()
+    assert ids.dtype == tags.dtype == np.int64
+    assert ids.shape == (len(tags), 2 * window + 1)
+    for i, (want_ids, want_tags) in enumerate(expected):
+        assert np.array_equal(ids[offsets[i]:offsets[i + 1]], want_ids)
+        assert np.array_equal(tags[offsets[i]:offsets[i + 1]], want_tags)
+    if sentences:
+        one_ids, one_tags = encode_sentence(model, sentences[0])
+        assert np.array_equal(one_ids, expected[0][0])
+        assert np.array_equal(one_tags, expected[0][1])
+
+
+def test_predict_matches_per_sentence_prediction_across_chunks():
+    corpus = toy_corpus()
+    model = init_model(SMALL, build_vocab(corpus))
+    rows = [s for _ in range(40) for s in corpus]
+    # empty sentences first and last in a chunk, and a one-token sentence
+    for edge in (0, PREDICT_CHUNK - 1, PREDICT_CHUNK, 2 * PREDICT_CHUNK - 1,
+                 2 * PREDICT_CHUNK, len(rows)):
+        rows.insert(edge, sent([], []))
+    rows.append(sent(["oslo"], ["B-LOC"]))
+    big = corpus_of(rows)
+    assert len(big) > 2 * PREDICT_CHUNK
+    predictions = predict(model, big)
+    assert predictions == oracle_predict(model, big)
+    assert len({tag for labels in predictions for tag in labels}) > 1
 
 
 def test_forward_shape_and_empty_sentence():
