@@ -232,8 +232,9 @@ def _cmd_train(args) -> int:
     perturbed = experiment.build_perturbed(
         meta, tests, languages, config.scopes, config.perturbation_seed
     )
+    bundle = experiment.build_bundle(config, languages, trains, tests, perturbed)
     lines, _ = experiment.execute_run(
-        spec, config, trains, tests, perturbed, checkpoint_dir=Path(args.out)
+        spec, config, bundle, checkpoint_dir=Path(args.out)
     )
     regular = [l for l in lines if l["split"] == "regular"]
     print(json.dumps({

@@ -20,6 +20,7 @@ from .errors import MetadataError, ParseError, TagError
 ENTITY_TYPES = ("PER", "LOC", "ORG")
 TAGSET = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-ORG", "I-ORG")
 VALID_TAGS = frozenset(TAGSET)
+TAG_IDS = {tag: i for i, tag in enumerate(TAGSET)}
 SPLITS = ("train", "dev", "test")
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import ENTITY_TYPES, VALID_TAGS, Corpus, decode_spans
+import numpy as np
+
+from .corpus import ENTITY_TYPES, TAG_IDS, TAGSET, Corpus
 from .errors import AlignmentError, TagError
 from .perturb import SCOPE_NAMES
 from .pruning import PruneStrategy
@@ -67,40 +69,81 @@ class ScoreReport:
         return cls(tp, fp, fn, precision, recall, f1, dict(per_type))
 
 
+# per tag id: entity type index (-1 for O) and whether the tag is B-X
+_TAG_TYPE = np.array([ENTITY_TYPES.index(t[2:]) if t != "O" else -1 for t in TAGSET])
+_TAG_OPENS = np.array([t.startswith("B-") for t in TAGSET])
+
+
+def decode_span_ids(tag_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Lenient spans of tag ids laid end to end, sentence i owning
+    positions offsets[i]:offsets[i + 1], as sorted int64 keys.
+
+    The rules are decode_spans': B-X opens a span, I-X continues an open
+    span of type X and otherwise opens one, O closes. A sentence's first
+    token always opens, so no span crosses a sentence boundary. A span
+    [start, end) of type index t has key ((start * (N + 1)) + end) * T + t
+    for N positions and T entity types.
+    """
+    n = tag_ids.size
+    etype = _TAG_TYPE[tag_ids]
+    entity = etype >= 0
+    opens = entity & _TAG_OPENS[tag_ids]
+    opens[1:] |= entity[1:] & (etype[1:] != etype[:-1])
+    firsts = offsets[:-1][offsets[:-1] < n]
+    opens[firsts] = entity[firsts]
+    starts = np.flatnonzero(opens)
+    stops = np.flatnonzero(np.append(~entity | opens, True))
+    ends = stops[np.searchsorted(stops, starts, side="right")]
+    return (starts * (n + 1) + ends) * len(ENTITY_TYPES) + etype[starts]
+
+
+def score_ids(gold_spans: np.ndarray, tag_ids: np.ndarray,
+              offsets: np.ndarray) -> ScoreReport:
+    """Score predicted tag ids against gold span keys of decode_span_ids
+    over the same positions and offsets."""
+    t = len(ENTITY_TYPES)
+    predicted = decode_span_ids(tag_ids, offsets)
+    hits = np.intersect1d(gold_spans, predicted, assume_unique=True)
+    tp = np.bincount(hits % t, minlength=t)
+    fp = np.bincount(predicted % t, minlength=t) - tp
+    fn = np.bincount(gold_spans % t, minlength=t) - tp
+    return ScoreReport.from_counts({
+        etype: (int(tp[i]), int(fp[i]), int(fn[i]))
+        for i, etype in enumerate(ENTITY_TYPES)
+    })
+
+
 def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreReport:
     """Score predicted tag sequences against a gold corpus.
 
     predicted holds one tag sequence per gold sentence, aligned by index
     and by token count. Ill-formed IOB2 is accepted on both sides and
-    decoded leniently. Misaligned predictions raise AlignmentError.
+    decoded leniently. Misaligned predictions raise AlignmentError,
+    unknown predicted tags TagError.
     """
     if len(predicted) != len(gold.sentences):
         raise AlignmentError(
             f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
         )
-    per_type = {etype: [0, 0, 0] for etype in ENTITY_TYPES}
+    gold_ids: list[int] = []
+    pred_ids: list[int] = []
+    lengths: list[int] = []
     for idx, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
         if len(tags) != len(sent):
             raise AlignmentError(
                 f"sentence {idx}: {len(tags)} predicted tags "
                 f"for {len(sent)} tokens"
             )
-        for tag in tags:
-            if tag not in VALID_TAGS:
-                raise TagError(f"sentence {idx}: unknown predicted tag {tag!r}")
-        gold_spans = set(decode_spans(sent.tags))
-        pred_spans = set(decode_spans(tags))
-        for span in pred_spans:
-            bucket = per_type[span[2]]
-            if span in gold_spans:
-                bucket[0] += 1
-            else:
-                bucket[1] += 1
-        for span in gold_spans - pred_spans:
-            per_type[span[2]][2] += 1
-    return ScoreReport.from_counts(
-        {etype: tuple(counts) for etype, counts in per_type.items()}
-    )
+        row = [TAG_IDS.get(tag) for tag in tags]
+        if None in row:
+            unknown = tags[row.index(None)]
+            raise TagError(f"sentence {idx}: unknown predicted tag {unknown!r}")
+        pred_ids.extend(row)
+        gold_ids.extend(TAG_IDS[tag] for tag in sent.tags)
+        lengths.append(len(sent))
+    offsets = np.concatenate(([0], np.cumsum(np.array(lengths, dtype=np.int64))))
+    gold_spans = decode_span_ids(np.array(gold_ids, dtype=np.int64), offsets)
+    return score_ids(gold_spans, np.array(pred_ids, dtype=np.int64), offsets)
 
 
 @dataclass(frozen=True)

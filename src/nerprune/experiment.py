@@ -15,14 +15,19 @@ benchmark that all models face identically.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import shutil
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import (
     Corpus,
@@ -43,11 +48,23 @@ from .evaluation import (
     SPARSITY_LEVELS,
     STRATEGY_NAMES,
     RunRecord,
-    score_corpus,
+    decode_span_ids,
+    score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
 from .pruning import PruneSchedule, PruneStrategy, measure_sparsity
-from .tagger import TaggerConfig, build_vocab, init_model, predict, save_model, train
+from .tagger import (
+    Encoded,
+    TaggerConfig,
+    TrainArrays,
+    build_vocab,
+    encode_train,
+    encode_windows,
+    init_model,
+    predict_ids,
+    save_model,
+    train,
+)
 
 # start step, end step, event frequency per training set size
 DEFAULT_SCHEDULE_TABLE = (
@@ -373,35 +390,78 @@ def train_test_overlaps(
     return overlaps
 
 
-def execute_run(
-    spec: RunSpec,
+@dataclass(frozen=True)
+class ScoredSplit:
+    """A test split encoded with one vocab and window, and its gold
+    spans as decode_span_ids keys."""
+
+    language: str
+    name: str
+    encoded: Encoded
+    gold_spans: np.ndarray
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """What every cell of one language set shares: the training set
+    encoded with its vocab (train.vocab), and each split the cells are
+    scored on, in result-line order."""
+
+    train: TrainArrays
+    splits: tuple[ScoredSplit, ...]
+
+
+def build_bundle(
     config: ExperimentConfig,
+    languages: Sequence[str],
     trains: Mapping[str, Corpus],
     tests: Mapping[str, Corpus],
     perturbed: Mapping[tuple[str, str], tuple[Corpus, list]],
+) -> Bundle:
+    """Vocab, encoded training set and encoded splits with gold spans for
+    the cells that train on languages. A training set without sentences
+    is a ConfigError."""
+    train_corpora = [trains[l] for l in languages]
+    vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
+    window = config.tagger.window
+    train_arrays = encode_train(vocab, window, train_corpora)
+    splits = []
+    for language in languages:
+        named = [("regular", tests[language])] + [
+            (f"perturbed-{scope_name}", perturbed[(language, scope_name)][0])
+            for scope_name in config.scopes
+        ]
+        for name, corpus in named:
+            encoded = encode_windows(vocab, window, corpus.sentences)
+            gold_spans = decode_span_ids(encoded.tags, encoded.offsets)
+            splits.append(ScoredSplit(language, name, encoded, gold_spans))
+    return Bundle(train_arrays, tuple(splits))
+
+
+def execute_run(
+    spec: RunSpec,
+    config: ExperimentConfig,
+    bundle: Bundle,
     checkpoint_dir: Path | None = None,
 ):
-    """Train one grid cell and score it on every split it owes.
+    """Train one grid cell on its language set's bundle and score it on
+    every split it owes.
 
     Returns (result line dicts, trained model). The nominal sparsity
     must be achieved within 1/N of the prunable weight count or the run
     fails.
     """
-    languages = spec.languages(config)
-    train_corpora = [trains[l] for l in languages]
-    vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
-    model = init_model(replace(config.tagger, seed=spec.seed), vocab)
+    model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
     if spec.sparsity == 0:
         schedule = None
         schedule_row = None
     else:
-        total_size = sum(len(trains[l]) for l in languages)
-        schedule_row = config.schedule_for(total_size)
+        schedule_row = config.schedule_for(len(bundle.train.ids))
         start, end, freq = schedule_row
         schedule = PruneSchedule(start, end, freq, spec.sparsity / 100)
     started = time.perf_counter()
-    train(model, train_corpora, schedule=schedule, strategy=strategy)
+    train(model, bundle.train, schedule=schedule, strategy=strategy)
     elapsed = time.perf_counter() - started
     achieved = measure_sparsity(model.param_list, strategy)
     n_prunable = sum(
@@ -415,31 +475,25 @@ def execute_run(
     if checkpoint_dir is not None:
         save_model(checkpoint_dir, model)
     lines = []
-    for language in languages:
-        splits = [("regular", tests[language])]
-        for scope_name in config.scopes:
-            splits.append(
-                (f"perturbed-{scope_name}", perturbed[(language, scope_name)][0])
-            )
-        for split_name, corpus in splits:
-            report = score_corpus(corpus, predict(model, corpus))
-            record = RunRecord(
-                language=language,
-                sparsity=spec.sparsity,
-                strategy=spec.strategy,
-                seed=spec.seed,
-                split=split_name,
-                report=report,
-            )
-            line = record.to_json_dict()
-            line.update({
-                "run_id": spec.run_id,
-                "config_hash": config.config_hash,
-                "schedule": list(schedule_row) if schedule_row else None,
-                "train_seconds": round(elapsed, 3),
-                "achieved_sparsity": achieved,
-            })
-            lines.append(line)
+    for split in bundle.splits:
+        predicted = predict_ids(model, split.encoded)
+        record = RunRecord(
+            language=split.language,
+            sparsity=spec.sparsity,
+            strategy=spec.strategy,
+            seed=spec.seed,
+            split=split.name,
+            report=score_ids(split.gold_spans, predicted, split.encoded.offsets),
+        )
+        line = record.to_json_dict()
+        line.update({
+            "run_id": spec.run_id,
+            "config_hash": config.config_hash,
+            "schedule": list(schedule_row) if schedule_row else None,
+            "train_seconds": round(elapsed, 3),
+            "achieved_sparsity": achieved,
+        })
+        lines.append(line)
     return lines, model
 
 
@@ -478,8 +532,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     Completed run ids found in an existing results file are skipped, so
     rerunning a finished experiment writes nothing new. Failures are
     recorded per run in failures.jsonl and do not stop the rest of the
-    grid. With workers > 1 runs execute on a thread pool; the set of
-    result lines is unchanged, only their order can vary.
+    grid. Each language set with a pending cell gets one bundle, built
+    before its cells start and dropped when they finish. With workers > 1
+    a language set's runs execute on a thread pool; the set of result
+    lines is unchanged, only their order can vary.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -518,36 +574,58 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     done = _existing_run_ids(results_path)
     pending = [spec for spec in plan(config) if spec.run_id not in done]
 
+    groups: dict[tuple[str, ...], list[RunSpec]] = {}
+    for spec in pending:
+        groups.setdefault(tuple(spec.languages(config)), []).append(spec)
+    checkpoints = out_dir / "checkpoints"
     lock = threading.Lock()
 
-    def handle(spec: RunSpec) -> None:
-        try:
-            lines, _ = execute_run(
-                spec, config, trains, tests, perturbed,
-                checkpoint_dir=out_dir / "checkpoints" / spec.run_id,
-            )
-            blob = "".join(
-                json.dumps(line, sort_keys=True) + "\n" for line in lines
-            )
-            with lock:
-                with open(results_path, "a", encoding="utf-8") as f:
-                    f.write(blob)
-        except NerpruneError as exc:
-            failure = json.dumps({
-                "run_id": spec.run_id,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }, sort_keys=True)
-            with lock:
-                with open(failures_path, "a", encoding="utf-8") as f:
-                    f.write(failure + "\n")
+    def append(path: Path, text: str) -> None:
+        with lock:
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(text)
 
-    if workers == 1:
-        for spec in pending:
-            handle(spec)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(handle, pending))
+    def fail(spec: RunSpec, exc: Exception) -> None:
+        failure = {
+            "run_id": spec.run_id,
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
+        if not isinstance(exc, NerpruneError):
+            # a fault of the program, not of its input: say where it arose
+            failure["traceback"] = "".join(traceback.format_exception(exc))
+        append(failures_path, json.dumps(failure, sort_keys=True) + "\n")
+
+    def handle(spec: RunSpec, bundle: Bundle) -> None:
+        # the checkpoint is written beside its final place and renamed
+        # over whatever an interrupted attempt left there
+        final = checkpoints / spec.run_id
+        staging = checkpoints / f".{spec.run_id}.partial"
+        try:
+            shutil.rmtree(staging, ignore_errors=True)
+            lines, _ = execute_run(spec, config, bundle, checkpoint_dir=staging)
+            shutil.rmtree(final, ignore_errors=True)
+            staging.rename(final)
+            append(results_path, "".join(
+                json.dumps(line, sort_keys=True) + "\n" for line in lines
+            ))
+        except Exception as exc:  # a bug or MemoryError fails its cell only
+            fail(spec, exc)
+
+    def run_group(languages: tuple[str, ...], specs: list[RunSpec], mapper) -> None:
+        # the bundle lives until this language set's cells are done
+        try:
+            bundle = build_bundle(config, languages, trains, tests, perturbed)
+        except Exception as exc:
+            for spec in specs:
+                fail(spec, exc)
+            return
+        list(mapper(lambda spec: handle(spec, bundle), specs))
+
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for languages, specs in groups.items():
+            run_group(languages, specs, pool.map if pool else map)
     if not results_path.is_file():
         results_path.write_text("", encoding="utf-8")
     return results_path

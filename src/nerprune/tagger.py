@@ -19,11 +19,11 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TAGSET, Corpus, Sentence
+from .corpus import TAG_IDS, TAGSET, Corpus, Sentence
 from .errors import CheckpointError, ConfigError, DivergenceError, ScheduleError
 from .pruning import (
     ParamTensor,
@@ -45,7 +45,7 @@ PAD_ID = 1
 
 MODEL_SIDECAR = "model.json"
 
-# sentences per encode-and-score pass in predict
+# sentences per forward pass in predict_ids
 PREDICT_CHUNK = 64
 
 
@@ -169,21 +169,25 @@ def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     return TaggerModel(config, dict(vocab), TAGSET, params)
 
 
-_TAG_TO_ID = {tag: i for i, tag in enumerate(TAGSET)}
+class Encoded(NamedTuple):
+    """Sentences laid end to end: window token ids (N, 2w+1), gold tag
+    ids (N,) and offsets (sentences + 1,); sentence i owns rows
+    offsets[i]:offsets[i + 1]."""
+
+    ids: np.ndarray
+    tags: np.ndarray
+    offsets: np.ndarray
 
 
-def encode_sentences(
-    model: TaggerModel, sentences: Sequence[Sentence]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window token ids (N, 2w+1), gold tag ids (N,) and offsets
-    (len(sentences) + 1,) for sentences laid end to end; sentence i owns
-    rows offsets[i]:offsets[i + 1].
+def encode_windows(
+    vocab: Mapping[str, int], window: int, sentences: Sequence[Sentence]
+) -> Encoded:
+    """Encode sentences against a vocab in one vectorised pass.
 
     Out-of-vocabulary tokens map to <unk>, positions beyond the edge of
     a token's own sentence to <pad>.
     """
-    w = model.config.window
-    vocab = model.vocab
+    w = window
     lengths = np.array([len(sent) for sent in sentences], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     flat = np.array(
@@ -191,7 +195,7 @@ def encode_sentences(
         dtype=np.int64,
     )
     tags = np.array(
-        [_TAG_TO_ID[tag] for sent in sentences for tag in sent.tags],
+        [TAG_IDS[tag] for sent in sentences for tag in sent.tags],
         dtype=np.int64,
     )
     n = flat.size
@@ -203,7 +207,36 @@ def encode_sentences(
         source = position + (j - w)
         inside = (source >= 0) & (source < length)
         ids[:, j] = np.where(inside, padded[j:j + n], PAD_ID)
-    return ids, tags, offsets
+    return Encoded(ids, tags, offsets)
+
+
+def encode_sentences(model: TaggerModel, sentences: Sequence[Sentence]) -> Encoded:
+    """encode_windows with the model's vocab and window."""
+    return encode_windows(model.vocab, model.config.window, sentences)
+
+
+@dataclass(frozen=True)
+class TrainArrays:
+    """A training set encoded once for every model with one vocab and
+    window: window ids and gold tag ids per sentence."""
+
+    vocab: Mapping[str, int]
+    window: int
+    ids: list[np.ndarray]
+    tags: list[np.ndarray]
+
+
+def encode_train(
+    vocab: Mapping[str, int], window: int, data: Corpus | Sequence[Corpus]
+) -> TrainArrays:
+    """Encode training data for train; data without sentences is a
+    ConfigError."""
+    sentences = _sentences(data)
+    if not sentences:
+        raise ConfigError("training data has no sentences")
+    ids, tags, offsets = encode_windows(vocab, window, sentences)
+    cuts = offsets[1:-1]
+    return TrainArrays(vocab, window, np.split(ids, cuts), np.split(tags, cuts))
 
 
 def encode_sentence(
@@ -298,7 +331,7 @@ def loss_and_gradients(
 
 def train(
     model: TaggerModel,
-    train_data: Corpus | Sequence[Corpus],
+    train_data: Corpus | Sequence[Corpus] | TrainArrays,
     schedule: PruneSchedule | None = None,
     strategy: PruneStrategy = PruneStrategy.PARTIAL,
     ramp: str = "cubic",
@@ -311,7 +344,8 @@ def train(
     exactly zero. A schedule whose end_step exceeds the total number of
     updates is rejected up front. Training stops with DivergenceError at
     the first step whose loss is not finite or that leaves NaN in a
-    masked weight.
+    masked weight. train_data may come encoded by encode_train with the
+    model's vocab and window, so models that share them encode it once.
 
     A step's cost scales with the batch, not the vocabulary: it updates,
     re-masks and re-checks only the embedding rows its batch reads (and
@@ -320,10 +354,12 @@ def train(
     pass over every tensor.
     """
     config = model.config
-    sentences = _sentences(train_data)
-    if not sentences:
-        raise ConfigError("training data has no sentences")
-    n_batches = math.ceil(len(sentences) / config.batch_size)
+    if not isinstance(train_data, TrainArrays):
+        train_data = encode_train(model.vocab, config.window, train_data)
+    elif train_data.window != config.window or train_data.vocab != model.vocab:
+        raise ConfigError("training arrays were encoded with another vocab or window")
+    sentence_ids, sentence_tags = train_data.ids, train_data.tags
+    n_batches = math.ceil(len(sentence_ids) / config.batch_size)
     total_steps = config.epochs * n_batches
     if schedule is not None and schedule.end_step > total_steps:
         raise ScheduleError(
@@ -332,9 +368,6 @@ def train(
         )
     events = schedule_events(schedule, ramp) if schedule is not None else []
 
-    all_ids, all_tags, offsets = encode_sentences(model, sentences)
-    sentence_ids = np.split(all_ids, offsets[1:-1])
-    sentence_tags = np.split(all_tags, offsets[1:-1])
     rng = np.random.default_rng([config.seed, 1])
     params = model.params
     tensors = model.param_list
@@ -345,7 +378,7 @@ def train(
     step = 0
     ev = 0
     for _ in range(config.epochs):
-        order = rng.permutation(len(sentences))
+        order = rng.permutation(len(sentence_ids))
         for b in range(n_batches):
             step += 1
             full_pass = step == 1
@@ -407,23 +440,29 @@ def _max_abs_masked(tensors: Iterable[ParamTensor],
     return float(np.max(maxima, initial=0.0))
 
 
-def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
-    """Most likely tag per token; ties resolve to the lowest tag id,
-    which puts O first.
+def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
+    """Most likely tag id per row of sentences encoded with the model's
+    vocab and window; ties resolve to the lowest id, which puts O first.
 
-    Sentences are encoded and scored PREDICT_CHUNK at a time, which
-    bounds the size of the window and score arrays.
+    Sentences are scored PREDICT_CHUNK at a time, which bounds the size
+    of the hidden and score arrays.
     """
-    sentences = corpus.sentences
-    out: list[list[str]] = []
-    for begin in range(0, len(sentences), PREDICT_CHUNK):
-        ids, _, offsets = encode_sentences(
-            model, sentences[begin:begin + PREDICT_CHUNK])
-        best = _scores(model.params, ids).argmax(axis=1).tolist()
-        labels = [model.tagset[i] for i in best]
-        bounds = offsets.tolist()
-        out.extend(labels[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-    return out
+    ids, offsets = encoded.ids, encoded.offsets
+    best = np.empty(len(ids), dtype=np.int64)
+    n_sentences = len(offsets) - 1
+    for begin in range(0, n_sentences, PREDICT_CHUNK):
+        a = offsets[begin]
+        b = offsets[min(begin + PREDICT_CHUNK, n_sentences)]
+        best[a:b] = _scores(model.params, ids[a:b]).argmax(axis=1)
+    return best
+
+
+def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
+    """Most likely tag per token, from predict_ids."""
+    encoded = encode_sentences(model, corpus.sentences)
+    labels = [model.tagset[i] for i in predict_ids(model, encoded).tolist()]
+    bounds = encoded.offsets.tolist()
+    return [labels[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def grad_check(

@@ -2,7 +2,7 @@
 
 Everything here is written down a different route than the library:
 span decoding via an explicit start predicate, scoring via greedy
-per-mention matching, rank correlation via quadratic pair counting,
+per-mention matching or per-sentence span sets, rank correlation via quadratic pair counting,
 mask selection via a full three-key sort, training via a dense step
 that updates, re-masks and re-checks every tensor in full, window
 encoding via a per-position loop, prediction one sentence at a time and
@@ -14,7 +14,18 @@ import math
 
 import numpy as np
 
-from nerprune.corpus import TAGSET, Corpus, Sentence, encode_tags, extract_entities
+from nerprune.corpus import (
+    ENTITY_TYPES,
+    TAGSET,
+    VALID_TAGS,
+    Corpus,
+    Sentence,
+    decode_spans,
+    encode_tags,
+    extract_entities,
+)
+from nerprune.errors import AlignmentError, TagError
+from nerprune.evaluation import ScoreReport
 from nerprune.perturb import ReplacementRecord
 from nerprune.pruning import _target_count, apply_masks, measure_sparsity, schedule_events
 from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores, _sentences
@@ -68,6 +79,38 @@ def oracle_counts(gold_rows, pred_rows):
                 fp += 1
         fn += used.count(False)
     return tp, fp, fn
+
+
+def oracle_score_corpus(gold, predicted):
+    """ScoreReport from decoding each sentence's gold and predicted tags
+    as strings and intersecting their span sets."""
+    if len(predicted) != len(gold.sentences):
+        raise AlignmentError(
+            f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
+        )
+    per_type = {etype: [0, 0, 0] for etype in ENTITY_TYPES}
+    for idx, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
+        if len(tags) != len(sent):
+            raise AlignmentError(
+                f"sentence {idx}: {len(tags)} predicted tags "
+                f"for {len(sent)} tokens"
+            )
+        for tag in tags:
+            if tag not in VALID_TAGS:
+                raise TagError(f"sentence {idx}: unknown predicted tag {tag!r}")
+        gold_spans = set(decode_spans(sent.tags))
+        pred_spans = set(decode_spans(tags))
+        for span in pred_spans:
+            bucket = per_type[span[2]]
+            if span in gold_spans:
+                bucket[0] += 1
+            else:
+                bucket[1] += 1
+        for span in gold_spans - pred_spans:
+            per_type[span[2]][2] += 1
+    return ScoreReport.from_counts(
+        {etype: tuple(counts) for etype, counts in per_type.items()}
+    )
 
 
 def oracle_tau(xs, ys, tie_correction=True):

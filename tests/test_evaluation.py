@@ -1,21 +1,26 @@
 import json
 import statistics
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
-from nerprune.corpus import TAGSET, decode_spans
+from nerprune.corpus import TAG_IDS, TAGSET, decode_spans
 from nerprune.errors import AlignmentError, TagError
 from nerprune.evaluation import (
     RunRecord,
     ScoreReport,
     aggregate_seeds,
+    decode_span_ids,
     read_run_records,
     score_corpus,
+    score_ids,
     write_run_records,
 )
+from nerprune.experiment import ExperimentConfig, build_bundle
+from oracles import oracle_score_corpus
 
 tags_st = st.lists(st.sampled_from(TAGSET), min_size=1, max_size=10)
 
@@ -93,6 +98,63 @@ def test_scoring_gold_against_itself_counts_every_mention(tag_rows):
     assert (report.tp, report.fp, report.fn) == (total, 0, 0)
     all_o = score_corpus(gold, [["O"] * len(tags) for tags in tag_rows])
     assert (all_o.tp, all_o.fp, all_o.fn) == (0, 0, total)
+
+
+@st.composite
+def aligned_rows(draw):
+    """Gold and predicted tag rows of equal lengths, each row empty, all
+    O, or any tags at all (stray I-X included)."""
+    lengths = draw(st.lists(st.integers(0, 8), max_size=6))
+
+    def row(n):
+        return draw(st.one_of(
+            st.just(["O"] * n),
+            st.lists(st.sampled_from(TAGSET), min_size=n, max_size=n),
+        ))
+
+    return [row(n) for n in lengths], [row(n) for n in lengths]
+
+
+# an I-PER ends sentence 0 and another I-PER starts sentence 1
+ACROSS_BOUNDARY = [["O", "I-PER"], ["I-PER", "O"]]
+
+
+def _bundle_report(gold, pred_rows):
+    """Score as a grid cell does: gold spans from the split's bundle,
+    predictions as tag ids."""
+    train = corpus_of([sent(["w"], ["O"])], split="train")
+    config = ExperimentConfig(
+        mode="monolingual", languages=("xx",), sparsity_levels=(0,), seeds=(0,),
+        perturbation_seed=0, corpus_root="c", metadata_path="m",
+        output_dir="o", scopes=(),
+    )
+    bundle = build_bundle(config, ["xx"], {"xx": train}, {"xx": gold}, {})
+    (split,) = bundle.splits
+    predicted = np.array([TAG_IDS[t] for row in pred_rows for t in row], dtype=np.int64)
+    return score_ids(split.gold_spans, predicted, split.encoded.offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aligned_rows())
+@example((ACROSS_BOUNDARY, ACROSS_BOUNDARY))
+@example((ACROSS_BOUNDARY, [["I-PER", "I-PER"], ["I-PER", "I-PER"]]))
+@example(([[], ["O", "O"], []], [[], ["I-LOC", "I-LOC"], []]))
+def test_array_scoring_matches_the_per_sentence_oracle(rows):
+    gold_rows, pred_rows = rows
+    gold = corpus_of([sent(["w"] * len(row), row) for row in gold_rows])
+    expected = oracle_score_corpus(gold, pred_rows)
+    assert score_corpus(gold, pred_rows) == expected
+    assert _bundle_report(gold, pred_rows) == expected
+
+
+def test_spans_never_cross_a_sentence_boundary():
+    gold = corpus_of([sent(["a", "b"], ACROSS_BOUNDARY[0]),
+                      sent(["c", "d"], ACROSS_BOUNDARY[1])])
+    report = score_corpus(gold, ACROSS_BOUNDARY)
+    assert (report.tp, report.fp, report.fn) == (2, 0, 0)
+    tag_ids = np.array([TAG_IDS[t] for row in ACROSS_BOUNDARY for t in row])
+    spans = decode_span_ids(tag_ids, np.array([0, 2, 4]))
+    assert len(spans) == 2
 
 
 def test_run_record_validates_fields():

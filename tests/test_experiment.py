@@ -1,18 +1,23 @@
 import json
+import threading
+import weakref
 from dataclasses import fields, replace
 
 import pytest
 
+from nerprune import experiment
 from nerprune.corpus import serialize_iob2
 from nerprune.errors import ConfigError, MissingMetadataError
-from nerprune.evaluation import read_run_records
+from nerprune.evaluation import read_run_records, score_corpus
 from nerprune.experiment import (
     DEFAULT_SCHEDULE_TABLE,
     ExperimentConfig,
     RunSpec,
+    build_bundle,
     build_perturbed,
     config_from_dict,
     config_from_file,
+    execute_run,
     load_corpora,
     load_metadata,
     load_split,
@@ -20,7 +25,7 @@ from nerprune.experiment import (
     run,
     train_test_overlaps,
 )
-from nerprune.tagger import TaggerConfig
+from nerprune.tagger import TaggerConfig, predict
 from worlds import DIVERGING_TAGGER, write_world
 
 
@@ -349,3 +354,126 @@ def test_metadata_must_cover_the_languages(tmp_path):
     config = config_from_file(path)
     with pytest.raises(MissingMetadataError):
         run(config)
+
+
+def _failures(results):
+    return [json.loads(l)
+            for l in (results.parent / "failures.jsonl").read_text().splitlines()]
+
+
+def _count_calls(monkeypatch, name, calls):
+    original = getattr(experiment, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, counted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode, bundles", [("monolingual", 2), ("multilingual", 1)])
+def test_one_bundle_per_language_set_and_one_training_per_cell(
+        tmp_path, monkeypatch, mode, bundles, workers):
+    config = config_from_file(write_world(tmp_path, mode=mode))
+    vocab_calls, train_calls, builds = [], [], []
+    _count_calls(monkeypatch, "build_vocab", vocab_calls)
+    _count_calls(monkeypatch, "train", train_calls)
+    original = experiment.build_bundle
+    alive = []
+
+    def tracked(*args, **kwargs):
+        # (built on the main thread, bundles still alive); a pool thread
+        # may drop its last reference to a bundle a moment after its cell
+        # is done, so only the serial grid pins the second
+        builds.append((threading.current_thread() is threading.main_thread(),
+                       sum(ref() is not None for ref in alive)))
+        bundle = original(*args, **kwargs)
+        alive.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(experiment, "build_bundle", tracked)
+    run(config, workers=workers)
+    assert len(vocab_calls) == bundles
+    assert all(main for main, _ in builds)
+    if workers == 1:
+        assert [held for _, held in builds] == [0] * bundles
+    assert len(train_calls) == len(plan(config))
+    vocab_calls.clear()
+    train_calls.clear()
+    run(config, workers=workers)
+    assert vocab_calls == train_calls == []
+
+
+def test_cells_score_like_predict_and_score_corpus(tmp_path):
+    config = config_from_file(write_world(tmp_path, mode="multilingual"))
+    trains, tests = load_corpora(config.corpus_root_path, config.languages)
+    perturbed = build_perturbed(load_metadata(config), tests, config.languages,
+                                config.scopes, config.perturbation_seed)
+    bundle = build_bundle(config, config.languages, trains, tests, perturbed)
+    spec = plan(config)[-1]
+    lines, model = execute_run(spec, config, bundle)
+    assert [(l["language"], l["split"]) for l in lines] == [
+        ("aa", "regular"), ("aa", "perturbed-in-language"),
+        ("bb", "regular"), ("bb", "perturbed-in-language"),
+    ]
+    for line in lines:
+        corpus = (tests[line["language"]] if line["split"] == "regular"
+                  else perturbed[(line["language"], "in-language")][0])
+        report = score_corpus(corpus, predict(model, corpus))
+        assert [line[k] for k in ("tp", "fp", "fn", "precision", "recall", "f1")] == [
+            report.tp, report.fp, report.fn, report.precision, report.recall, report.f1]
+
+
+def test_language_set_without_training_sentences_fails_its_cells(tmp_path):
+    config = config_from_file(write_world(tmp_path))
+    (tmp_path / "corpus" / "bb" / "train.iob2").write_text("")
+    results = run(config)
+    failures = _failures(results)
+    assert {f["run_id"] for f in failures} == {
+        "mono-bb-s0-partial-seed0", "mono-bb-s50-partial-seed0"}
+    assert all(f["error"] == "ConfigError" for f in failures)
+    assert all("no sentences" in f["message"] for f in failures)
+    lines = [json.loads(l) for l in results.read_text().splitlines()]
+    assert {l["run_id"] for l in lines} == {
+        "mono-aa-s0-partial-seed0", "mono-aa-s50-partial-seed0"}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_unexpected_exception_fails_only_its_cell(world, monkeypatch, error):
+    original = experiment.train
+
+    def flaky(model, data, **kwargs):
+        # only mono-aa-s50-partial-seed0 is pruned and knows "ada"
+        if kwargs["schedule"] is not None and "ada" in model.vocab:
+            raise error("injected")
+        return original(model, data, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", flaky)
+    results = run(world)
+    (failure,) = _failures(results)
+    assert "in flaky" in failure.pop("traceback")
+    assert failure == {
+        "run_id": "mono-aa-s50-partial-seed0",
+        "error": error.__name__,
+        "message": "injected",
+    }
+    lines = [json.loads(l) for l in results.read_text().splitlines()]
+    assert {l["run_id"] for l in lines} == {
+        s.run_id for s in plan(world)} - {"mono-aa-s50-partial-seed0"}
+    assert not (results.parent / "checkpoints" / "mono-aa-s50-partial-seed0").exists()
+
+
+def test_checkpoint_replaces_a_stale_directory(world):
+    checkpoints = world.output_path / world.config_hash[:12] / "checkpoints"
+    stale = checkpoints / "mono-aa-s50-partial-seed0"
+    stale.mkdir(parents=True)
+    (stale / "stray.bin").write_bytes(b"left by an interrupted attempt")
+    (stale / "manifest.json").write_text("{}")
+    run(world)
+    fresh = sorted(p.name for p in (checkpoints / "mono-bb-s50-partial-seed0").iterdir())
+    assert sorted(p.name for p in stale.iterdir()) == fresh
+    assert "stray.bin" not in fresh
+    assert json.loads((stale / "manifest.json").read_text())["tensors"]
+    assert sorted(p.name for p in checkpoints.iterdir()) == sorted(
+        s.run_id for s in plan(world))

@@ -16,6 +16,7 @@ from nerprune.tagger import (
     build_vocab,
     encode_sentence,
     encode_sentences,
+    encode_train,
     forward,
     grad_check,
     init_model,
@@ -200,6 +201,34 @@ def test_train_rejects_empty_data_and_oversized_schedule():
     too_long = PruneSchedule(0, 10_000, 100, 0.5)
     with pytest.raises(ScheduleError, match="runs 120 updates"):
         train(model, corpus, schedule=too_long)
+
+
+def test_pre_encoded_training_set_trains_the_same_model():
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    arrays = encode_train(vocab, SMALL.window, corpus)
+    schedule = PruneSchedule(10, 60, 10, 0.5)
+    models = []
+    for data in (corpus, arrays, arrays):
+        model = init_model(SMALL, vocab)
+        models.append(train(model, data, schedule=schedule,
+                            strategy=PruneStrategy.INCL_EMBEDDINGS))
+    (first, h1), *rest = models
+    for model, history in rest:
+        assert history == h1
+        for name, tensor in model.params.items():
+            assert tensor.values.tobytes() == first.params[name].values.tobytes()
+            assert np.array_equal(tensor.mask, first.params[name].mask)
+
+
+def test_pre_encoded_training_set_must_match_vocab_and_window():
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    model = init_model(SMALL, vocab)
+    with pytest.raises(ConfigError, match="another vocab or window"):
+        train(model, encode_train(vocab, SMALL.window + 1, corpus))
+    with pytest.raises(ConfigError, match="another vocab or window"):
+        train(model, encode_train({**vocab, "extra": len(vocab)}, SMALL.window, corpus))
 
 
 def test_scheduled_pruning_reaches_target_and_masks_stick():
