@@ -12,7 +12,6 @@ from .analysis import (
     emit_report,
     group_stats,
     kendall_tau,
-    multilingual_gain,
     relative_delta,
     robustness_ratio,
 )
@@ -51,7 +50,6 @@ from .evaluation import (
     aggregate_seeds,
     read_run_records,
     score_corpus,
-    write_run_records,
 )
 from .experiment import (
     ExperimentConfig,
@@ -66,7 +64,6 @@ from .perturb import (
     Scope,
     build_pool,
     perturb_corpus,
-    perturb_sentence,
 )
 from .pruning import (
     ParamTensor,

@@ -122,16 +122,6 @@ def group_stats(
     }
 
 
-def multilingual_gain(
-    multi: Mapping[str, float], mono: Mapping[str, float]
-) -> dict[str, float]:
-    """multi minus mono F1 for the languages present in both."""
-    return {
-        lang: multi[lang] - mono[lang]
-        for lang in multi.keys() & mono.keys()
-    }
-
-
 def _merge_count(ys: list) -> int:
     """Strict inversions of ys via bottom-up merge sort."""
     items = list(ys)

@@ -233,7 +233,7 @@ def _cmd_train(args) -> int:
         meta, tests, languages, config.scopes, config.perturbation_seed
     )
     bundle = experiment.build_bundle(config, languages, trains, tests, perturbed)
-    lines, _ = experiment.execute_run(
+    lines = experiment.execute_run(
         spec, config, bundle, checkpoint_dir=Path(args.out)
     )
     regular = [l for l in lines if l["split"] == "regular"]

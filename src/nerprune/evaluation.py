@@ -203,12 +203,6 @@ class RunRecord:
         )
 
 
-def write_run_records(records: Iterable[RunRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-
-
 def read_run_records(path: str | Path) -> list[RunRecord]:
     """Read a JSON-lines result file, ignoring unknown extra keys."""
     records = []

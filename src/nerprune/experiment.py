@@ -62,6 +62,7 @@ from .tagger import (
     encode_windows,
     init_model,
     predict_ids,
+    require_int,
     save_model,
     train,
 )
@@ -109,6 +110,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for axis in ("languages", "strategies", "scopes", "sparsity_levels", "seeds"):
+            values = getattr(self, axis)
+            if not isinstance(values, tuple):
+                raise ConfigError(f"{axis} must be an array, got {values!r}")
+        named = [("corpus_root", self.corpus_root), ("metadata_path", self.metadata_path),
+                 ("output_dir", self.output_dir)]
+        named += [("languages entry", language) for language in self.languages]
+        for name, value in named:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        for axis in ("sparsity_levels", "seeds"):
+            for value in getattr(self, axis):
+                require_int(f"{axis} entry", value)
+        require_int("perturbation_seed", self.perturbation_seed)
+        for size, row in self.schedule_table:
+            if not isinstance(row, tuple) or len(row) != 3:
+                raise ConfigError(
+                    f"schedule for size {size} must be [start, end, frequency], "
+                    f"got {row!r}")
+            for value in row:
+                require_int(f"schedule for size {size}: entry", value)
         for axis in ("languages", "sparsity_levels", "strategies", "seeds",
                      "schedule_table"):
             if not getattr(self, axis):
@@ -203,6 +225,12 @@ _TOP_KEYS = {
 _PATH_KEYS = {"corpus_root", "metadata", "output"}
 
 
+def _tuple(value):
+    """A JSON array as a tuple; any other value is left for
+    ExperimentConfig to reject, never converted."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentConfig:
     unknown = set(data) - _TOP_KEYS
     if unknown:
@@ -231,23 +259,22 @@ def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentCon
     else:
         try:
             schedule_table = tuple(sorted(
-                (int(size), (int(row[0]), int(row[1]), int(row[2])))
-                for size, row in schedule_raw.items()
+                (int(size), _tuple(row)) for size, row in schedule_raw.items()
             ))
-        except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"schedule_table: {exc}") from None
     try:
         return ExperimentConfig(
-            mode=str(data["mode"]),
-            languages=tuple(str(l) for l in data["languages"]),
-            sparsity_levels=tuple(int(s) for s in data["sparsity_levels"]),
-            seeds=tuple(int(s) for s in data["seeds"]),
-            perturbation_seed=int(data["perturbation_seed"]),
-            corpus_root=str(paths["corpus_root"]),
-            metadata_path=str(paths["metadata"]),
-            output_dir=str(paths["output"]),
-            strategies=tuple(str(s) for s in data.get("strategies", STRATEGY_NAMES)),
-            scopes=tuple(str(s) for s in data.get("scopes", SCOPE_NAMES)),
+            mode=data["mode"],
+            languages=_tuple(data["languages"]),
+            sparsity_levels=_tuple(data["sparsity_levels"]),
+            seeds=_tuple(data["seeds"]),
+            perturbation_seed=data["perturbation_seed"],
+            corpus_root=paths["corpus_root"],
+            metadata_path=paths["metadata"],
+            output_dir=paths["output"],
+            strategies=_tuple(data.get("strategies", STRATEGY_NAMES)),
+            scopes=_tuple(data.get("scopes", SCOPE_NAMES)),
             tagger=tagger,
             schedule_table=schedule_table,
             base_dir=str(base_dir),
@@ -442,14 +469,13 @@ def execute_run(
     spec: RunSpec,
     config: ExperimentConfig,
     bundle: Bundle,
-    checkpoint_dir: Path | None = None,
-):
-    """Train one grid cell on its language set's bundle and score it on
-    every split it owes.
+    checkpoint_dir: Path,
+) -> list[dict]:
+    """Train one grid cell on its language set's bundle, save it to
+    checkpoint_dir and score it on every split it owes.
 
-    Returns (result line dicts, trained model). The nominal sparsity
-    must be achieved within 1/N of the prunable weight count or the run
-    fails.
+    Returns the result line dicts. The nominal sparsity must be achieved
+    within 1/N of the prunable weight count or the run fails.
     """
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
@@ -472,8 +498,7 @@ def execute_run(
             f"{spec.run_id}: achieved sparsity {achieved:.6f} misses "
             f"nominal {spec.sparsity / 100:.2f}"
         )
-    if checkpoint_dir is not None:
-        save_model(checkpoint_dir, model)
+    save_model(checkpoint_dir, model)
     lines = []
     for split in bundle.splits:
         predicted = predict_ids(model, split.encoded)
@@ -494,7 +519,7 @@ def execute_run(
             "achieved_sparsity": achieved,
         })
         lines.append(line)
-    return lines, model
+    return lines
 
 
 def _existing_run_ids(results_path: Path) -> set[str]:
@@ -530,12 +555,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     """Execute every pending grid cell; returns the results.jsonl path.
 
     Completed run ids found in an existing results file are skipped, so
-    rerunning a finished experiment writes nothing new. Failures are
-    recorded per run in failures.jsonl and do not stop the rest of the
-    grid. Each language set with a pending cell gets one bundle, built
-    before its cells start and dropped when they finish. With workers > 1
-    a language set's runs execute on a thread pool; the set of result
-    lines is unchanged, only their order can vary.
+    rerunning a finished experiment writes nothing new and reads no
+    metadata or corpus. Failures are recorded per run in failures.jsonl
+    and do not stop the rest of the grid. Each language set with a
+    pending cell gets one bundle, built before its cells start and
+    dropped when they finish. With workers > 1 a language set's runs
+    execute on a thread pool; the set of result lines is unchanged, only
+    their order can vary.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -560,19 +586,20 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
             json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    meta = load_metadata(config)
-    trains, tests = load_corpora(config.corpus_root_path, config.languages)
-    perturbed = build_perturbed(
-        meta, tests, config.languages, config.scopes, config.perturbation_seed
-    )
-
-    write_perturbed(out_dir / "perturbed", perturbed)
-
     results_path = out_dir / "results.jsonl"
     failures_path = out_dir / "failures.jsonl"
     failures_path.write_text("", encoding="utf-8")
     done = _existing_run_ids(results_path)
     pending = [spec for spec in plan(config) if spec.run_id not in done]
+    if not pending:
+        return results_path
+
+    meta = load_metadata(config)
+    trains, tests = load_corpora(config.corpus_root_path, config.languages)
+    perturbed = build_perturbed(
+        meta, tests, config.languages, config.scopes, config.perturbation_seed
+    )
+    write_perturbed(out_dir / "perturbed", perturbed)
 
     groups: dict[tuple[str, ...], list[RunSpec]] = {}
     for spec in pending:
@@ -603,7 +630,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         staging = checkpoints / f".{spec.run_id}.partial"
         try:
             shutil.rmtree(staging, ignore_errors=True)
-            lines, _ = execute_run(spec, config, bundle, checkpoint_dir=staging)
+            lines = execute_run(spec, config, bundle, checkpoint_dir=staging)
             shutil.rmtree(final, ignore_errors=True)
             staging.rename(final)
             append(results_path, "".join(

@@ -148,19 +148,6 @@ class ReplacementRecord:
     draw_index: int | None
     replaced: bool
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ReplacementRecord":
-        return cls(
-            sentence_index=int(data["sentence_index"]),
-            start=int(data["start"]),
-            end=int(data["end"]),
-            entity_type=str(data["entity_type"]),
-            original=tuple(data["original"]),
-            replacement=tuple(data["replacement"]),
-            draw_index=None if data["draw_index"] is None else int(data["draw_index"]),
-            replaced=bool(data["replaced"]),
-        )
-
 
 def _surface_positions(pool: EntityPool) -> dict[str, dict[tuple[str, ...], int]]:
     """Per entity type, each pool surface's position in its tuple."""
@@ -168,24 +155,6 @@ def _surface_positions(pool: EntityPool) -> dict[str, dict[tuple[str, ...], int]
         etype: {surface: i for i, surface in enumerate(surfaces)}
         for etype, surfaces in pool.by_type.items()
     }
-
-
-def perturb_sentence(
-    sentence: Sentence,
-    pool: EntityPool,
-    rng: np.random.Generator,
-    sentence_index: int = 0,
-    first_draw_index: int = 0,
-) -> tuple[Sentence, list[ReplacementRecord]]:
-    """Replace each mention with a same-type surface drawn from the pool.
-
-    Candidates exclude the mention's own surface (exact token match).
-    When none remain the mention is kept and the log entry is flagged
-    with replaced=False. All mentions, kept or replaced, are re-tagged
-    as strict IOB2 in the output.
-    """
-    return _perturb_sentence(sentence, pool, _surface_positions(pool), rng,
-                             sentence_index, first_draw_index)
 
 
 def _perturb_sentence(
@@ -196,7 +165,13 @@ def _perturb_sentence(
     sentence_index: int,
     first_draw_index: int,
 ) -> tuple[Sentence, list[ReplacementRecord]]:
-    """perturb_sentence with the pool's surface positions given.
+    """Replace each mention with a same-type surface drawn from the pool.
+
+    Candidates exclude the mention's own surface (exact token match).
+    When none remain the mention is kept and the log entry is flagged
+    with replaced=False. All mentions, kept or replaced, are re-tagged
+    as strict IOB2 in the output. positions are the pool's surface
+    positions from _surface_positions.
 
     A draw is O(1): it picks among the surfaces other than the mention's
     own by skipping the own position, which consumes the same draws as
@@ -276,13 +251,3 @@ def write_replacement_log(
             # same bytes as dataclasses.asdict (json writes tuples as
             # arrays) without its deep copy of every value
             f.write(json.dumps(vars(record), sort_keys=True) + "\n")
-
-
-def read_replacement_log(path: str | Path) -> list[ReplacementRecord]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(ReplacementRecord.from_json_dict(json.loads(line)))
-    return records

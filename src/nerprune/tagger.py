@@ -49,6 +49,13 @@ MODEL_SIDECAR = "model.json"
 PREDICT_CHUNK = 64
 
 
+def require_int(name: str, value) -> None:
+    """The rule for every integer config value: an int and not a bool,
+    so 2.5, "2" and true are rejected rather than coerced."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaggerConfig:
     embed_dim: int = 32
@@ -62,9 +69,8 @@ class TaggerConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int" and (type(value) is bool or not isinstance(value, int)):
-                raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+            if field.type == "int":
+                require_int(field.name, getattr(self, field.name))
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("embed_dim and hidden_dim must be >= 1")
         if self.window < 0:
@@ -144,6 +150,18 @@ def build_vocab(
     return vocab
 
 
+def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each tensor of a model with config over vocab_size tokens."""
+    d, h, t = config.embed_dim, config.hidden_dim, len(TAGSET)
+    return {
+        "E": (vocab_size, d),
+        "W1": ((2 * config.window + 1) * d, h),
+        "b1": (h,),
+        "W2": (h, t),
+        "b2": (t,),
+    }
+
+
 def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     """Initialize weights uniformly in [-0.1, 0.1], biases at zero.
 
@@ -155,16 +173,13 @@ def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     if sorted(vocab.values()) != list(range(len(vocab))):
         raise ConfigError("vocab ids must be a contiguous range from 0")
     rng = np.random.default_rng(config.seed)
-    v = len(vocab)
-    d, h = config.embed_dim, config.hidden_dim
-    k = 2 * config.window + 1
-    t = len(TAGSET)
+    shapes = _param_shapes(config, len(vocab))
     params = {
-        "E": ParamTensor("E", rng.uniform(-0.1, 0.1, (v, d)), Role.EMBEDDING),
-        "W1": ParamTensor("W1", rng.uniform(-0.1, 0.1, (k * d, h)), Role.DENSE),
-        "b1": ParamTensor("b1", np.zeros(h), Role.EXCLUDED),
-        "W2": ParamTensor("W2", rng.uniform(-0.1, 0.1, (h, t)), Role.DENSE),
-        "b2": ParamTensor("b2", np.zeros(t), Role.EXCLUDED),
+        "E": ParamTensor("E", rng.uniform(-0.1, 0.1, shapes["E"]), Role.EMBEDDING),
+        "W1": ParamTensor("W1", rng.uniform(-0.1, 0.1, shapes["W1"]), Role.DENSE),
+        "b1": ParamTensor("b1", np.zeros(shapes["b1"]), Role.EXCLUDED),
+        "W2": ParamTensor("W2", rng.uniform(-0.1, 0.1, shapes["W2"]), Role.DENSE),
+        "b2": ParamTensor("b2", np.zeros(shapes["b2"]), Role.EXCLUDED),
     }
     return TaggerModel(config, dict(vocab), TAGSET, params)
 
@@ -210,11 +225,6 @@ def encode_windows(
     return Encoded(ids, tags, offsets)
 
 
-def encode_sentences(model: TaggerModel, sentences: Sequence[Sentence]) -> Encoded:
-    """encode_windows with the model's vocab and window."""
-    return encode_windows(model.vocab, model.config.window, sentences)
-
-
 @dataclass(frozen=True)
 class TrainArrays:
     """A training set encoded once for every model with one vocab and
@@ -243,7 +253,7 @@ def encode_sentence(
     model: TaggerModel, sentence: Sentence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window token ids (n, 2w+1) and gold tag ids (n,) for one sentence."""
-    return encode_sentences(model, [sentence])[:2]
+    return encode_windows(model.vocab, model.config.window, [sentence])[:2]
 
 
 def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
@@ -254,11 +264,6 @@ def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
     z1 = x @ params["W1"].values + params["b1"].values
     h = np.maximum(z1, 0.0)
     return h @ params["W2"].values + params["b2"].values
-
-
-def forward(model: TaggerModel, sentence: Sentence) -> np.ndarray:
-    """Per-token tag scores for one sentence, shape (n_tokens, n_tags)."""
-    return _scores(model.params, encode_sentence(model, sentence)[0])
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -459,7 +464,7 @@ def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
 
 def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
     """Most likely tag per token, from predict_ids."""
-    encoded = encode_sentences(model, corpus.sentences)
+    encoded = encode_windows(model.vocab, model.config.window, corpus.sentences)
     labels = [model.tagset[i] for i in predict_ids(model, encoded).tolist()]
     bounds = encoded.offsets.tolist()
     return [labels[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -546,12 +551,15 @@ def load_model(directory: str | Path) -> TaggerModel:
         raise CheckpointError("vocab sidecar must map <unk> to 0 and <pad> to 1")
     params_list, _ = load_checkpoint(directory)
     params = {p.name: p for p in params_list}
-    expected = {"E", "W1", "b1", "W2", "b2"}
-    if set(params) != expected:
+    shapes = _param_shapes(config, len(vocab))
+    if set(params) != set(shapes):
         raise CheckpointError(
-            f"checkpoint tensors {sorted(params)} do not match {sorted(expected)}"
+            f"checkpoint tensors {sorted(params)} do not match {sorted(shapes)}"
         )
-    model = TaggerModel(config, vocab, tagset, params)
-    if params["E"].shape != (len(vocab), config.embed_dim):
-        raise CheckpointError("embedding shape does not match vocab and config")
-    return model
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"{name} shape {params[name].shape} does not match the "
+                f"{shape} of its vocab and config"
+            )
+    return TaggerModel(config, vocab, tagset, params)

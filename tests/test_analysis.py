@@ -9,7 +9,6 @@ from nerprune.analysis import (
     emit_report,
     group_stats,
     kendall_tau,
-    multilingual_gain,
     relative_delta,
     robustness_ratio,
     seed_mean_f1,
@@ -95,11 +94,6 @@ def test_group_stats_requires_metadata():
     with pytest.raises(MissingMetadataError) as info:
         group_stats([record("zz", 0, 0.5)], META, GroupDimension.SIZE)
     assert "zz" in str(info.value)
-
-
-def test_multilingual_gain_intersects_languages():
-    gains = multilingual_gain({"aa": 0.8, "bb": 0.7}, {"aa": 0.6, "cc": 0.1})
-    assert gains == {"aa": pytest.approx(0.2)}
 
 
 def test_tau_on_known_sequences():

@@ -241,12 +241,30 @@ def _manifest_not_an_object(ckpt):
     (ckpt / "manifest.json").write_text("[]")
 
 
+def _set_sidecar_config(ckpt, **fields):
+    sidecar = json.loads((ckpt / "model.json").read_text())
+    sidecar["config"].update(fields)
+    (ckpt / "model.json").write_text(json.dumps(sidecar))
+
+
+def _sidecar_window_two(ckpt):
+    # the checkpoint was trained with window 1
+    _set_sidecar_config(ckpt, window=2)
+
+
+def _sidecar_hidden_dim_seven(ckpt):
+    # the checkpoint was trained with hidden_dim 6
+    _set_sidecar_config(ckpt, hidden_dim=7)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_values_file, "W1.values.bin"),
     (_garble_sidecar, "malformed model sidecar"),
     (_drop_tensor_name, "malformed tensor entry"),
     (_non_integer_shape, "malformed tensor entry"),
     (_manifest_not_an_object, "manifest.json"),
+    (_sidecar_window_two, "W1 shape (12, 6) does not match the (20, 6)"),
+    (_sidecar_hidden_dim_seven, "W1 shape (12, 6) does not match the (12, 7)"),
 ])
 def test_evaluate_broken_checkpoint_exits_two(trained, tmp_path, capsys,
                                               corrupt, message):
@@ -308,6 +326,33 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
     config.write_text(json.dumps(data))
     assert main(["experiment", "--config", str(config)]) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+# each value used to be converted into a valid one: 50.7 ran as 50, "ab"
+# as languages a and b, a fourth schedule entry was dropped, ["corpus"]
+# named a directory "['corpus']"
+@pytest.mark.parametrize("key, value, message", [
+    ("sparsity_levels", [0, 50.7], "sparsity_levels entry must be an integer"),
+    ("perturbation_seed", 7.9, "perturbation_seed must be an integer"),
+    ("seeds", "0", "seeds must be an array"),
+    ("seeds", [True], "seeds entry must be an integer"),
+    ("languages", "ab", "languages must be an array"),
+    ("schedule_table", {"4": [2.5, 10, 2]}, "schedule for size 4: entry must be an integer"),
+    ("schedule_table", {"4": [2, 10, 2, 9]}, "must be [start, end, frequency]"),
+    ("paths", {"corpus_root": ["corpus"], "metadata": "languages.csv", "output": "out"},
+     "corpus_root must be a string"),
+], ids=["float-level", "float-perturbation-seed", "string-seeds", "bool-seed",
+        "string-languages", "float-schedule-start", "four-schedule-entries",
+        "array-corpus-root"])
+def test_grid_value_that_is_not_of_its_type_exits_two(tmp_path, capsys, key,
+                                                      value, message):
+    config = write_world(tmp_path)
+    data = json.loads(config.read_text())
+    data[key] = value
+    config.write_text(json.dumps(data))
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_validates_language_against_mode(tmp_path, capsys):

@@ -17,7 +17,6 @@ from nerprune.evaluation import (
     read_run_records,
     score_corpus,
     score_ids,
-    write_run_records,
 )
 from nerprune.experiment import ExperimentConfig, build_bundle
 from oracles import oracle_score_corpus
@@ -173,7 +172,8 @@ def test_run_records_round_trip_through_jsonl(tmp_path):
         RunRecord("sw", 0, "incl_embeddings", 0, "perturbed-in-language", ScoreReport(0, 0, 0, 0.0, 0.0, 0.0)),
     ]
     path = tmp_path / "runs.jsonl"
-    write_run_records(records, path)
+    path.write_text("".join(
+        json.dumps(record.to_json_dict(), sort_keys=True) + "\n" for record in records))
     assert read_run_records(path) == records
 
 

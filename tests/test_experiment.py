@@ -1,7 +1,12 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +30,7 @@ from nerprune.experiment import (
     run,
     train_test_overlaps,
 )
-from nerprune.tagger import TaggerConfig, predict
+from nerprune.tagger import TaggerConfig, load_model, predict
 from worlds import DIVERGING_TAGGER, write_world
 
 
@@ -199,11 +204,22 @@ def test_monolingual_run_produces_full_grid(world):
     assert len(records) == len(lines)
 
 
-def test_rerun_is_idempotent(world):
+def test_rerun_is_idempotent(world, monkeypatch):
     results = run(world)
     before = results.read_bytes()
+    perturbed_dir = results.parent / "perturbed"
+    perturbed = {p.name: p.read_bytes() for p in perturbed_dir.iterdir()}
+    calls = []
+    for name in ("load_metadata", "load_corpora", "build_perturbed", "write_perturbed"):
+        def counted(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
     assert run(world) == results
     assert results.read_bytes() == before
+    # nothing is pending, so nothing is prepared
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in perturbed_dir.iterdir()} == perturbed
 
 
 def test_interrupted_run_resumes_missing_cells(world):
@@ -412,7 +428,8 @@ def test_cells_score_like_predict_and_score_corpus(tmp_path):
                                 config.scopes, config.perturbation_seed)
     bundle = build_bundle(config, config.languages, trains, tests, perturbed)
     spec = plan(config)[-1]
-    lines, model = execute_run(spec, config, bundle)
+    lines = execute_run(spec, config, bundle, checkpoint_dir=tmp_path / "ckpt")
+    model = load_model(tmp_path / "ckpt")
     assert [(l["language"], l["split"]) for l in lines] == [
         ("aa", "regular"), ("aa", "perturbed-in-language"),
         ("bb", "regular"), ("bb", "perturbed-in-language"),
@@ -477,3 +494,96 @@ def test_checkpoint_replaces_a_stale_directory(world):
     assert json.loads((stale / "manifest.json").read_text())["tensors"]
     assert sorted(p.name for p in checkpoints.iterdir()) == sorted(
         s.run_id for s in plan(world))
+
+
+# Runs the grid of the config file argv[1] and SIGKILLs itself at a fixed
+# point of the third cell: right after its checkpoint is renamed into
+# place ("renamed"), or after writing the first argv[3] characters of its
+# result lines ("torn").
+KILLED_GRID = """
+import os, pathlib, signal, sys
+from nerprune import experiment
+
+config_path, point, cut = sys.argv[1], sys.argv[2], int(sys.argv[3])
+count = 0
+
+def third():
+    global count
+    count += 1
+    return count == 3
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if point == "renamed":
+    rename = pathlib.Path.rename
+
+    def renaming(self, target):
+        result = rename(self, target)
+        if third():
+            die()
+        return result
+
+    pathlib.Path.rename = renaming
+else:
+    class Torn:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:cut])
+            self.f.flush()
+            die()
+
+    def opening(path, mode="r", **kwargs):
+        f = open(path, mode, **kwargs)
+        if pathlib.Path(path).name == "results.jsonl" and mode == "a" and third():
+            return Torn(f)
+        return f
+
+    experiment.open = opening
+experiment.run(experiment.config_from_file(config_path))
+raise SystemExit("the grid finished without reaching its kill point")
+"""
+
+
+# the third cell's lines are cut inside its first line, which takes the
+# second cell's lines with it, or inside its last line
+@pytest.mark.parametrize("point, cut", [("renamed", 0), ("torn", 40), ("torn", -40)])
+def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, point, cut):
+    whole = config_from_file(write_world(tmp_path / "whole"))
+    expected = [
+        {k: v for k, v in json.loads(l).items() if k != "train_seconds"}
+        for l in run(whole).read_text().splitlines()
+    ]
+    config_path = write_world(tmp_path / "killed")
+    src = str(Path(experiment.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", KILLED_GRID, str(config_path), point, str(cut)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    config = config_from_file(config_path)
+    out_dir = config.output_path / config.config_hash[:12]
+    killed_cell = plan(config)[2].run_id
+    if point == "renamed":
+        assert (out_dir / "checkpoints" / killed_cell).is_dir()
+        assert killed_cell not in (out_dir / "results.jsonl").read_text()
+    else:
+        assert not (out_dir / "results.jsonl").read_bytes().endswith(b"\n")
+    results = run(config)
+    lines = [
+        {k: v for k, v in json.loads(l).items() if k != "train_seconds"}
+        for l in results.read_text().splitlines()
+    ]
+    assert lines == expected
+    assert sorted(p.name for p in (out_dir / "checkpoints").iterdir()) == sorted(
+        s.run_id for s in plan(config))

@@ -1,4 +1,5 @@
-import numpy as np
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,6 @@ from nerprune.perturb import (
     Scope,
     build_pool,
     perturb_corpus,
-    perturb_sentence,
-    read_replacement_log,
     write_replacement_log,
 )
 
@@ -33,6 +32,12 @@ META = {
 
 def pool_of(by_type, scope=Scope.IN_LANGUAGE, group_key="aa"):
     return EntityPool(scope=scope, group_key=group_key, by_type=by_type)
+
+
+def perturb_one(sentence, pool, seed):
+    """The perturbed sentence and log of a one-sentence corpus."""
+    out, records = perturb_corpus(corpus_of([sentence], "aa"), pool, seed)
+    return out.sentences[0], records
 
 
 def test_scope_parse_and_group_keys():
@@ -102,7 +107,7 @@ def test_build_pool_rejects_bad_inputs():
 def test_single_candidate_replacement_is_deterministic():
     pool = pool_of({"LOC": (("Peru",), ("Carbon", "Cliff", ",", "Illinois"))})
     s = sent(["I", "left", "Peru", "yesterday"], ["O", "O", "B-LOC", "O"], "aa")
-    out, records = perturb_sentence(s, pool, np.random.default_rng(0))
+    out, records = perturb_one(s, pool, 0)
     assert out.tokens == ("I", "left", "Carbon", "Cliff", ",", "Illinois", "yesterday")
     assert out.tags == ("O", "O", "B-LOC", "I-LOC", "I-LOC", "I-LOC", "O")
     assert records[0].replaced is True
@@ -113,7 +118,7 @@ def test_single_candidate_replacement_is_deterministic():
 def test_mention_without_candidates_is_kept_and_logged():
     pool = pool_of({"LOC": (("Peru",),)})
     s = sent(["Peru", "won"], ["B-LOC", "O"], "aa")
-    out, records = perturb_sentence(s, pool, np.random.default_rng(0))
+    out, records = perturb_one(s, pool, 0)
     assert out.tokens == s.tokens
     assert records[0].replaced is False
     assert records[0].draw_index is None
@@ -125,7 +130,7 @@ def test_adjacent_mentions_stay_distinct():
         "LOC": (("Oslo",), ("Lima",)),
     })
     s = sent(["Ada", "Oslo"], ["B-PER", "B-LOC"], "aa")
-    out, _ = perturb_sentence(s, pool, np.random.default_rng(0))
+    out, _ = perturb_one(s, pool, 0)
     assert out.tokens == ("Bo", "Lima")
     assert out.tags == ("B-PER", "B-LOC")
 
@@ -133,7 +138,7 @@ def test_adjacent_mentions_stay_distinct():
 def test_ill_formed_input_tags_come_out_strict():
     pool = pool_of({"LOC": (("Lima",), ("Oslo",))})
     s = sent(["x", "somewhere"], ["O", "I-LOC"], "aa")
-    out, records = perturb_sentence(s, pool, np.random.default_rng(1))
+    out, records = perturb_one(s, pool, 1)
     assert out.tags[0] == "O"
     assert out.tags[1].startswith("B-")
     assert records[0].replaced is True
@@ -183,7 +188,7 @@ def test_perturbation_preserves_structure(tags, surfaces, seed):
     s = sent([f"w{i}" for i in range(len(tags))], tags, "aa")
     by_type = {etype: tuple(sorted(surfaces)) for etype in ("PER", "LOC", "ORG")}
     pool = pool_of(by_type)
-    out, records = perturb_sentence(s, pool, np.random.default_rng(seed))
+    out, records = perturb_one(s, pool, seed)
     before = extract_entities(s)
     after = extract_entities(out)
     assert [m.entity_type for m in after] == [m.entity_type for m in before]
@@ -203,7 +208,12 @@ def test_replacement_log_round_trip(tmp_path):
     ]
     path = tmp_path / "log.jsonl"
     write_replacement_log(records, path)
-    assert read_replacement_log(path) == records
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {**vars(record), "original": list(record.original),
+         "replacement": list(record.replacement)}
+        for record in records
+    ]
 
 
 # a small alphabet so that mentions often are pool surfaces

@@ -15,9 +15,8 @@ from nerprune.tagger import (
     TaggerConfig,
     build_vocab,
     encode_sentence,
-    encode_sentences,
     encode_train,
-    forward,
+    encode_windows,
     grad_check,
     init_model,
     load_model,
@@ -114,10 +113,10 @@ sentence_st = st.lists(st.tuples(token_st, st.sampled_from(TAGSET)), max_size=5)
 
 @settings(max_examples=150, deadline=None)
 @given(window=st.integers(0, 3), sentences=st.lists(sentence_st, max_size=8))
-def test_encode_sentences_matches_the_per_sentence_loop(window, sentences):
+def test_encode_windows_matches_the_per_sentence_loop(window, sentences):
     config = TaggerConfig(embed_dim=2, window=window, hidden_dim=2)
     model = init_model(config, {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3, "acme": 4})
-    ids, tags, offsets = encode_sentences(model, sentences)
+    ids, tags, offsets = encode_windows(model.vocab, window, sentences)
     expected = [oracle_encode_sentence(model, s) for s in sentences]
     assert offsets.tolist() == np.cumsum([0] + [len(s) for s in sentences]).tolist()
     assert ids.dtype == tags.dtype == np.int64
@@ -145,15 +144,6 @@ def test_predict_matches_per_sentence_prediction_across_chunks():
     predictions = predict(model, big)
     assert predictions == oracle_predict(model, big)
     assert len({tag for labels in predictions for tag in labels}) > 1
-
-
-def test_forward_shape_and_empty_sentence():
-    corpus = toy_corpus()
-    model = init_model(SMALL, build_vocab(corpus))
-    scores = forward(model, corpus.sentences[0])
-    assert scores.shape == (4, len(TAGSET))
-    n_tags = len(model.tagset)
-    assert forward(model, sent([], [])).shape == (0, n_tags)
 
 
 def test_gradients_match_finite_differences():
