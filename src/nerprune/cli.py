@@ -224,15 +224,9 @@ def _cmd_train(args) -> int:
     spec = experiment.RunSpec(
         config.mode, language, args.sparsity, args.strategy, args.seed
     )
-    root = config.corpus_root_path
     languages = spec.languages(config)
-    trains = {l: experiment.load_split(root, l, "train") for l in languages}
-    tests = {l: experiment.load_split(root, l, "test") for l in config.languages}
-    meta = experiment.load_metadata(config)
-    perturbed = experiment.build_perturbed(
-        meta, tests, languages, config.scopes, config.perturbation_seed
-    )
-    bundle = experiment.build_bundle(config, languages, trains, tests, perturbed)
+    inputs = experiment.load_cell_inputs(config, languages)
+    bundle = experiment.build_bundle(config, languages, *inputs)
     lines = experiment.execute_run(
         spec, config, bundle, checkpoint_dir=Path(args.out)
     )

@@ -19,7 +19,6 @@ import contextlib
 import hashlib
 import json
 import shutil
-import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -404,6 +403,19 @@ def write_perturbed(
         write_replacement_log(records, out_dir / f"{stem}.log.jsonl")
 
 
+def load_cell_inputs(config: ExperimentConfig, languages: Sequence[str]) -> tuple:
+    """What the cells that train on languages read, as build_bundle takes
+    it: the train splits of languages, the test splits of every config
+    language (the perturbation pools draw on all of them) and the
+    perturbed sets of languages."""
+    meta = load_metadata(config)
+    root = config.corpus_root_path
+    trains = {l: load_split(root, l, "train") for l in languages}
+    tests = {l: load_split(root, l, "test") for l in config.languages}
+    return trains, tests, build_perturbed(
+        meta, tests, languages, config.scopes, config.perturbation_seed)
+
+
 def train_test_overlaps(
     trains: Mapping[str, Corpus], tests: Mapping[str, Corpus]
 ) -> dict[str, float]:
@@ -522,6 +534,45 @@ def execute_run(
     return lines
 
 
+def _failure(spec: RunSpec, exc: Exception) -> tuple[str, str]:
+    failure = {"run_id": spec.run_id, "error": type(exc).__name__, "message": str(exc)}
+    if not isinstance(exc, NerpruneError):
+        # a fault of the program, not of its input: say where it arose
+        failure["traceback"] = "".join(traceback.format_exception(exc))
+    return "failures.jsonl", json.dumps(failure, sort_keys=True) + "\n"
+
+
+def _cell_outcome(spec: RunSpec, config: ExperimentConfig, bundle: Bundle,
+                  out_dir: Path) -> tuple[str, str]:
+    """Run one cell; returns the file name under out_dir and the text to
+    append to it: the cell's result lines, or its failure record. The
+    checkpoint is written beside its final place and renamed over
+    whatever an interrupted attempt left there."""
+    final = out_dir / "checkpoints" / spec.run_id
+    staging = final.with_name(f".{spec.run_id}.partial")
+    try:
+        shutil.rmtree(staging, ignore_errors=True)
+        lines = execute_run(spec, config, bundle, checkpoint_dir=staging)
+        shutil.rmtree(final, ignore_errors=True)
+        staging.rename(final)
+    except Exception as exc:  # a bug or MemoryError fails its cell only
+        return _failure(spec, exc)
+    return "results.jsonl", "".join(json.dumps(l, sort_keys=True) + "\n" for l in lines)
+
+
+def _language_set_outcomes(config, languages, specs, inputs, out_dir, mapper):
+    """Outcomes of one language set's cells, in plan order. The bundle is
+    built on the calling thread and lives until the last cell is done;
+    mapper is map or a thread pool's map."""
+    try:
+        bundle = build_bundle(config, languages, *inputs)
+    except Exception as exc:
+        for spec in specs:
+            yield _failure(spec, exc)
+        return
+    yield from mapper(lambda spec: _cell_outcome(spec, config, bundle, out_dir), specs)
+
+
 def _existing_run_ids(results_path: Path) -> set[str]:
     """Run ids with results on disk. A run appends all its lines in one
     write, so an unterminated last line is a torn write of the last run:
@@ -560,8 +611,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     and do not stop the rest of the grid. Each language set with a
     pending cell gets one bundle, built before its cells start and
     dropped when they finish. With workers > 1 a language set's runs
-    execute on a thread pool; the set of result lines is unchanged, only
-    their order can vary.
+    execute on a thread pool, and each cell's outcome is appended in plan
+    order once it and the earlier cells of its set are done.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -587,72 +638,25 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         )
 
     results_path = out_dir / "results.jsonl"
-    failures_path = out_dir / "failures.jsonl"
-    failures_path.write_text("", encoding="utf-8")
+    (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
     done = _existing_run_ids(results_path)
     pending = [spec for spec in plan(config) if spec.run_id not in done]
     if not pending:
         return results_path
 
-    meta = load_metadata(config)
-    trains, tests = load_corpora(config.corpus_root_path, config.languages)
-    perturbed = build_perturbed(
-        meta, tests, config.languages, config.scopes, config.perturbation_seed
-    )
-    write_perturbed(out_dir / "perturbed", perturbed)
-
+    inputs = load_cell_inputs(config, config.languages)
+    write_perturbed(out_dir / "perturbed", inputs[2])
     groups: dict[tuple[str, ...], list[RunSpec]] = {}
     for spec in pending:
         groups.setdefault(tuple(spec.languages(config)), []).append(spec)
-    checkpoints = out_dir / "checkpoints"
-    lock = threading.Lock()
-
-    def append(path: Path, text: str) -> None:
-        with lock:
-            with open(path, "a", encoding="utf-8") as f:
-                f.write(text)
-
-    def fail(spec: RunSpec, exc: Exception) -> None:
-        failure = {
-            "run_id": spec.run_id,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        if not isinstance(exc, NerpruneError):
-            # a fault of the program, not of its input: say where it arose
-            failure["traceback"] = "".join(traceback.format_exception(exc))
-        append(failures_path, json.dumps(failure, sort_keys=True) + "\n")
-
-    def handle(spec: RunSpec, bundle: Bundle) -> None:
-        # the checkpoint is written beside its final place and renamed
-        # over whatever an interrupted attempt left there
-        final = checkpoints / spec.run_id
-        staging = checkpoints / f".{spec.run_id}.partial"
-        try:
-            shutil.rmtree(staging, ignore_errors=True)
-            lines = execute_run(spec, config, bundle, checkpoint_dir=staging)
-            shutil.rmtree(final, ignore_errors=True)
-            staging.rename(final)
-            append(results_path, "".join(
-                json.dumps(line, sort_keys=True) + "\n" for line in lines
-            ))
-        except Exception as exc:  # a bug or MemoryError fails its cell only
-            fail(spec, exc)
-
-    def run_group(languages: tuple[str, ...], specs: list[RunSpec], mapper) -> None:
-        # the bundle lives until this language set's cells are done
-        try:
-            bundle = build_bundle(config, languages, trains, tests, perturbed)
-        except Exception as exc:
-            for spec in specs:
-                fail(spec, exc)
-            return
-        list(mapper(lambda spec: handle(spec, bundle), specs))
-
     with (ThreadPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         for languages, specs in groups.items():
-            run_group(languages, specs, pool.map if pool else map)
+            for name, text in _language_set_outcomes(
+                    config, languages, specs, inputs, out_dir,
+                    pool.map if pool else map):
+                with open(out_dir / name, "a", encoding="utf-8") as f:
+                    f.write(text)
     if not results_path.is_file():
         results_path.write_text("", encoding="utf-8")
     return results_path

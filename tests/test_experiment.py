@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -326,12 +327,47 @@ def test_multilingual_run_scores_every_language(tmp_path):
     assert all(langs == {"aa", "bb"} for langs in by_run.values())
 
 
-def test_parallel_run_matches_serial_results(world):
-    results = run(world)
-    serial = _lines_without_timing(results)
-    results.unlink()
-    run(world, workers=2)
-    assert _lines_without_timing(results) == serial
+def test_parallel_run_matches_serial_results(world, monkeypatch):
+    original = experiment.train
+
+    def slow_first_and_one_failing(model, data, **kwargs):
+        if kwargs["schedule"] is None:
+            # the first cell of each language set finishes after the second
+            time.sleep(0.3)
+        elif "ada" in model.vocab:
+            raise RuntimeError("injected into mono-aa-s50-partial-seed0")
+        return original(model, data, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", slow_first_and_one_failing)
+    files = {}
+    for workers in (1, 2):
+        results = run(world, workers=workers)
+        files[workers] = (
+            [{k: v for k, v in json.loads(l).items() if k != "train_seconds"}
+             for l in results.read_text().splitlines()],
+            (results.parent / "failures.jsonl").read_bytes(),
+        )
+        results.unlink()
+    assert files[2] == files[1]
+    lines, failures = files[1]
+    assert [l["run_id"] for l in lines[::2]] == [
+        s.run_id for s in plan(world) if s.run_id != "mono-aa-s50-partial-seed0"]
+    assert failures.count(b"\n") == 1
+
+
+def test_serial_grid_writes_each_cell_before_the_next_trains(world, monkeypatch):
+    original = experiment.train
+    results = world.output_path / world.config_hash[:12] / "results.jsonl"
+    on_disk = []
+
+    def counting(*args, **kwargs):
+        on_disk.append(len(results.read_text().splitlines()) if results.exists() else 0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", counting)
+    run(world)
+    # two lines (regular and one perturbed split) per cell
+    assert on_disk == [0, 2, 4, 6]
 
 
 def test_overlap_helper_skips_mention_free_test_sets(world):
