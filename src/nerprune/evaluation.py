@@ -185,22 +185,24 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RunRecord":
-        report = ScoreReport(
-            tp=int(data["tp"]),
-            fp=int(data["fp"]),
-            fn=int(data["fn"]),
-            precision=float(data["precision"]),
-            recall=float(data["recall"]),
-            f1=float(data["f1"]),
-        )
-        return cls(
-            language=str(data["language"]),
-            sparsity=int(data["sparsity"]),
-            strategy=str(data["strategy"]),
-            seed=int(data["seed"]),
-            split=str(data["split"]),
-            report=report,
-        )
+        """A record from its JSON dict. A value not of its field's type is a
+        TypeError: 50.7 is not sparsity 50, and true is not F1 1.0."""
+        ints = {k: _typed(data, k, int, "an integer")
+                for k in ("sparsity", "seed", "tp", "fp", "fn")}
+        reals = {k: _typed(data, k, (int, float), "a real number")
+                 for k in ("precision", "recall", "f1")}
+        strings = {k: _typed(data, k, str, "a string")
+                   for k in ("language", "strategy", "split")}
+        report = ScoreReport(tp=ints["tp"], fp=ints["fp"], fn=ints["fn"], **reals)
+        return cls(sparsity=ints["sparsity"], seed=ints["seed"], report=report, **strings)
+
+
+def _typed(data: Mapping, key: str, kind, what: str):
+    """data[key], which must be of kind and not a bool; never converted."""
+    value = data[key]
+    if type(value) is bool or not isinstance(value, kind):
+        raise TypeError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def read_run_records(path: str | Path) -> list[RunRecord]:

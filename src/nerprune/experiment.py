@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import re
 import shutil
 import time
 import traceback
@@ -119,6 +120,12 @@ class ExperimentConfig:
         for name, value in named:
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
+        for language in self.languages:
+            # a code names a corpus directory and a file-name stem
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", language):
+                raise ConfigError(
+                    "languages entry must be non-empty letters, digits, '_' or '-', "
+                    f"got {language!r}")
         for axis in ("sparsity_levels", "seeds"):
             for value in getattr(self, axis):
                 require_int(f"{axis} entry", value)
@@ -588,11 +595,14 @@ def _existing_run_ids(results_path: Path) -> set[str]:
         offset += len(line) + 1
         if line.strip():
             try:
-                done.append((json.loads(line)["run_id"], offset))
+                run_id = json.loads(line)["run_id"]
+                if not isinstance(run_id, str):
+                    raise TypeError(f"run_id must be a string, got {run_id!r}")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(
                     f"{results_path}:{number}: malformed results line: {exc!r}"
                 ) from None
+            done.append((run_id, offset))
     if offset < len(data):
         last = done[-1][0] if done else None
         while done and done[-1][0] == last:

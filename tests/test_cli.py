@@ -341,9 +341,13 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
     ("schedule_table", {"4": [2, 10, 2, 9]}, "must be [start, end, frequency]"),
     ("paths", {"corpus_root": ["corpus"], "metadata": "languages.csv", "output": "out"},
      "corpus_root must be a string"),
+    # a code names a directory and a file-name stem that perturb splits at "."
+    ("languages", ["aa", "a/a"], "languages entry must be non-empty letters"),
+    ("languages", ["aa", ""], "languages entry must be non-empty letters"),
+    ("languages", ["aa", "a.b"], "languages entry must be non-empty letters"),
 ], ids=["float-level", "float-perturbation-seed", "string-seeds", "bool-seed",
         "string-languages", "float-schedule-start", "four-schedule-entries",
-        "array-corpus-root"])
+        "array-corpus-root", "slash-language", "empty-language", "dotted-language"])
 def test_grid_value_that_is_not_of_its_type_exits_two(tmp_path, capsys, key,
                                                       value, message):
     config = write_world(tmp_path)
@@ -418,6 +422,14 @@ def test_analyze_rejects_missing_results_file(tmp_path, capsys):
     assert "absent.jsonl" in capsys.readouterr().err
 
 
+def _record(**overrides):
+    return json.dumps({
+        "language": "aa", "sparsity": 0, "strategy": "partial", "seed": 0,
+        "split": "regular", "tp": 1, "fp": 0, "fn": 0,
+        "precision": 1.0, "recall": 1.0, "f1": 1.0, **overrides,
+    })
+
+
 @pytest.mark.parametrize("command, line", [
     ("analyze", "[1, 2]"),
     ("report", json.dumps({
@@ -425,7 +437,14 @@ def test_analyze_rejects_missing_results_file(tmp_path, capsys):
         "split": "regular", "tp": 1, "fp": 0, "fn": 0,
         "precision": 1.0, "recall": 1.0, "f1": None,
     })),
-], ids=["analyze-non-object-line", "report-null-f1"])
+    # each used to be converted: 50.7 grouped as sparsity 50, true read as F1 1.0
+    *(("analyze", _record(**{key: value})) for key, value in [
+        ("sparsity", 50.7), ("sparsity", True), ("seed", "0"), ("tp", 1.5),
+        ("fn", False), ("precision", "1.0"), ("f1", True), ("language", 7),
+        ("strategy", None), ("split", ["regular"])]),
+], ids=["analyze-non-object-line", "report-null-f1", "float-sparsity", "bool-sparsity",
+        "string-seed", "float-tp", "bool-fn", "string-precision", "bool-f1",
+        "int-language", "null-strategy", "array-split"])
 def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
     results = tmp_path / "results.jsonl"
     results.write_text(line + "\n")
@@ -436,6 +455,15 @@ def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
         argv += ["--out-dir", str(tmp_path / "report")]
     assert main(argv) == 2
     assert "malformed results file" in capsys.readouterr().err
+
+
+def test_well_typed_results_record_is_read(tmp_path, capsys):
+    # the record the malformed rows above each break in one field
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    assert main(["analyze", "--results", str(results), "--meta", str(meta)]) == 0
 
 
 def test_report_with_missing_corpus_exits_two(tmp_path, capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from nerprune import experiment
+from nerprune.cli import main
 from nerprune.corpus import serialize_iob2
 from nerprune.errors import ConfigError, MissingMetadataError
 from nerprune.evaluation import read_run_records, score_corpus
@@ -260,13 +261,20 @@ def test_torn_last_line_is_cut_and_its_run_reruns(world, lines_cut, bytes_cut):
     assert (results.parent / "checkpoints" / torn_id / "manifest.json").is_file()
 
 
-def test_malformed_complete_results_line_is_a_config_error(world):
+def test_malformed_complete_results_line_is_a_config_error(world, capsys):
     results = run(world)
     lines = results.read_text().splitlines(keepends=True)
-    lines[1] = lines[1][:20] + "\n"
-    results.write_text("".join(lines))
+    torn = lines[:1] + [lines[1][:20] + "\n"] + lines[2:]
+    results.write_text("".join(torn))
     with pytest.raises(ConfigError, match="results.jsonl:2: malformed"):
         run(world)
+    # a run id that is not a string used to die with "unhashable type"
+    listed = lines[:1] + [json.dumps({**json.loads(lines[1]), "run_id": ["x"]}) + "\n"]
+    results.write_text("".join(listed + lines[2:]))
+    with pytest.raises(ConfigError, match="results.jsonl:2: malformed.*run_id must be a string"):
+        run(world)
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 2
+    assert "results.jsonl:2: malformed results line" in capsys.readouterr().err
 
 
 def test_failures_are_recorded_and_do_not_stop_the_grid(tmp_path):
