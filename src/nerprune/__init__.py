@@ -9,6 +9,8 @@ aggregation (analysis) and the command line front end (cli).
 
 from .analysis import (
     GroupDimension,
+    SeedStats,
+    aggregate_seeds,
     emit_report,
     group_stats,
     kendall_tau,
@@ -46,8 +48,6 @@ from .errors import (
 from .evaluation import (
     RunRecord,
     ScoreReport,
-    SeedStats,
-    aggregate_seeds,
     read_run_records,
     score_corpus,
 )

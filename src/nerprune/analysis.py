@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import LanguageMeta
-from .errors import MissingMetadataError
-from .evaluation import STRATEGY_NAMES, RunRecord, aggregate_seeds
+from .errors import MetadataError, MissingMetadataError
+from .evaluation import STRATEGY_NAMES, RunRecord
 
 ALL_GROUP = "all"
 
@@ -57,13 +58,6 @@ def robustness_ratio(perturbed_f1: float, regular_f1: float) -> float | None:
     return perturbed_f1 / regular_f1
 
 
-def seed_mean_f1(
-    records: Iterable[RunRecord],
-) -> dict[tuple[str, int, str, str], float]:
-    """Per-language F1 averaged over seeds, keyed like aggregate_seeds."""
-    return {key: stats.mean for key, stats in aggregate_seeds(records).items()}
-
-
 def _stat(values: Sequence[float], stat: str) -> float:
     n = len(values)
     if stat == "mean":
@@ -80,24 +74,53 @@ def _stat(values: Sequence[float], stat: str) -> float:
     raise ValueError(f"unknown stat {stat!r}")
 
 
+@dataclass(frozen=True)
+class SeedStats:
+    """F1 aggregate across seeds: mean, population std, sample count."""
+
+    mean: float
+    std: float
+    n: int
+
+
+GroupKey = tuple[str, int, str, str]
+
+
+def aggregate_seeds(records: Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
+    """Aggregate F1 across seeds per (language, sparsity, strategy, split),
+    keyed in the order the keys first occur in records."""
+    groups: dict[GroupKey, list[float]] = {}
+    for r in records:
+        groups.setdefault((r.language, r.sparsity, r.strategy, r.split), []).append(
+            r.report.f1)
+    return {key: SeedStats(_stat(values, "mean"), _stat(values, "std"), len(values))
+            for key, values in groups.items()}
+
+
 def _grouped_f1(
-    means: Mapping[tuple[str, int, str, str], float],
+    stats: Mapping[GroupKey, SeedStats],
     meta: Mapping[str, LanguageMeta],
     dim: GroupDimension,
 ) -> dict[tuple[int, str, str], dict[object, list[float]]]:
     """Seed-mean F1 values per (sparsity, strategy, split) cell and group,
     then an "all" entry over every language of the cell. Values keep the
-    order of means, so sums over them do not depend on the grouping.
-    Languages missing from meta raise MissingMetadataError."""
-    missing = {lang for (lang, _, _, _) in means if lang not in meta}
+    order of stats, so sums over them do not depend on the grouping.
+    Languages missing from meta raise MissingMetadataError, and a language
+    whose group is named "all" raises MetadataError."""
+    missing = {lang for (lang, _, _, _) in stats if lang not in meta}
     if missing:
         raise MissingMetadataError(missing)
     cells: dict[tuple[int, str, str], dict[object, list[float]]] = {}
     every: dict[tuple[int, str, str], list[float]] = {}
-    for (lang, sparsity, strategy, split), value in means.items():
+    for (lang, sparsity, strategy, split), entry in stats.items():
+        group = dim.key(meta[lang])
+        if group == ALL_GROUP:
+            raise MetadataError(
+                f"language {lang!r}: {dim.value} {ALL_GROUP!r} is reserved "
+                "for the group of every language")
         cell_key = (sparsity, strategy, split)
-        cells.setdefault(cell_key, {}).setdefault(dim.key(meta[lang]), []).append(value)
-        every.setdefault(cell_key, []).append(value)
+        cells.setdefault(cell_key, {}).setdefault(group, []).append(entry.mean)
+        every.setdefault(cell_key, []).append(entry.mean)
     for cell_key, values in every.items():
         cells[cell_key][ALL_GROUP] = values
     return cells
@@ -118,7 +141,7 @@ def group_stats(
     """
     return {
         cell_key: {group: _stat(values, stat) for group, values in groups.items()}
-        for cell_key, groups in _grouped_f1(seed_mean_f1(records), meta, dim).items()
+        for cell_key, groups in _grouped_f1(aggregate_seeds(records), meta, dim).items()
     }
 
 
@@ -204,6 +227,15 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             writer.writerow(row)
 
 
+def _pairs(stats: Mapping[GroupKey, SeedStats], base_key: Callable) -> Iterator[tuple]:
+    """(key, base mean, mean) for each seed-mean in key order whose base
+    key, base_key(*key), is another key with a seed-mean."""
+    for key, entry in sorted(stats.items()):
+        base = base_key(*key)
+        if base != key and base in stats:
+            yield key, stats[base].mean, entry.mean
+
+
 def emit_report(
     records: Sequence[RunRecord],
     meta: Mapping[str, LanguageMeta],
@@ -216,20 +248,19 @@ def emit_report(
     deltas.csv (absolute and relative change against the dense run of the
     same strategy), ratios.csv (perturbed over regular per scope), an
     optional overlap_f1.csv pairing train/test entity overlap with dense
-    regular F1, and summary.json. Numbers are fixed to 4 decimal places
-    and rows are sorted, so identical inputs give identical bytes.
+    regular F1, and summary.json, whose mean_f1 is the "all" group's mean.
+    Numbers are fixed to 4 decimal places and rows are sorted, so
+    identical inputs give identical bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     aggregated = aggregate_seeds(records)
-    means = {key: stats.mean for key, stats in aggregated.items()}
-    grouped = {dim: _grouped_f1(means, meta, dim) for dim in GroupDimension}
+    grouped = {dim: _grouped_f1(aggregated, meta, dim) for dim in GroupDimension}
     written = []
 
     rows = [
-        (lang, sparsity, strategy, split,
-         _fmt(stats.mean), _fmt(stats.std), stats.n)
-        for (lang, sparsity, strategy, split), stats in sorted(aggregated.items())
+        (*key, _fmt(stats.mean), _fmt(stats.std), stats.n)
+        for key, stats in sorted(aggregated.items())
     ]
     path = out_dir / "per_language.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
@@ -249,35 +280,24 @@ def emit_report(
                           "mean_f1", "median_f1", "std_f1", "n_languages"), rows)
         written.append(path)
 
-    rows = []
-    for (lang, sparsity, strategy, split), value in sorted(means.items()):
-        if sparsity == 0:
-            continue
-        dense = means.get((lang, 0, strategy, split))
-        if dense is None:
-            continue
-        rows.append((
-            lang, sparsity, strategy, split,
-            _fmt(dense), _fmt(value),
-            _fmt(value - dense), _fmt(relative_delta(value, dense)),
-        ))
+    rows = [
+        (*key, _fmt(dense), _fmt(sparse), _fmt(sparse - dense),
+         _fmt(relative_delta(sparse, dense)))
+        for key, dense, sparse in _pairs(
+            aggregated, lambda lang, _, strategy, split: (lang, 0, strategy, split))
+    ]
     path = out_dir / "deltas.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
                       "dense_f1", "sparse_f1", "abs_delta", "rel_delta"), rows)
     written.append(path)
 
-    rows = []
-    for (lang, sparsity, strategy, split), value in sorted(means.items()):
-        if split == "regular":
-            continue
-        regular = means.get((lang, sparsity, strategy, "regular"))
-        if regular is None:
-            continue
-        rows.append((
-            lang, sparsity, strategy, split,
-            _fmt(regular), _fmt(value),
-            _fmt(robustness_ratio(value, regular)),
-        ))
+    rows = [
+        (*key, _fmt(regular), _fmt(perturbed),
+         _fmt(robustness_ratio(perturbed, regular)))
+        for key, regular, perturbed in _pairs(
+            aggregated, lambda lang, sparsity, strategy, _: (
+                lang, sparsity, strategy, "regular"))
+    ]
     path = out_dir / "ratios.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
                       "regular_f1", "perturbed_f1", "ratio"), rows)
@@ -286,37 +306,25 @@ def emit_report(
     if overlaps is not None:
         rows = []
         for lang in sorted(overlaps):
-            dense = None
-            for strategy in STRATEGY_NAMES:
-                dense = means.get((lang, 0, strategy, "regular"))
-                if dense is not None:
-                    break
+            dense = next((aggregated[key].mean for key in [
+                (lang, 0, strategy, "regular") for strategy in STRATEGY_NAMES
+            ] if key in aggregated), None)
             rows.append((lang, _fmt(overlaps[lang]), _fmt(dense)))
         path = out_dir / "overlap_f1.csv"
         _write_csv(path, ("language", "entity_overlap", "dense_f1"), rows)
         written.append(path)
 
-    overall: dict[str, dict] = {}
-    for (lang, sparsity, strategy, split), value in means.items():
-        overall.setdefault(split, {}).setdefault(strategy, {}).setdefault(
-            str(sparsity), []
-        ).append(value)
+    mean_f1: dict[str, dict] = {}
+    for (sparsity, strategy, split), groups in grouped[GroupDimension.SIZE].items():
+        mean_f1.setdefault(split, {}).setdefault(strategy, {})[str(sparsity)] = round(
+            _stat(groups[ALL_GROUP], "mean"), 4)
     summary = {
         "n_records": len(records),
         "languages": sorted({r.language for r in records}),
         "sparsity_levels": sorted({r.sparsity for r in records}),
         "strategies": sorted({r.strategy for r in records}),
         "splits": sorted({r.split for r in records}),
-        "mean_f1": {
-            split: {
-                strategy: {
-                    sparsity: round(sum(vals) / len(vals), 4)
-                    for sparsity, vals in sorted(by_sparsity.items())
-                }
-                for strategy, by_sparsity in sorted(by_strategy.items())
-            }
-            for split, by_strategy in sorted(overall.items())
-        },
+        "mean_f1": mean_f1,
     }
     path = out_dir / "summary.json"
     with open(path, "w", encoding="utf-8") as f:

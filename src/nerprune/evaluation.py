@@ -9,10 +9,9 @@ back to 0 whenever their denominator is 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +51,10 @@ class ScoreReport:
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn) < 0:
             raise ValueError("negative counts")
+        for name in ("precision", "recall", "f1"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # NaN fails this too
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.per_type is not None:
             sums = [0, 0, 0]
             for counts in self.per_type.values():
@@ -214,30 +217,3 @@ def read_run_records(path: str | Path) -> list[RunRecord]:
             if line:
                 records.append(RunRecord.from_json_dict(json.loads(line)))
     return records
-
-
-@dataclass(frozen=True)
-class SeedStats:
-    """F1 aggregate across seeds: mean, population std, sample count."""
-
-    mean: float
-    std: float
-    n: int
-
-
-GroupKey = tuple[str, int, str, str]
-
-
-def aggregate_seeds(records: Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
-    """Aggregate F1 across seeds per (language, sparsity, strategy, split)."""
-    groups: dict[GroupKey, list[float]] = {}
-    for record in records:
-        key = (record.language, record.sparsity, record.strategy, record.split)
-        groups.setdefault(key, []).append(record.report.f1)
-    result = {}
-    for key, values in groups.items():
-        n = len(values)
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / n
-        result[key] = SeedStats(mean=mean, std=math.sqrt(var), n=n)
-    return result

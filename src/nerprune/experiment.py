@@ -494,8 +494,13 @@ def execute_run(
     checkpoint_dir and score it on every split it owes.
 
     Returns the result line dicts. The nominal sparsity must be achieved
-    within 1/N of the prunable weight count or the run fails.
+    within 1/N of the prunable weight count or the run fails. The
+    checkpoint is written to .<name>.partial beside checkpoint_dir and,
+    once the cell is scored, renamed over whatever stands there, so an
+    earlier attempt leaves none of its files in it.
     """
+    staging = checkpoint_dir.with_name(f".{checkpoint_dir.name}.partial")
+    shutil.rmtree(staging, ignore_errors=True)
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
     if spec.sparsity == 0:
@@ -517,7 +522,7 @@ def execute_run(
             f"{spec.run_id}: achieved sparsity {achieved:.6f} misses "
             f"nominal {spec.sparsity / 100:.2f}"
         )
-    save_model(checkpoint_dir, model)
+    save_model(staging, model)
     lines = []
     for split in bundle.splits:
         predicted = predict_ids(model, split.encoded)
@@ -538,6 +543,8 @@ def execute_run(
             "achieved_sparsity": achieved,
         })
         lines.append(line)
+    shutil.rmtree(checkpoint_dir, ignore_errors=True)
+    staging.rename(checkpoint_dir)
     return lines
 
 
@@ -552,16 +559,9 @@ def _failure(spec: RunSpec, exc: Exception) -> tuple[str, str]:
 def _cell_outcome(spec: RunSpec, config: ExperimentConfig, bundle: Bundle,
                   out_dir: Path) -> tuple[str, str]:
     """Run one cell; returns the file name under out_dir and the text to
-    append to it: the cell's result lines, or its failure record. The
-    checkpoint is written beside its final place and renamed over
-    whatever an interrupted attempt left there."""
-    final = out_dir / "checkpoints" / spec.run_id
-    staging = final.with_name(f".{spec.run_id}.partial")
+    append to it: the cell's result lines, or its failure record."""
     try:
-        shutil.rmtree(staging, ignore_errors=True)
-        lines = execute_run(spec, config, bundle, checkpoint_dir=staging)
-        shutil.rmtree(final, ignore_errors=True)
-        staging.rename(final)
+        lines = execute_run(spec, config, bundle, out_dir / "checkpoints" / spec.run_id)
     except Exception as exc:  # a bug or MemoryError fails its cell only
         return _failure(spec, exc)
     return "results.jsonl", "".join(json.dumps(l, sort_keys=True) + "\n" for l in lines)

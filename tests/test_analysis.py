@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +9,15 @@ from hypothesis import strategies as st
 
 from nerprune.analysis import (
     GroupDimension,
+    aggregate_seeds,
     emit_report,
     group_stats,
     kendall_tau,
     relative_delta,
     robustness_ratio,
-    seed_mean_f1,
 )
 from nerprune.corpus import LanguageMeta
-from nerprune.errors import MissingMetadataError
+from nerprune.errors import MetadataError, MissingMetadataError
 from nerprune.evaluation import RunRecord, ScoreReport
 from oracles import oracle_tau
 
@@ -54,9 +57,9 @@ def test_seed_mean_averages_over_seeds_only():
         record("aa", 50, 0.6, seed=1),
         record("aa", 70, 0.2, seed=0),
     ]
-    means = seed_mean_f1(records)
-    assert means[("aa", 50, "partial", "regular")] == pytest.approx(0.5)
-    assert means[("aa", 70, "partial", "regular")] == pytest.approx(0.2)
+    stats = aggregate_seeds(records)
+    assert stats[("aa", 50, "partial", "regular")].mean == pytest.approx(0.5)
+    assert stats[("aa", 70, "partial", "regular")].mean == pytest.approx(0.2)
 
 
 def test_group_stats_by_each_dimension():
@@ -94,6 +97,15 @@ def test_group_stats_requires_metadata():
     with pytest.raises(MissingMetadataError) as info:
         group_stats([record("zz", 0, 0.5)], META, GroupDimension.SIZE)
     assert "zz" in str(info.value)
+
+
+def test_group_named_all_is_rejected_under_its_dimension_only():
+    meta = {**META, "aa": LanguageMeta("aa", "Latin", "all", 100, 0.1)}
+    records = [record("aa", 50, 0.2), record("bb", 50, 0.8)]
+    with pytest.raises(MetadataError, match="'aa'"):
+        group_stats(records, meta, GroupDimension.FAMILY)
+    by_script = group_stats(records, meta, GroupDimension.SCRIPT)
+    assert by_script[(50, "partial", "regular")]["all"] == pytest.approx(0.5)
 
 
 def test_tau_on_known_sequences():
@@ -197,3 +209,48 @@ def test_report_bytes_are_deterministic(tmp_path):
 def test_report_requires_metadata(tmp_path):
     with pytest.raises(MissingMetadataError):
         emit_report([record("zz", 0, 0.5)], META, tmp_path)
+
+
+def test_report_summary_and_pairs_agree_with_the_tables(tmp_path):
+    # 3 languages in 2 families and 2 scripts; a few seed-means are
+    # missing so that some rows have no dense or no regular partner
+    rng = random.Random(11)
+    absent = {("cc", 0, "incl_embeddings", "regular"), ("bb", 0, "partial", "regular"),
+              ("aa", 50, "partial", "regular"), ("cc", 98, "partial", "perturbed-in-language")}
+    records = [
+        record(lang, sparsity, rng.random(), strategy, seed, split)
+        for lang in META
+        for sparsity in (0, 50, 98)
+        for strategy in ("partial", "incl_embeddings")
+        for split in ("regular", "perturbed-in-language")
+        for seed in (0, 1)
+        if (lang, sparsity, strategy, split) not in absent
+    ]
+    rng.shuffle(records)
+    emit_report(records, META, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())["mean_f1"]
+    cells = {(split, strategy, sparsity)
+             for split, by_strategy in summary.items()
+             for strategy, by_sparsity in by_strategy.items()
+             for sparsity in by_sparsity}
+    for dim in GroupDimension:
+        with open(tmp_path / f"by_{dim.value}.csv", encoding="utf-8") as f:
+            rows = [row for row in csv.DictReader(f) if row["group"] == "all"]
+        assert {(r["split"], r["strategy"], r["sparsity"]) for r in rows} == cells
+        assert len(rows) == len(cells)
+        for r in rows:
+            value = summary[r["split"]][r["strategy"]][r["sparsity"]]
+            assert f"{value:.4f}" == r["mean_f1"]
+
+    def keys(name):
+        with open(tmp_path / name, encoding="utf-8") as f:
+            return [(r["language"], int(r["sparsity"]), r["strategy"], r["split"])
+                    for r in csv.DictReader(f)]
+
+    means = {(r.language, r.sparsity, r.strategy, r.split) for r in records}
+    assert keys("deltas.csv") == sorted(
+        (lang, sparsity, strategy, split) for lang, sparsity, strategy, split in means
+        if sparsity != 0 and (lang, 0, strategy, split) in means)
+    assert keys("ratios.csv") == sorted(
+        (lang, sparsity, strategy, split) for lang, sparsity, strategy, split in means
+        if split != "regular" and (lang, sparsity, strategy, "regular") in means)

@@ -205,6 +205,48 @@ def test_diverged_training_exits_two(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_train_replaces_a_checkpoint_directory_whole(tmp_path, capsys):
+    config = write_world(tmp_path)
+    argv = ["train", "--config", str(config), "--language", "aa",
+            "--sparsity", "50", "--seed", "0", "--out"]
+    fresh = tmp_path / "fresh"
+    assert main(argv + [str(fresh)]) == 0
+    ckpt = tmp_path / "ckpt"
+    assert main(argv + [str(ckpt)]) == 0
+    (ckpt / "stray.bin").write_bytes(b"left by an earlier attempt")
+    assert main(argv + [str(ckpt)]) == 0
+    assert sorted(p.name for p in ckpt.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    assert not list(tmp_path.glob(".*.partial"))
+
+
+def _notes_directory(out):
+    out.mkdir()
+    (out / "notes.txt").write_text("not a checkpoint")
+    return out / "notes.txt"
+
+
+def _notes_file(out):
+    out.write_text("not a checkpoint")
+    return out
+
+
+@pytest.mark.parametrize("occupy, message", [
+    (_notes_directory, "without manifest.json"),
+    (_notes_file, "not a directory"),
+])
+def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy, message):
+    config = write_world(tmp_path)
+    out = tmp_path / "notes"
+    kept = occupy(out)
+    assert main([
+        "train", "--config", str(config), "--language", "aa",
+        "--sparsity", "50", "--seed", "0", "--out", str(out),
+    ]) == 2
+    assert message in capsys.readouterr().err
+    assert kept.read_text() == "not a checkpoint"
+    assert not list(tmp_path.glob(".*.partial"))
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A world and a checkpoint trained on it, made once for the module."""
@@ -442,9 +484,14 @@ def _record(**overrides):
         ("sparsity", 50.7), ("sparsity", True), ("seed", "0"), ("tp", 1.5),
         ("fn", False), ("precision", "1.0"), ("f1", True), ("language", 7),
         ("strategy", None), ("split", ["regular"])]),
+    # each used to exit 0, and analyze printed NaN, which is not JSON
+    *(("analyze", _record(**{key: value})) for key, value in [
+        ("f1", float("nan")), ("f1", 7.5), ("precision", -0.5),
+        ("recall", float("inf"))]),
 ], ids=["analyze-non-object-line", "report-null-f1", "float-sparsity", "bool-sparsity",
         "string-seed", "float-tp", "bool-fn", "string-precision", "bool-f1",
-        "int-language", "null-strategy", "array-split"])
+        "int-language", "null-strategy", "array-split", "nan-f1", "f1-above-one",
+        "negative-precision", "infinite-recall"])
 def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
     results = tmp_path / "results.jsonl"
     results.write_text(line + "\n")
@@ -464,6 +511,22 @@ def test_well_typed_results_record_is_read(tmp_path, capsys):
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA)
     assert main(["analyze", "--results", str(results), "--meta", str(meta)]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_family_named_all_exits_two(tmp_path, capsys, command):
+    # "all" names the group of every language, which would hide aa's group
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record(f1=0.2) + "\n" + _record(language="bb", f1=0.8) + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA.replace("aa,Latin,Fam1", "aa,Latin,all"))
+    argv = [command, "--results", str(results), "--meta", str(meta)]
+    if command == "analyze":
+        argv += ["--dim", "family"]
+    else:
+        argv += ["--out-dir", str(tmp_path / "report")]
+    assert main(argv) == 2
+    assert "language 'aa': family 'all' is reserved" in capsys.readouterr().err
 
 
 def test_report_with_missing_corpus_exits_two(tmp_path, capsys):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
 from nerprune.corpus import TAG_IDS, TAGSET, decode_spans
+from nerprune.analysis import aggregate_seeds
 from nerprune.errors import AlignmentError, TagError
 from nerprune.evaluation import (
     RunRecord,
     ScoreReport,
-    aggregate_seeds,
     decode_span_ids,
     read_run_records,
     score_corpus,
