@@ -227,11 +227,15 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             writer.writerow(row)
 
 
-def _pairs(stats: Mapping[GroupKey, SeedStats], base_key: Callable) -> Iterator[tuple]:
+def _pairs(
+    stats: Mapping[GroupKey, SeedStats], base_key: Callable[[GroupKey], GroupKey]
+) -> Iterator[tuple[GroupKey, float, float]]:
     """(key, base mean, mean) for each seed-mean in key order whose base
-    key, base_key(*key), is another key with a seed-mean."""
+    key, base_key(key), is another key with a seed-mean. A key that is its
+    own base (a dense run for deltas, a regular split for ratios) gets no
+    row."""
     for key, entry in sorted(stats.items()):
-        base = base_key(*key)
+        base = base_key(key)
         if base != key and base in stats:
             yield key, stats[base].mean, entry.mean
 
@@ -284,7 +288,7 @@ def emit_report(
         (*key, _fmt(dense), _fmt(sparse), _fmt(sparse - dense),
          _fmt(relative_delta(sparse, dense)))
         for key, dense, sparse in _pairs(
-            aggregated, lambda lang, _, strategy, split: (lang, 0, strategy, split))
+            aggregated, lambda key: (key[0], 0, key[2], key[3]))
     ]
     path = out_dir / "deltas.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
@@ -295,8 +299,7 @@ def emit_report(
         (*key, _fmt(regular), _fmt(perturbed),
          _fmt(robustness_ratio(perturbed, regular)))
         for key, regular, perturbed in _pairs(
-            aggregated, lambda lang, sparsity, strategy, _: (
-                lang, sparsity, strategy, "regular"))
+            aggregated, lambda key: (key[0], key[1], key[2], "regular"))
     ]
     path = out_dir / "ratios.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
@@ -306,9 +309,12 @@ def emit_report(
     if overlaps is not None:
         rows = []
         for lang in sorted(overlaps):
-            dense = next((aggregated[key].mean for key in [
-                (lang, 0, strategy, "regular") for strategy in STRATEGY_NAMES
-            ] if key in aggregated), None)
+            dense = None
+            for strategy in STRATEGY_NAMES:
+                key = (lang, 0, strategy, "regular")
+                if key in aggregated:
+                    dense = aggregated[key].mean
+                    break
             rows.append((lang, _fmt(overlaps[lang]), _fmt(dense)))
         path = out_dir / "overlap_f1.csv"
         _write_csv(path, ("language", "entity_overlap", "dense_f1"), rows)

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, experiment, perturb, pruning, tagger
+from . import analysis, experiment, perturb, tagger
 from .corpus import count_mentions, load_language_metadata, parse_iob2
 from .errors import ConfigError, NerpruneError
 from .evaluation import SPLIT_NAMES, STRATEGY_NAMES, read_run_records, score_corpus
@@ -221,21 +221,15 @@ def _cmd_train(args) -> int:
             f"sparsity {args.sparsity} not in config levels "
             f"{list(config.sparsity_levels)}"
         )
-    # resolved so that "." has a name to stage ".<name>.partial" beside
-    out = Path(args.out).resolve()
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"--out {args.out}: not a directory")
-    if out.is_dir() and any(out.iterdir()) and not (out / pruning.MANIFEST_NAME).is_file():
-        raise ConfigError(
-            f"--out {args.out}: a non-empty directory without "
-            f"{pruning.MANIFEST_NAME} is not a checkpoint to replace")
     spec = experiment.RunSpec(
         config.mode, language, args.sparsity, args.strategy, args.seed
     )
     languages = spec.languages(config)
     inputs = experiment.load_cell_inputs(config, languages)
     bundle = experiment.build_bundle(config, languages, *inputs)
-    lines = experiment.execute_run(spec, config, bundle, checkpoint_dir=out)
+    lines = experiment.execute_run(
+        spec, config, bundle, checkpoint_dir=Path(args.out)
+    )
     regular = [l for l in lines if l["split"] == "regular"]
     print(json.dumps({
         "run_id": spec.run_id,

@@ -52,7 +52,7 @@ from .evaluation import (
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
-from .pruning import PruneSchedule, PruneStrategy, measure_sparsity
+from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, measure_sparsity
 from .tagger import (
     Encoded,
     TaggerConfig,
@@ -484,6 +484,35 @@ def build_bundle(
     return Bundle(train_arrays, tuple(splits))
 
 
+def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
+    """Raise ConfigError unless execute_run may delete checkpoint_dir
+    whole. It must hold neither the working directory nor any path the
+    config reads or writes. Outside the config's output directory, whose checkpoints a grid run
+    replaces whatever they hold, it must also be absent, empty or a
+    checkpoint."""
+    if checkpoint_dir.exists() and not checkpoint_dir.is_dir():
+        raise ConfigError(f"{checkpoint_dir}: not a directory")
+    kept = [
+        ("the working directory", Path.cwd()),
+        ("the config file's directory", Path(config.base_dir).resolve()),
+        ("metadata", config.metadata_file),
+        ("output", config.output_path),
+    ]
+    kept += [("a corpus directory", config.corpus_root_path / language)
+             for language in config.languages]
+    for name, path in kept:
+        if path == checkpoint_dir or checkpoint_dir in path.parents:
+            raise ConfigError(
+                f"{checkpoint_dir}: holds {name} {path}, so it cannot be "
+                "replaced by a checkpoint")
+    if (config.output_path not in checkpoint_dir.parents
+            and checkpoint_dir.is_dir() and any(checkpoint_dir.iterdir())
+            and not (checkpoint_dir / MANIFEST_NAME).is_file()):
+        raise ConfigError(
+            f"{checkpoint_dir}: a non-empty directory without "
+            f"{MANIFEST_NAME} is not a checkpoint to replace")
+
+
 def execute_run(
     spec: RunSpec,
     config: ExperimentConfig,
@@ -497,8 +526,12 @@ def execute_run(
     within 1/N of the prunable weight count or the run fails. The
     checkpoint is written to .<name>.partial beside checkpoint_dir and,
     once the cell is scored, renamed over whatever stands there, so an
-    earlier attempt leaves none of its files in it.
+    earlier attempt leaves none of its files in it. Before any training,
+    a checkpoint_dir that is not safe to delete (see _check_replaceable)
+    is a ConfigError.
     """
+    checkpoint_dir = Path(checkpoint_dir).resolve()
+    _check_replaceable(checkpoint_dir, config)
     staging = checkpoint_dir.with_name(f".{checkpoint_dir.name}.partial")
     shutil.rmtree(staging, ignore_errors=True)
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)

@@ -247,6 +247,36 @@ def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy,
     assert not list(tmp_path.glob(".*.partial"))
 
 
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("out, cwd, message", [
+    (".", "world", "holds the working directory"),
+    (".", "elsewhere", "holds the config file's directory"),
+    ("corpus", "elsewhere", "holds a corpus directory"),
+    ("corpus/aa", "elsewhere", "holds a corpus directory"),
+    ("..", "world", "holds the working directory"),
+])
+def test_train_never_replaces_a_directory_with_its_inputs(
+        tmp_path, monkeypatch, capsys, out, cwd, message):
+    world = tmp_path / "world"
+    world.mkdir()
+    config = write_world(world)
+    # as a checkpoint saved straight into the directory would have left it
+    (world / out / "manifest.json").write_text("{}")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / cwd)
+    before = _tree(tmp_path)
+    argv = ["train", "--config", str(config), "--language", "aa",
+            "--sparsity", "50", "--seed", "0", "--out", str(world / out)]
+    for _ in range(2):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A world and a checkpoint trained on it, made once for the module."""
