@@ -145,66 +145,32 @@ def group_stats(
     }
 
 
-def _merge_count(ys: list) -> int:
-    """Strict inversions of ys via bottom-up merge sort."""
-    items = list(ys)
-    n = len(items)
-    buffer = [None] * n
-    inversions = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if items[j] < items[i]:
-                    buffer[k] = items[j]
-                    inversions += mid - i
-                    j += 1
-                else:
-                    buffer[k] = items[i]
-                    i += 1
-                k += 1
-            buffer[k:hi] = items[i:mid] if i < mid else items[j:hi]
-            items[lo:hi] = buffer[lo:hi]
-        width *= 2
-    return inversions
-
-
-def _tie_pairs(values: Iterable) -> int:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
-
-
 def kendall_tau(
     xs: Sequence[float], ys: Sequence[float], tie_correction: bool = True
 ) -> float | None:
-    """Kendall rank correlation via sort and merge counting.
+    """Kendall rank correlation by visiting every pair once.
 
     With tie_correction (the default) this is the tie-corrected variant
     whose denominator shrinks with tied pairs; without it the plain
     pair-count denominator n(n-1)/2 is used. Returns None when the
     tie-corrected denominator vanishes, i.e. one side is fully tied.
-    Requires len(xs) == len(ys) >= 2.
+    Requires len(xs) == len(ys) >= 2. O(n^2) is enough: callers pass one
+    value per language.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two observations")
-    pairs = sorted(zip(xs, ys))
     n0 = n * (n - 1) // 2
-    n1 = _tie_pairs(xs)
-    n2 = _tie_pairs(ys)
-    n3 = _tie_pairs(pairs)
-    # sorting by (x, y) makes within-x-group pairs non-inverted, so the
-    # merge count is exactly the strictly discordant pair count
-    discordant = _merge_count([y for _, y in pairs])
-    concordant = n0 - n1 - n2 + n3 - discordant
-    numerator = concordant - discordant
+    n1 = n2 = numerator = 0  # x-tied pairs, y-tied pairs, concordant - discordant
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
+            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
+            n1 += not dx
+            n2 += not dy
+            numerator += dx * dy
     if tie_correction:
         denominator_sq = (n0 - n1) * (n0 - n2)
         if denominator_sq == 0:

@@ -1,9 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, unknown
-subcommands), 2 on data errors (malformed corpora, missing files, bad
-configs). Every stochastic subcommand takes an explicit seed; nothing
-falls back to wall-clock randomness.
+subcommands), 2 on data errors (malformed corpora, missing or unwritable
+files, bad configs). Every stochastic subcommand takes an explicit seed;
+nothing falls back to wall-clock randomness.
 """
 
 from __future__ import annotations
@@ -152,17 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_text(path: str):
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def _cmd_validate(args) -> int:
     if not args.language:
         raise ConfigError("--language must be non-empty")
-    with _open_text(args.corpus) as f:
+    with open(args.corpus, encoding="utf-8") as f:
         corpus = parse_iob2(
             f, args.language, split="test",
             strip_prefix=args.strip_prefix, name=args.corpus,
@@ -181,7 +174,7 @@ def _cmd_validate(args) -> int:
 def _cmd_perturb(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
-    with _open_text(args.meta) as f:
+    with open(args.meta, encoding="utf-8") as f:
         meta = load_language_metadata(f, name=args.meta)
     tests = {}
     for path in args.corpora:
@@ -190,7 +183,7 @@ def _cmd_perturb(args) -> int:
             raise ConfigError(f"{path}: cannot read language code from file name")
         if language in tests:
             raise ConfigError(f"{path}: a second input for language {language!r}")
-        with _open_text(path) as f:
+        with open(path, encoding="utf-8") as f:
             tests[language] = parse_iob2(f, language, split="test", name=path)
     perturbed = experiment.build_perturbed(
         meta, tests, list(tests), [args.scope], args.seed
@@ -274,7 +267,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = _read_results(args.results)
-    with _open_text(args.meta) as f:
+    with open(args.meta, encoding="utf-8") as f:
         meta = load_language_metadata(f, name=args.meta)
     dim = analysis.GroupDimension.parse(args.dim)
     cells = analysis.group_stats(records, meta, dim, args.stat)
@@ -291,7 +284,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     records = _read_results(args.results)
-    with _open_text(args.meta) as f:
+    with open(args.meta, encoding="utf-8") as f:
         meta = load_language_metadata(f, name=args.meta)
     overlaps = None
     if args.corpus_root:
@@ -308,8 +301,6 @@ def _cmd_report(args) -> int:
 def _read_results(path: str):
     try:
         return read_run_records(path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed results file: {exc}") from None
 
@@ -330,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NerpruneError as exc:
+    except (NerpruneError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 

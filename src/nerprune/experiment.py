@@ -161,6 +161,10 @@ class ExperimentConfig:
         for seed in self.seeds:
             if seed < 0:
                 raise ConfigError("seeds must be non-negative")
+        if self.tagger.seed != 0:
+            raise ConfigError(
+                f"tagger.seed must be 0, got {self.tagger.seed!r}: each run "
+                "trains with its own entry of seeds")
         if self.perturbation_seed < 0:
             raise ConfigError("perturbation_seed must be non-negative")
         sizes = [size for size, _ in self.schedule_table]
@@ -613,17 +617,18 @@ def _language_set_outcomes(config, languages, specs, inputs, out_dir, mapper):
     yield from mapper(lambda spec: _cell_outcome(spec, config, bundle, out_dir), specs)
 
 
-def _existing_run_ids(results_path: Path) -> set[str]:
-    """Run ids with results on disk. A run appends all its lines in one
-    write, so an unterminated last line is a torn write of the last run:
-    it is cut off together with the complete lines of the run before it,
-    which may be the same run, so that run reruns. A malformed complete
-    line is a ConfigError."""
+def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set[str]:
+    """Run ids with all their line_counts[run_id] lines on disk. A run
+    appends its lines in one write, so a kill or a full disk can cut only
+    the last run short, inside a line or at a line boundary: the file is
+    truncated just past the last line that completes a run, and the cut
+    run reruns. A malformed complete line is a ConfigError."""
     if not results_path.is_file():
         return set()
     data = results_path.read_bytes()
-    done = []  # (run id, offset just past its line)
-    offset = 0
+    seen: dict[str, int] = {}
+    done = set()
+    offset = end = 0  # end: just past the last line that completes a run
     for number, line in enumerate(data.split(b"\n")[:-1], 1):
         offset += len(line) + 1
         if line.strip():
@@ -635,14 +640,14 @@ def _existing_run_ids(results_path: Path) -> set[str]:
                 raise ConfigError(
                     f"{results_path}:{number}: malformed results line: {exc!r}"
                 ) from None
-            done.append((run_id, offset))
-    if offset < len(data):
-        last = done[-1][0] if done else None
-        while done and done[-1][0] == last:
-            done.pop()
+            seen[run_id] = seen.get(run_id, 0) + 1
+            if seen[run_id] == line_counts.get(run_id):
+                done.add(run_id)
+                end = offset
+    if end < len(data):
         with open(results_path, "r+b") as f:
-            f.truncate(done[-1][1] if done else 0)
-    return {run_id for run_id, _ in done}
+            f.truncate(end)
+    return done
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> Path:
@@ -682,8 +687,11 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
 
     results_path = out_dir / "results.jsonl"
     (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
-    done = _existing_run_ids(results_path)
-    pending = [spec for spec in plan(config) if spec.run_id not in done]
+    specs = plan(config)
+    done = _existing_run_ids(results_path, {
+        spec.run_id: len(spec.languages(config)) * (1 + len(config.scopes))
+        for spec in specs})
+    pending = [spec for spec in specs if spec.run_id not in done]
     if not pending:
         return results_path
 

@@ -127,10 +127,14 @@ def test_tau_input_validation():
         kendall_tau([1], [1])
 
 
+# small ints, or floats with ties between -0.0 and 0.0
+TIED_VALUES = (st.integers(0, 5), st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    pairs=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=30
+    pairs=st.sampled_from(TIED_VALUES).flatmap(
+        lambda values: st.lists(st.tuples(values, values), min_size=2, max_size=30)
     ),
     tie_correction=st.booleans(),
 )

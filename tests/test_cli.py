@@ -571,6 +571,39 @@ def test_report_with_missing_corpus_exits_two(tmp_path, capsys):
     assert str(missing / "aa" / "train.iob2") in capsys.readouterr().err
 
 
+# each output path runs through a regular file named "blocked"; each
+# command used to die with a NotADirectoryError or FileExistsError traceback
+@pytest.mark.parametrize("command", ["experiment", "report", "perturb", "train"])
+def test_blocked_output_path_exits_two(tmp_path, capsys, command):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    if command == "experiment":
+        config = write_world(tmp_path, extra={"paths": {
+            "corpus_root": "corpus", "metadata": "languages.csv", "output": "blocked"}})
+        argv = ["experiment", "--config", str(config)]
+    elif command == "report":
+        results = tmp_path / "results.jsonl"
+        results.write_text(_record() + "\n")
+        argv = ["report", "--results", str(results), "--meta", str(meta),
+                "--out-dir", str(blocked)]
+    elif command == "perturb":
+        corpus = tmp_path / "aa.iob2"
+        corpus.write_text(AA_TEST_FILE)
+        argv = ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
+                "--meta", str(meta), "--out-dir", str(blocked)]
+    else:
+        config = write_world(tmp_path)
+        argv = ["train", "--config", str(config), "--language", "aa",
+                "--sparsity", "0", "--seed", "0", "--out", str(blocked / "ck")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "nerprune: error: " in err
+    assert "blocked" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("nerprune")
     if exe is None:
