@@ -489,13 +489,16 @@ def build_bundle(
 
 
 def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
-    """Raise ConfigError unless execute_run may delete checkpoint_dir
-    whole. It must hold neither the working directory nor any path the
-    config reads or writes. Outside the config's output directory, whose checkpoints a grid run
-    replaces whatever they hold, it must also be absent, empty or a
-    checkpoint."""
-    if checkpoint_dir.exists() and not checkpoint_dir.is_dir():
-        raise ConfigError(f"{checkpoint_dir}: not a directory")
+    """Raise ConfigError unless execute_run may stage a checkpoint beside
+    checkpoint_dir and then delete it whole. The nearest of it and its
+    parents that exists must be a directory, so that staging cannot fail
+    only after training. It must hold neither the working directory nor
+    any path the config reads or writes. Outside the config's output
+    directory, whose checkpoints a grid run replaces whatever they hold,
+    it must also be absent, empty or a checkpoint."""
+    nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{nearest}: not a directory")
     kept = [
         ("the working directory", Path.cwd()),
         ("the config file's directory", Path(config.base_dir).resolve()),
@@ -544,7 +547,7 @@ def execute_run(
         schedule = None
         schedule_row = None
     else:
-        schedule_row = config.schedule_for(len(bundle.train.ids))
+        schedule_row = config.schedule_for(len(bundle.train.offsets) - 1)
         start, end, freq = schedule_row
         schedule = PruneSchedule(start, end, freq, spec.sparsity / 100)
     started = time.perf_counter()

@@ -228,12 +228,14 @@ def encode_windows(
 @dataclass(frozen=True)
 class TrainArrays:
     """A training set encoded once for every model with one vocab and
-    window: window ids and gold tag ids per sentence."""
+    window, flat as encode_windows lays it out (ids, tags, offsets), so
+    that train can gather each epoch's batches in one pass."""
 
     vocab: Mapping[str, int]
     window: int
-    ids: list[np.ndarray]
-    tags: list[np.ndarray]
+    ids: np.ndarray
+    tags: np.ndarray
+    offsets: np.ndarray
 
 
 def encode_train(
@@ -244,9 +246,7 @@ def encode_train(
     sentences = _sentences(data)
     if not sentences:
         raise ConfigError("training data has no sentences")
-    ids, tags, offsets = encode_windows(vocab, window, sentences)
-    cuts = offsets[1:-1]
-    return TrainArrays(vocab, window, np.split(ids, cuts), np.split(tags, cuts))
+    return TrainArrays(vocab, window, *encode_windows(vocab, window, sentences))
 
 
 def encode_sentence(
@@ -271,10 +271,16 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _batch_loss(params: dict[str, ParamTensor], ids: np.ndarray,
-                tags: np.ndarray) -> float:
-    logp = _log_softmax(_scores(params, ids))
-    return float(-logp[np.arange(len(tags)), tags].mean())
+def _embedding_grad(flat_ids: np.ndarray,
+                    gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ids of flat_ids and, per id, the sum of its gx rows;
+    bincount adds each entry's terms in input order from 0.0, as np.add.at
+    into a zeroed table does, so the bits are the same."""
+    rows, slot = np.unique(flat_ids, return_inverse=True)
+    d = gx.shape[1]
+    grad = np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1),
+                       weights=gx.reshape(-1), minlength=rows.size * d)
+    return rows, grad.reshape(rows.size, d)
 
 
 def _batch_loss_grads(
@@ -283,8 +289,8 @@ def _batch_loss_grads(
     """Mean cross-entropy over the batch tokens, the embedding rows the
     batch reads (sorted, unique) and gradients for all five tensors.
 
-    The E gradient covers only those rows, shape (rows, embed_dim); it
-    is accumulated in token order, as into a zeroed full-size table.
+    The E gradient covers only those rows, shape (rows, embed_dim), and
+    comes from _embedding_grad.
     """
     e = params["E"].values
     w1, b1 = params["W1"].values, params["b1"].values
@@ -298,10 +304,12 @@ def _batch_loss_grads(
     scores = h @ w2 + b2
 
     logp = _log_softmax(scores)
-    loss = float(-logp[np.arange(n), tags].mean())
+    picked = (np.arange(n), tags)
+    # the bits of -logp[picked].mean(), without its wrapper's cost
+    loss = float(-(logp[picked].sum() / n))
 
     g = np.exp(logp)
-    g[np.arange(n), tags] -= 1.0
+    g[picked] -= 1.0
     g /= n
 
     grad_w2 = h.T @ g
@@ -311,9 +319,7 @@ def _batch_loss_grads(
     grad_w1 = x.T @ gh
     grad_b1 = gh.sum(axis=0)
     gx = (gh @ w1.T).reshape(n * k, d)
-    rows, slot = np.unique(ids.reshape(-1), return_inverse=True)
-    grad_e = np.zeros((rows.size, d))
-    np.add.at(grad_e, slot, gx)
+    rows, grad_e = _embedding_grad(ids.reshape(-1), gx)
     return loss, rows, {
         "E": grad_e, "W1": grad_w1, "b1": grad_b1,
         "W2": grad_w2, "b2": grad_b2,
@@ -354,17 +360,20 @@ def train(
 
     A step's cost scales with the batch, not the vocabulary: it updates,
     re-masks and re-checks only the embedding rows its batch reads (and
-    only tensors that hold a masked weight), and sparsity is measured
-    only when masks change. The first step and event steps make a full
-    pass over every tensor.
+    only tensors that hold a masked weight, so with none the check is
+    skipped), and sparsity is measured only when masks change. The first
+    step and event steps make a full pass over every tensor. Fixed costs
+    are few: batches are slices of one gather per epoch, and the
+    embedding gradient is one bincount.
     """
     config = model.config
     if not isinstance(train_data, TrainArrays):
         train_data = encode_train(model.vocab, config.window, train_data)
     elif train_data.window != config.window or train_data.vocab != model.vocab:
         raise ConfigError("training arrays were encoded with another vocab or window")
-    sentence_ids, sentence_tags = train_data.ids, train_data.tags
-    n_batches = math.ceil(len(sentence_ids) / config.batch_size)
+    offsets = train_data.offsets
+    n_sentences = len(offsets) - 1
+    n_batches = math.ceil(n_sentences / config.batch_size)
     total_steps = config.epochs * n_batches
     if schedule is not None and schedule.end_step > total_steps:
         raise ScheduleError(
@@ -383,7 +392,14 @@ def train(
     step = 0
     ev = 0
     for _ in range(config.epochs):
-        order = rng.permutation(len(sentence_ids))
+        # the epoch's rows in shuffled sentence order, gathered at once;
+        # its sentence i ends at row bounds[i + 1]
+        order = rng.permutation(n_sentences)
+        lengths = np.diff(offsets)[order]
+        ends = np.cumsum(lengths)
+        gather = np.repeat(offsets[order] - ends + lengths, lengths) + np.arange(ends[-1])
+        epoch_ids, epoch_tags = train_data.ids[gather], train_data.tags[gather]
+        bounds = [0, *ends.tolist()]
         for b in range(n_batches):
             step += 1
             full_pass = step == 1
@@ -391,13 +407,13 @@ def train(
                 compute_masks(tensors, events[ev][1], strategy)
                 ev += 1
                 full_pass = True
-            chosen = order[b * config.batch_size:(b + 1) * config.batch_size]
-            ids = np.concatenate([sentence_ids[i] for i in chosen])
-            tags = np.concatenate([sentence_tags[i] for i in chosen])
-            if len(tags) == 0:
+            start = bounds[b * config.batch_size]
+            stop = bounds[min((b + 1) * config.batch_size, n_sentences)]
+            if start == stop:
                 loss, rows = 0.0, np.zeros(0, dtype=np.int64)
             else:
-                loss, rows, grads = _batch_loss_grads(params, ids, tags)
+                loss, rows, grads = _batch_loss_grads(
+                    params, epoch_ids[start:stop], epoch_tags[start:stop])
                 emb.values[rows] -= lr * grads["E"]
                 for tensor in rest:
                     tensor.values -= lr * grads[tensor.name]
@@ -405,17 +421,17 @@ def train(
                 apply_masks(tensors)
                 sparsity = measure_sparsity(tensors, strategy)
                 # until masks next change, a tensor without a masked entry
-                # needs no re-masking and adds nothing to the check
+                # needs no re-masking and adds nothing to the check; E's
+                # per-row maxima are kept only while E has a masked entry
                 masked = [tensor for tensor in rest if not tensor.mask.all()]
-                emb_masked = not emb.mask.all()
-                emb_worst = _masked_row_max(emb.values, emb.mask)
+                emb_worst = [] if emb.mask.all() else [_masked_row_max(emb.values, emb.mask)]
             else:
                 apply_masks(masked)
-                if emb_masked:
+                if emb_worst:
                     mask_rows = emb.mask[rows]
                     emb.values[rows] = kept = emb.values[rows] * mask_rows
-                    emb_worst[rows] = _masked_row_max(kept, mask_rows)
-            worst = _max_abs_masked(masked, emb_worst)
+                    emb_worst[0][rows] = _masked_row_max(kept, mask_rows)
+            worst = _max_abs_masked(masked, *emb_worst)
             if not math.isfinite(loss) or math.isnan(worst):
                 raise DivergenceError(
                     f"training diverged at step {step}: loss {loss}, "
@@ -439,10 +455,11 @@ def _masked_row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def _max_abs_masked(tensors: Iterable[ParamTensor],
                     *row_maxima: np.ndarray) -> float:
     """Largest magnitude among the masked weights of tensors and among
-    row maxima from _masked_row_max; NaN if any of them is NaN."""
+    row maxima from _masked_row_max; NaN if any of them is NaN, and
+    exactly 0.0 without a call into numpy when given none."""
     maxima = [np.abs(t.values[t.mask == 0]).max(initial=0.0) for t in tensors]
     maxima += [rows.max(initial=0.0) for rows in row_maxima]
-    return float(np.max(maxima, initial=0.0))
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
@@ -502,9 +519,9 @@ def grad_check(
         for i in coords:
             original = tensor.values.flat[i]
             tensor.values.flat[i] = original + epsilon
-            plus = _batch_loss(model.params, ids, tags)
+            plus = _batch_loss_grads(model.params, ids, tags)[0]
             tensor.values.flat[i] = original - epsilon
-            minus = _batch_loss(model.params, ids, tags)
+            minus = _batch_loss_grads(model.params, ids, tags)[0]
             tensor.values.flat[i] = original
             fd = (plus - minus) / (2.0 * epsilon)
             analytic = grad_flat[i]

@@ -4,7 +4,8 @@ Everything here is written down a different route than the library:
 span decoding via an explicit start predicate, scoring via greedy
 per-mention matching or per-sentence span sets, rank correlation via quadratic pair counting,
 mask selection via a full three-key sort, training via a dense step
-that updates, re-masks and re-checks every tensor in full, window
+that updates, re-masks and re-checks every tensor in full (its
+embedding gradient through np.add.at into a full-size table), window
 encoding via a per-position loop, prediction one sentence at a time and
 perturbation by drawing from a freshly built candidate list. Slow and
 obvious on purpose.
@@ -170,6 +171,14 @@ def oracle_compute_masks(params, sparsity, strategy):
     oracle_mask_group(prunable, sparsity)
 
 
+def oracle_embedding_grad(flat_ids, gx, vocab_size):
+    """Full-size embedding gradient: row i of gx added into row
+    flat_ids[i] of a zeroed (vocab_size, d) table, with np.add.at."""
+    grad = np.zeros((vocab_size, gx.shape[1]))
+    np.add.at(grad, flat_ids, gx)
+    return grad
+
+
 def _dense_loss_grads(params, ids, tags):
     """Batch loss and full-size gradients; E's via add.at into zeros."""
     e = params["E"].values
@@ -187,8 +196,7 @@ def _dense_loss_grads(params, ids, tags):
     g /= n
     gh = g @ w2.T
     gh[z1 <= 0.0] = 0.0
-    grad_e = np.zeros_like(e)
-    np.add.at(grad_e, ids.reshape(-1), (gh @ w1.T).reshape(n * k, d))
+    grad_e = oracle_embedding_grad(ids.reshape(-1), (gh @ w1.T).reshape(n * k, d), len(e))
     return loss, {
         "E": grad_e, "W1": x.T @ gh, "b1": gh.sum(axis=0),
         "W2": h.T @ g, "b2": g.sum(axis=0),

@@ -247,6 +247,25 @@ def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy,
     assert not list(tmp_path.glob(".*.partial"))
 
 
+@pytest.mark.parametrize("below", ["ck", "sub/ck"])
+def test_train_under_a_regular_file_fails_before_training(
+        tmp_path, monkeypatch, capsys, below):
+    config = write_world(tmp_path)
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a regular file")
+    calls = []
+    monkeypatch.setattr(nerprune.experiment, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main([
+        "train", "--config", str(config), "--language", "aa",
+        "--sparsity", "50", "--seed", "0", "--out", str(blocked / below),
+    ]) == 2
+    assert calls == []
+    assert f"{blocked}: not a directory" in capsys.readouterr().err
+    assert blocked.read_text() == "a regular file"
+    assert not list(tmp_path.rglob("*.partial"))
+
+
 def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
             for p in root.rglob("*")}

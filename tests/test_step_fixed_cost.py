@@ -1,0 +1,125 @@
+"""The parts of a training step that replaced per-call numpy overhead,
+each against the form it replaced.
+
+The embedding gradient sums with bincount where the reference uses
+np.add.at, the loss divides a sum where the reference takes a mean, and
+batches are slices of one gather per epoch where the reference
+concatenates each batch's sentences. All must give the same bytes.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import synth
+from conftest import corpus_of, sent
+from nerprune.experiment import ExperimentConfig, build_bundle
+from nerprune.pruning import PruneSchedule, PruneStrategy
+from nerprune.tagger import TaggerConfig, _embedding_grad, build_vocab, init_model, train
+from oracles import oracle_embedding_grad, oracle_train
+from test_tagger import toy_corpus
+from test_train_step import _history_bytes, assert_matches_oracle
+
+# signed zeros, the smallest subnormals, a subnormal near the normal
+# range and the smallest normal, mixed with finite values small enough
+# that no sum overflows (np.add.at would warn)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+floats_st = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@st.composite
+def gradient_terms(draw):
+    d = draw(st.integers(1, 8))
+    vocab_size = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    # few ids over many terms, so rows repeat
+    flat_ids = draw(hnp.arrays(np.int64, n, elements=st.integers(0, vocab_size - 1)))
+    gx = draw(hnp.arrays(np.float64, (n, d), elements=floats_st))
+    return flat_ids, gx, vocab_size
+
+
+@settings(max_examples=400, deadline=None)
+@given(gradient_terms())
+# -0.0 alone sums to +0.0 from the 0.0 start; in input order
+# (1.0 + 1e-16) - 1.0 is 0.0, where adding 1.0 and -1.0 first keeps the 1e-16
+@example((np.array([3, 1, 3, 3]), np.array([[1.0], [-0.0], [1e-16], [-1.0]]), 4))
+def test_bincount_embedding_grad_has_the_bytes_of_add_at(case):
+    flat_ids, gx, vocab_size = case
+    rows, grad = _embedding_grad(flat_ids, gx)
+    full = oracle_embedding_grad(flat_ids, gx, vocab_size)
+    assert rows.tolist() == sorted(set(flat_ids.tolist()))
+    assert grad.shape == (rows.size, gx.shape[1])
+    assert grad.tobytes() == full[rows].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 70), elements=floats_st))
+def test_sum_over_n_has_the_bytes_of_mean(x):
+    assert np.float64(-(x.sum() / len(x))).tobytes() == np.float64(-x.mean()).tobytes()
+
+
+GATHER_CONFIG = TaggerConfig(
+    embed_dim=5, window=1, hidden_dim=7, learning_rate=0.5,
+    epochs=4, batch_size=3, seed=2,
+)
+
+
+def _with_empties(slots):
+    """toy_corpus's 5 sentences with an empty one at each of slots, the
+    positions in the result."""
+    rows = list(toy_corpus().sentences)
+    return corpus_of([sent([], []) if i in slots else rows.pop(0)
+                      for i in range(len(rows) + len(slots))], split="train")
+
+
+@pytest.mark.parametrize("batch_size, slots", [
+    (64, ()),         # one batch holds every sentence
+    (2, ()),          # the last of 3 batches has one sentence
+    (3, (0,)),        # first
+    (3, (2, 3)),      # two side by side in the middle
+    (1, (5,)),        # last; batch_size 1 gives empty batches
+    (4, (0, 3, 7)),   # first, middle and last
+])
+@pytest.mark.parametrize("strategy", list(PruneStrategy))
+def test_epoch_gather_matches_the_dense_step(batch_size, slots, strategy):
+    corpus = _with_empties(slots)
+    config = replace(GATHER_CONFIG, batch_size=batch_size)
+    vocab = build_vocab(corpus)
+    steps = config.epochs * math.ceil(len(corpus) / batch_size)
+    schedule = PruneSchedule(1, 1 + 2 * (steps // 3), steps // 3, 0.6)
+    assert_matches_oracle(lambda: init_model(config, vocab), corpus, schedule, strategy)
+
+
+@pytest.mark.parametrize("strategy", list(PruneStrategy))
+def test_multilingual_bundle_matches_the_dense_step(strategy):
+    trains, tests, _ = synth.build_world()
+    config = ExperimentConfig(
+        mode="multilingual", languages=synth.LANGUAGES, sparsity_levels=(0,),
+        seeds=(0,), perturbation_seed=0, corpus_root="c", metadata_path="m",
+        output_dir="o", scopes=(),
+        tagger=TaggerConfig(embed_dim=6, window=1, hidden_dim=8,
+                            learning_rate=0.4, epochs=2, batch_size=16),
+    )
+    bundle = build_bundle(config, synth.LANGUAGES, trains, tests, {})
+    sentences = [trains[language] for language in synth.LANGUAGES]
+    n_sentences = sum(len(corpus) for corpus in sentences)
+    assert len(bundle.train.offsets) - 1 == n_sentences
+    schedule = PruneSchedule(10, 150, 20, 0.8)
+
+    model, history = train(init_model(config.tagger, bundle.train.vocab),
+                           bundle.train, schedule=schedule, strategy=strategy)
+    reference = init_model(config.tagger, bundle.train.vocab)
+    expected = oracle_train(reference, sentences, schedule, strategy)
+    assert _history_bytes(history) == _history_bytes(expected)
+    for name, tensor in model.params.items():
+        assert tensor.values.tobytes() == reference.params[name].values.tobytes(), name
+        assert tensor.mask.tobytes() == reference.params[name].mask.tobytes(), name
