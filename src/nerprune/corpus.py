@@ -13,7 +13,11 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import MetadataError, ParseError, TagError
 
@@ -99,6 +103,25 @@ class Corpus:
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
 
+    @cached_property
+    def mentions(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(entity type, surface) of every mention in sentence-then-position
+        order, decoded once by decode_span_ids over the sentences laid end
+        to end. The corpus is immutable, so the result is kept on it."""
+        tokens = list(chain.from_iterable(s.tokens for s in self.sentences))
+        n = len(tokens)
+        tag_ids = np.fromiter(
+            map(TAG_IDS.__getitem__, chain.from_iterable(s.tags for s in self.sentences)),
+            dtype=np.int64, count=n,
+        )
+        offsets = np.cumsum([0] + [len(s) for s in self.sentences])
+        spans, etypes = np.divmod(decode_span_ids(tag_ids, offsets), len(ENTITY_TYPES))
+        starts, ends = np.divmod(spans, n + 1)
+        return tuple(
+            (ENTITY_TYPES[t], tuple(tokens[start:end]))
+            for start, end, t in zip(starts.tolist(), ends.tolist(), etypes.tolist())
+        )
+
 
 def _lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
     if isinstance(source, str):
@@ -135,26 +158,29 @@ def parse_iob2(
             tags.clear()
 
     lineno = 0
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        fields = line.split("\t") if "\t" in line else line.split(" ")
-        if len(fields) != 2:
-            raise ParseError(
-                f"{name}:{lineno}: expected TOKEN<sep>TAG, "
-                f"got {len(fields)} fields: {line!r}"
-            )
-        token, tag = fields
-        if strip_prefix and token.startswith(prefix):
-            token = token[len(prefix):]
-        if not token:
-            raise ParseError(f"{name}:{lineno}: empty token")
-        if tag not in VALID_TAGS:
-            raise TagError(f"{name}:{lineno}: unknown tag {tag!r}")
-        tokens.append(token)
-        tags.append(tag)
+    try:
+        for lineno, raw in enumerate(_lines(source), start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                flush()
+                continue
+            fields = line.split("\t") if "\t" in line else line.split(" ")
+            if len(fields) != 2:
+                raise ParseError(
+                    f"{name}:{lineno}: expected TOKEN<sep>TAG, "
+                    f"got {len(fields)} fields: {line!r}"
+                )
+            token, tag = fields
+            if strip_prefix and token.startswith(prefix):
+                token = token[len(prefix):]
+            if not token:
+                raise ParseError(f"{name}:{lineno}: empty token")
+            if tag not in VALID_TAGS:
+                raise TagError(f"{name}:{lineno}: unknown tag {tag!r}")
+            tokens.append(token)
+            tags.append(tag)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 text: {exc.reason}") from None
     flush()
     return Corpus(tuple(sentences), language, split)
 
@@ -201,6 +227,34 @@ def decode_spans(tags: Iterable[str]) -> list[tuple[int, int, str]]:
     return spans
 
 
+# per tag id: entity type index (-1 for O) and whether the tag is B-X
+_TAG_TYPE = np.array([ENTITY_TYPES.index(t[2:]) if t != "O" else -1 for t in TAGSET])
+_TAG_OPENS = np.array([t.startswith("B-") for t in TAGSET])
+
+
+def decode_span_ids(tag_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Lenient spans of tag ids laid end to end, sentence i owning
+    positions offsets[i]:offsets[i + 1], as sorted int64 keys.
+
+    The rules are decode_spans': B-X opens a span, I-X continues an open
+    span of type X and otherwise opens one, O closes. A sentence's first
+    token always opens, so no span crosses a sentence boundary. A span
+    [start, end) of type index t has key ((start * (N + 1)) + end) * T + t
+    for N positions and T entity types.
+    """
+    n = tag_ids.size
+    etype = _TAG_TYPE[tag_ids]
+    entity = etype >= 0
+    opens = entity & _TAG_OPENS[tag_ids]
+    opens[1:] |= entity[1:] & (etype[1:] != etype[:-1])
+    firsts = offsets[:-1][offsets[:-1] < n]
+    opens[firsts] = entity[firsts]
+    starts = np.flatnonzero(opens)
+    stops = np.flatnonzero(np.append(~entity | opens, True))
+    ends = stops[np.searchsorted(stops, starts, side="right")]
+    return (starts * (n + 1) + ends) * len(ENTITY_TYPES) + etype[starts]
+
+
 def extract_entities(sentence: Sentence) -> list[EntityMention]:
     """Decode a sentence's mentions in left-to-right order."""
     return [
@@ -235,30 +289,15 @@ def entity_overlap(train: Corpus, test: Corpus) -> float | None:
     Test mentions count with multiplicity; the train side is a set.
     Returns None when the test corpus has no mentions at all.
     """
-    train_keys = {
-        (m.entity_type, m.surface)
-        for sent in train
-        for m in extract_entities(sent)
-    }
-    total = 0
-    hits = 0
-    for sent in test:
-        for m in extract_entities(sent):
-            total += 1
-            if (m.entity_type, m.surface) in train_keys:
-                hits += 1
-    if total == 0:
+    if not test.mentions:
         return None
-    return hits / total
+    train_keys = set(train.mentions)
+    return sum(m in train_keys for m in test.mentions) / len(test.mentions)
 
 
 def count_mentions(corpus: Corpus) -> Counter:
     """Mention counts per entity type, for quick corpus summaries."""
-    counts: Counter = Counter()
-    for sent in corpus:
-        for m in extract_entities(sent):
-            counts[m.entity_type] += 1
-    return counts
+    return Counter(etype for etype, _ in corpus.mentions)
 
 
 METADATA_HEADER = ("code", "script", "family", "train_size", "pretrain_pct")
@@ -297,17 +336,18 @@ def load_language_metadata(
     Duplicate codes and non-numeric sizes are rejected with the offending
     line number.
     """
-    reader = csv.reader(_lines(source))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MetadataError(f"{name}: empty metadata file") from None
-    if tuple(h.strip() for h in header) != METADATA_HEADER:
+        rows = list(csv.reader(_lines(source)))
+    except UnicodeDecodeError as exc:
+        raise MetadataError(f"{name}: not UTF-8 text: {exc.reason}") from None
+    if not rows:
+        raise MetadataError(f"{name}: empty metadata file")
+    if tuple(h.strip() for h in rows[0]) != METADATA_HEADER:
         raise MetadataError(
             f"{name}:1: header must be {','.join(METADATA_HEADER)}"
         )
     result: dict[str, LanguageMeta] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:

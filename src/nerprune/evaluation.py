@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ENTITY_TYPES, TAG_IDS, TAGSET, Corpus
+from .corpus import ENTITY_TYPES, TAG_IDS, Corpus, decode_span_ids
 from .errors import AlignmentError, TagError
 from .perturb import SCOPE_NAMES
 from .pruning import PruneStrategy
@@ -72,34 +72,6 @@ class ScoreReport:
         return cls(tp, fp, fn, precision, recall, f1, dict(per_type))
 
 
-# per tag id: entity type index (-1 for O) and whether the tag is B-X
-_TAG_TYPE = np.array([ENTITY_TYPES.index(t[2:]) if t != "O" else -1 for t in TAGSET])
-_TAG_OPENS = np.array([t.startswith("B-") for t in TAGSET])
-
-
-def decode_span_ids(tag_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Lenient spans of tag ids laid end to end, sentence i owning
-    positions offsets[i]:offsets[i + 1], as sorted int64 keys.
-
-    The rules are decode_spans': B-X opens a span, I-X continues an open
-    span of type X and otherwise opens one, O closes. A sentence's first
-    token always opens, so no span crosses a sentence boundary. A span
-    [start, end) of type index t has key ((start * (N + 1)) + end) * T + t
-    for N positions and T entity types.
-    """
-    n = tag_ids.size
-    etype = _TAG_TYPE[tag_ids]
-    entity = etype >= 0
-    opens = entity & _TAG_OPENS[tag_ids]
-    opens[1:] |= entity[1:] & (etype[1:] != etype[:-1])
-    firsts = offsets[:-1][offsets[:-1] < n]
-    opens[firsts] = entity[firsts]
-    starts = np.flatnonzero(opens)
-    stops = np.flatnonzero(np.append(~entity | opens, True))
-    ends = stops[np.searchsorted(stops, starts, side="right")]
-    return (starts * (n + 1) + ends) * len(ENTITY_TYPES) + etype[starts]
-
-
 def score_ids(gold_spans: np.ndarray, tag_ids: np.ndarray,
               offsets: np.ndarray) -> ScoreReport:
     """Score predicted tag ids against gold span keys of decode_span_ids
@@ -149,6 +121,16 @@ def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreRepor
     return score_ids(gold_spans, np.array(pred_ids, dtype=np.int64), offsets)
 
 
+# (key, accepted types, what the TypeError calls them) of every field a
+# record's JSON dict must carry, in the order they are checked; a bool is
+# never accepted, although it is an int
+_RECORD_FIELDS = (
+    *((key, int, "an integer") for key in ("sparsity", "seed", "tp", "fp", "fn")),
+    *((key, (int, float), "a real number") for key in ("precision", "recall", "f1")),
+    *((key, str, "a string") for key in ("language", "strategy", "split")),
+)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One (language, sparsity, strategy, seed, split) evaluation result."""
@@ -190,22 +172,16 @@ class RunRecord:
     def from_json_dict(cls, data: Mapping) -> "RunRecord":
         """A record from its JSON dict. A value not of its field's type is a
         TypeError: 50.7 is not sparsity 50, and true is not F1 1.0."""
-        ints = {k: _typed(data, k, int, "an integer")
-                for k in ("sparsity", "seed", "tp", "fp", "fn")}
-        reals = {k: _typed(data, k, (int, float), "a real number")
-                 for k in ("precision", "recall", "f1")}
-        strings = {k: _typed(data, k, str, "a string")
-                   for k in ("language", "strategy", "split")}
-        report = ScoreReport(tp=ints["tp"], fp=ints["fp"], fn=ints["fn"], **reals)
-        return cls(sparsity=ints["sparsity"], seed=ints["seed"], report=report, **strings)
-
-
-def _typed(data: Mapping, key: str, kind, what: str):
-    """data[key], which must be of kind and not a bool; never converted."""
-    value = data[key]
-    if type(value) is bool or not isinstance(value, kind):
-        raise TypeError(f"{key} must be {what}, got {value!r}")
-    return value
+        values = {}
+        for key, kind, what in _RECORD_FIELDS:
+            value = data[key]
+            if type(value) is bool or not isinstance(value, kind):
+                raise TypeError(f"{key} must be {what}, got {value!r}")
+            values[key] = value
+        report = ScoreReport(values["tp"], values["fp"], values["fn"],
+                             values["precision"], values["recall"], values["f1"])
+        return cls(values["language"], values["sparsity"], values["strategy"],
+                   values["seed"], values["split"], report)
 
 
 def read_run_records(path: str | Path) -> list[RunRecord]:

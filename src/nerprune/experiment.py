@@ -32,6 +32,7 @@ import numpy as np
 from .corpus import (
     Corpus,
     LanguageMeta,
+    decode_span_ids,
     entity_overlap,
     load_language_metadata,
     parse_iob2,
@@ -48,7 +49,6 @@ from .evaluation import (
     SPARSITY_LEVELS,
     STRATEGY_NAMES,
     RunRecord,
-    decode_span_ids,
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
@@ -299,6 +299,8 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -117,9 +117,8 @@ def build_pool(
         etype: {} for etype in ENTITY_TYPES
     }
     for corpus in members:
-        for sent in corpus:
-            for mention in extract_entities(sent):
-                by_type[mention.entity_type].setdefault(mention.surface)
+        for etype, surface in corpus.mentions:
+            by_type[etype].setdefault(surface)
     return EntityPool(
         scope=scope,
         group_key=group_key,

@@ -3,7 +3,13 @@
 Each case pairs a tag sequence with the exact spans it must decode to:
 B-X always opens, I-X continues a same-type span and otherwise opens,
 O closes, and a span still open at the end of the sentence is flushed.
+The corpora below put the same shapes into whole corpora, for decoders
+that run over many sentences at once.
 """
+
+from hypothesis import strategies as st
+
+from nerprune.corpus import TAGSET, Corpus, Sentence
 
 CASES = [
     ((), []),
@@ -49,3 +55,35 @@ CASES = [
         [(0, 2, "PER"), (2, 4, "LOC"), (4, 5, "PER")],
     ),
 ]
+
+
+# (token, tag) rows: empty sentences first, in the middle and last, a
+# sentence-initial and a stray I-X, adjacent B-X B-X, mentions that end
+# their sentence and a sentence that opens with the type the one before
+# it closed with
+EDGE_ROWS = (
+    (),
+    (("y", "I-PER"), ("x", "O"), ("x", "I-LOC"), ("y", "I-LOC")),
+    (),
+    (("x", "B-ORG"), ("x", "B-ORG"), ("z", "O"), ("x", "B-PER"), ("y", "I-PER")),
+    (("y", "I-PER"), ("z", "O"), ("y", "I-ORG"), ("x", "I-PER")),
+    (),
+)
+QUIET_ROWS = ((), (("x", "O"), ("y", "O")), ())
+
+
+def corpus_from_rows(rows, language, split="test"):
+    return Corpus(
+        tuple(Sentence(tuple(t for t, _ in row), tuple(g for _, g in row), language)
+              for row in rows),
+        language, split,
+    )
+
+
+def corpus_st(language, split="test"):
+    """Corpora of up to six sentences, each of up to seven tokens drawn
+    from three strings so that surfaces repeat, with any tag anywhere."""
+    row_st = st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from(TAGSET)),
+                      max_size=7)
+    return st.lists(row_st, max_size=6).map(
+        lambda rows: corpus_from_rows(rows, language, split))

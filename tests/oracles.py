@@ -6,7 +6,8 @@ per-mention matching or per-sentence span sets, rank correlation via quadratic p
 mask selection via a full three-key sort, training via a dense step
 that updates, re-masks and re-checks every tensor in full (its
 embedding gradient through np.add.at into a full-size table), window
-encoding via a per-position loop, prediction one sentence at a time and
+encoding via a per-position loop, prediction one sentence at a time,
+pools sentence by sentence into lists and
 perturbation by drawing from a freshly built candidate list. Slow and
 obvious on purpose.
 """
@@ -59,6 +60,21 @@ def oracle_spans(tags):
         else:
             i += 1
     return spans
+
+
+def oracle_build_pool(corpora, meta, scope, group_key):
+    """Pool surfaces per type of the group's corpora, sentence by sentence
+    through oracle_spans, each kept at its first occurrence."""
+    by_type = {}
+    for corpus in corpora:
+        if scope.group_key(meta[corpus.language]) != group_key:
+            continue
+        for sentence in corpus:
+            for start, end, etype in oracle_spans(sentence.tags):
+                surfaces = by_type.setdefault(etype, [])
+                if sentence.tokens[start:end] not in surfaces:
+                    surfaces.append(sentence.tokens[start:end])
+    return {etype: tuple(surfaces) for etype, surfaces in by_type.items()}
 
 
 def oracle_counts(gold_rows, pred_rows):

@@ -623,6 +623,38 @@ def test_blocked_output_path_exits_two(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+# each used to die with a UnicodeDecodeError traceback and exit 1
+@pytest.mark.parametrize("command, bad", [
+    ("validate", "corpus"), ("perturb", "corpus"), ("perturb", "meta"),
+    ("analyze", "meta"), ("report", "meta"), ("experiment", "config"),
+    ("experiment", "world-corpus"), ("experiment", "meta"),
+])
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
+    config = write_world(tmp_path)
+    corpus = tmp_path / "aa.iob2"
+    corpus.write_text(AA_TEST_FILE)
+    meta = tmp_path / "languages.csv"
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n")
+    target = {"corpus": corpus, "meta": meta, "config": config,
+              "world-corpus": tmp_path / "corpus" / "aa" / "test.iob2"}[bad]
+    # a lone Latin-1 byte, as in "caf\xe9"
+    target.write_bytes(target.read_bytes().replace(b"a", b"\xe9", 1))
+    argv = {
+        "validate": ["validate", str(corpus), "--language", "aa"],
+        "perturb": ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
+                    "--meta", str(meta), "--out-dir", str(tmp_path / "p")],
+        "analyze": ["analyze", "--results", str(results), "--meta", str(meta)],
+        "report": ["report", "--results", str(results), "--meta", str(meta),
+                   "--out-dir", str(tmp_path / "report")],
+        "experiment": ["experiment", "--config", str(config)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"nerprune: error: {target}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("nerprune")
     if exe is None:

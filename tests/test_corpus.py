@@ -1,11 +1,12 @@
 import io
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
-from leniency_cases import CASES
+from leniency_cases import CASES, EDGE_ROWS, QUIET_ROWS, corpus_from_rows, corpus_st
 from nerprune.corpus import (
     TAGSET,
     Corpus,
@@ -188,6 +189,28 @@ def test_count_mentions_by_type():
         ]
     )
     assert count_mentions(corpus) == {"PER": 2, "ORG": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(train=corpus_st("xx", "train"), test=corpus_st("xx"))
+@example(train=corpus_from_rows(EDGE_ROWS, "xx", "train"),
+         test=corpus_from_rows(EDGE_ROWS, "xx"))
+@example(train=corpus_from_rows(QUIET_ROWS, "xx", "train"),
+         test=corpus_from_rows(EDGE_ROWS, "xx"))
+@example(train=corpus_from_rows(EDGE_ROWS, "xx", "train"),
+         test=corpus_from_rows(QUIET_ROWS, "xx"))
+def test_corpus_mentions_match_the_per_sentence_route(train, test):
+    def per_sentence(corpus):
+        return [(m.entity_type, m.surface) for s in corpus for m in extract_entities(s)]
+
+    want = per_sentence(test)
+    assert test.mentions == tuple(want)
+    assert test.mentions is test.mentions
+    assert test == Corpus(test.sentences, test.language, test.split)
+    train_keys = set(per_sentence(train))
+    assert entity_overlap(train, test) == (
+        sum(m in train_keys for m in want) / len(want) if want else None)
+    assert count_mentions(test) == Counter(etype for etype, _ in want)
 
 
 META_CSV = (

@@ -1,11 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
-from oracles import oracle_perturb_corpus
+from leniency_cases import EDGE_ROWS, QUIET_ROWS, corpus_from_rows, corpus_st
+from oracles import oracle_build_pool, oracle_perturb_corpus
 from nerprune.corpus import (
     TAGSET,
     LanguageMeta,
@@ -92,6 +93,17 @@ def test_build_pool_filters_by_scope_group():
     assert latin.by_type["LOC"] == (("Oslo",), ("Lima",))
     fam1 = build_pool(corpora, META, Scope.IN_FAMILY, "Fam1")
     assert fam1.by_type["LOC"] == (("Oslo",), ("Atene",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora=st.tuples(corpus_st("aa"), corpus_st("bb"), corpus_st("cc")))
+@example(corpora=(corpus_from_rows(EDGE_ROWS, "aa"), corpus_from_rows(QUIET_ROWS, "bb"),
+                  corpus_from_rows(EDGE_ROWS[::-1], "cc")))
+def test_build_pool_matches_the_per_sentence_oracle(corpora):
+    for scope in Scope:
+        for group_key in {scope.group_key(META[c.language]) for c in corpora}:
+            pool = build_pool(corpora, META, scope, group_key)
+            assert pool.by_type == oracle_build_pool(corpora, META, scope, group_key)
 
 
 def test_build_pool_rejects_bad_inputs():
