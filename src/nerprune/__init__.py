@@ -21,11 +21,9 @@ from .corpus import (
     ENTITY_TYPES,
     TAGSET,
     Corpus,
-    EntityMention,
     LanguageMeta,
     Sentence,
     entity_overlap,
-    extract_entities,
     load_language_metadata,
     parse_iob2,
     serialize_iob2,

@@ -60,24 +60,6 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class EntityMention:
-    """A decoded mention: token span [start, end) of one entity type."""
-
-    start: int
-    end: int
-    entity_type: str
-    surface: tuple[str, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad span [{self.start}, {self.end})")
-        if self.entity_type not in ENTITY_TYPES:
-            raise ValueError(f"unknown entity type {self.entity_type!r}")
-        if len(self.surface) != self.end - self.start:
-            raise ValueError("surface length does not match span")
-
-
-@dataclass(frozen=True)
 class Corpus:
     """Sentences of a single language and split."""
 
@@ -104,19 +86,38 @@ class Corpus:
         return iter(self.sentences)
 
     @cached_property
-    def mentions(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """(entity type, surface) of every mention in sentence-then-position
-        order, decoded once by decode_span_ids over the sentences laid end
-        to end. The corpus is immutable, so the result is kept on it."""
-        tokens = list(chain.from_iterable(s.tokens for s in self.sentences))
-        n = len(tokens)
+    def offsets(self) -> np.ndarray:
+        """Sentence i owns positions offsets[i]:offsets[i + 1] of the
+        corpus laid end to end."""
+        offsets = np.cumsum([0, *map(len, self.sentences)], dtype=np.int64)
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def spans(self) -> np.ndarray:
+        """decode_span_ids keys of the sentences' tags laid end to end,
+        decoded once: the corpus is immutable, so they are kept on it."""
         tag_ids = np.fromiter(
             map(TAG_IDS.__getitem__, chain.from_iterable(s.tags for s in self.sentences)),
-            dtype=np.int64, count=n,
+            dtype=np.int64, count=int(self.offsets[-1]),
         )
-        offsets = np.cumsum([0] + [len(s) for s in self.sentences])
-        spans, etypes = np.divmod(decode_span_ids(tag_ids, offsets), len(ENTITY_TYPES))
-        starts, ends = np.divmod(spans, n + 1)
+        spans = decode_span_ids(tag_ids, self.offsets)
+        spans.flags.writeable = False
+        return spans
+
+    def span_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Starts, ends (both positions laid end to end) and entity type
+        indices of spans, in sentence-then-position order."""
+        rest, etypes = np.divmod(self.spans, len(ENTITY_TYPES))
+        starts, ends = np.divmod(rest, self.offsets[-1] + 1)
+        return starts, ends, etypes
+
+    @cached_property
+    def mentions(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(entity type, surface) of every mention in sentence-then-position
+        order, from spans."""
+        tokens = list(chain.from_iterable(s.tokens for s in self.sentences))
+        starts, ends, etypes = self.span_bounds()
         return tuple(
             (ENTITY_TYPES[t], tuple(tokens[start:end]))
             for start, end, t in zip(starts.tolist(), ends.tolist(), etypes.tolist())
@@ -124,9 +125,10 @@ class Corpus:
 
 
 def _lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
+    """source's lines, less one leading byte-order mark (U+FEFF)."""
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    first = next(lines, None)
+    return () if first is None else chain((first.removeprefix("\ufeff"),), lines)
 
 
 def parse_iob2(
@@ -141,7 +143,8 @@ def parse_iob2(
     A line holds one token and one tag separated by a tab, or by a single
     space when no tab is present. Blank lines end sentences. When
     strip_prefix is set, a leading "<language>:" on the token is removed
-    (the raw export format prefixes tokens this way).
+    (the raw export format prefixes tokens this way). One leading UTF-8
+    byte-order mark is dropped.
 
     Raises ParseError or TagError with the 1-based line number on any
     malformed line.
@@ -255,14 +258,6 @@ def decode_span_ids(tag_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (starts * (n + 1) + ends) * len(ENTITY_TYPES) + etype[starts]
 
 
-def extract_entities(sentence: Sentence) -> list[EntityMention]:
-    """Decode a sentence's mentions in left-to-right order."""
-    return [
-        EntityMention(start, end, etype, sentence.tokens[start:end])
-        for start, end, etype in decode_spans(sentence.tags)
-    ]
-
-
 def encode_tags(length: int, spans: Iterable[tuple[int, int, str]]) -> tuple[str, ...]:
     """Write spans back as strict IOB2 tags over a sentence of given length.
 
@@ -332,7 +327,8 @@ def load_language_metadata(
 ) -> dict[str, LanguageMeta]:
     """Load the language metadata CSV keyed by language code.
 
-    The header must be exactly code,script,family,train_size,pretrain_pct.
+    The header must be exactly code,script,family,train_size,pretrain_pct,
+    after one leading UTF-8 byte-order mark, if any, is dropped.
     Duplicate codes and non-numeric sizes are rejected with the offending
     line number.
     """

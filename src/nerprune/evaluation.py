@@ -100,9 +100,7 @@ def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreRepor
         raise AlignmentError(
             f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
         )
-    gold_ids: list[int] = []
     pred_ids: list[int] = []
-    lengths: list[int] = []
     for idx, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
         if len(tags) != len(sent):
             raise AlignmentError(
@@ -114,11 +112,7 @@ def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreRepor
             unknown = tags[row.index(None)]
             raise TagError(f"sentence {idx}: unknown predicted tag {unknown!r}")
         pred_ids.extend(row)
-        gold_ids.extend(TAG_IDS[tag] for tag in sent.tags)
-        lengths.append(len(sent))
-    offsets = np.concatenate(([0], np.cumsum(np.array(lengths, dtype=np.int64))))
-    gold_spans = decode_span_ids(np.array(gold_ids, dtype=np.int64), offsets)
-    return score_ids(gold_spans, np.array(pred_ids, dtype=np.int64), offsets)
+    return score_ids(gold.spans, np.array(pred_ids, dtype=np.int64), gold.offsets)
 
 
 # (key, accepted types, what the TypeError calls them) of every field a

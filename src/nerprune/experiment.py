@@ -32,7 +32,6 @@ import numpy as np
 from .corpus import (
     Corpus,
     LanguageMeta,
-    decode_span_ids,
     entity_overlap,
     load_language_metadata,
     parse_iob2,
@@ -296,7 +295,7 @@ def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentCon
 def config_from_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -485,8 +484,7 @@ def build_bundle(
         ]
         for name, corpus in named:
             encoded = encode_windows(vocab, window, corpus.sentences)
-            gold_spans = decode_span_ids(encoded.tags, encoded.offsets)
-            splits.append(ScoredSplit(language, name, encoded, gold_spans))
+            splits.append(ScoredSplit(language, name, encoded, corpus.spans))
     return Bundle(train_arrays, tuple(splits))
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +30,6 @@ from .corpus import (
     LanguageMeta,
     Sentence,
     encode_tags,
-    extract_entities,
 )
 from .errors import EmptyGroupError, MissingMetadataError
 
@@ -156,89 +157,71 @@ def _surface_positions(pool: EntityPool) -> dict[str, dict[tuple[str, ...], int]
     }
 
 
-def _perturb_sentence(
-    sentence: Sentence,
-    pool: EntityPool,
-    positions: Mapping[str, Mapping[tuple[str, ...], int]],
-    rng: np.random.Generator,
-    sentence_index: int,
-    first_draw_index: int,
-) -> tuple[Sentence, list[ReplacementRecord]]:
-    """Replace each mention with a same-type surface drawn from the pool.
+def perturb_corpus(
+    corpus: Corpus, pool: EntityPool, seed: int
+) -> tuple[Corpus, list[ReplacementRecord]]:
+    """Swap each mention for a same-type pool surface, in one draw stream.
 
     Candidates exclude the mention's own surface (exact token match).
     When none remain the mention is kept and the log entry is flagged
     with replaced=False. All mentions, kept or replaced, are re-tagged
-    as strict IOB2 in the output. positions are the pool's surface
-    positions from _surface_positions.
+    as strict IOB2 in the output. Mentions are taken from the corpus's
+    spans, in sentence-then-position order, so the log and the output
+    are fully determined by (corpus, pool, seed).
 
     A draw is O(1): it picks among the surfaces other than the mention's
     own by skipping the own position, which consumes the same draws as
-    picking from the list of candidates.
-    """
-    mentions = extract_entities(sentence)
-    records = []
-    draw = first_draw_index
-    new_tokens: list[str] = []
-    new_spans: list[tuple[int, int, str]] = []
-    cursor = 0
-    for mention in mentions:
-        new_tokens.extend(sentence.tokens[cursor:mention.start])
-        surfaces = pool.by_type.get(mention.entity_type, ())
-        own = positions.get(mention.entity_type, {}).get(mention.surface)
-        n_candidates = len(surfaces) - (own is not None)
-        replaced = n_candidates > 0
-        if replaced:
-            pick_index = int(rng.integers(n_candidates))
-            if own is not None and pick_index >= own:
-                pick_index += 1
-            pick = surfaces[pick_index]
-        else:
-            pick = mention.surface
-        records.append(ReplacementRecord(
-            sentence_index=sentence_index,
-            start=mention.start,
-            end=mention.end,
-            entity_type=mention.entity_type,
-            original=mention.surface,
-            replacement=pick,
-            draw_index=draw if replaced else None,
-            replaced=replaced,
-        ))
-        draw += replaced
-        start = len(new_tokens)
-        new_tokens.extend(pick)
-        new_spans.append((start, len(new_tokens), mention.entity_type))
-        cursor = mention.end
-    new_tokens.extend(sentence.tokens[cursor:])
-    tags = encode_tags(len(new_tokens), new_spans)
-    return Sentence(tuple(new_tokens), tags, sentence.language), records
-
-
-def perturb_corpus(
-    corpus: Corpus, pool: EntityPool, seed: int
-) -> tuple[Corpus, list[ReplacementRecord]]:
-    """Perturb every sentence with a single seeded draw stream.
-
-    Sentences are processed in order and mentions left to right, so the
-    log and the output are fully determined by (corpus, pool, seed).
-    The pool's surface positions are indexed once per call and dropped
-    with it: kept on the pool, they would stay in memory for as long as
-    the pool does.
+    picking from the list of candidates. The pool's surface positions
+    are indexed once per call and dropped with it: kept on the pool,
+    they would stay in memory for as long as the pool does.
     """
     rng = np.random.default_rng(seed)
     positions = _surface_positions(pool)
-    sentences = []
+    starts, ends, etypes = corpus.span_bounds()
+    owners = np.searchsorted(corpus.offsets, starts, side="right") - 1
+    bases = corpus.offsets[owners]
+    mentions = zip(owners.tolist(), (starts - bases).tolist(),
+                   (ends - bases).tolist(), etypes.tolist())
+    sentences = list(corpus.sentences)
     records: list[ReplacementRecord] = []
     draws = 0
-    for index, sentence in enumerate(corpus):
-        perturbed, sent_records = _perturb_sentence(
-            sentence, pool, positions, rng,
-            sentence_index=index, first_draw_index=draws,
-        )
-        sentences.append(perturbed)
-        records.extend(sent_records)
-        draws += sum(1 for r in sent_records if r.replaced)
+    for index, group in groupby(mentions, key=itemgetter(0)):
+        sentence = sentences[index]
+        new_tokens: list[str] = []
+        new_spans: list[tuple[int, int, str]] = []
+        cursor = 0
+        for _, start, end, t in group:
+            entity_type = ENTITY_TYPES[t]
+            surface = sentence.tokens[start:end]
+            new_tokens.extend(sentence.tokens[cursor:start])
+            surfaces = pool.by_type.get(entity_type, ())
+            own = positions.get(entity_type, {}).get(surface)
+            n_candidates = len(surfaces) - (own is not None)
+            replaced = n_candidates > 0
+            if replaced:
+                pick_index = int(rng.integers(n_candidates))
+                if own is not None and pick_index >= own:
+                    pick_index += 1
+                pick = surfaces[pick_index]
+            else:
+                pick = surface
+            records.append(ReplacementRecord(
+                sentence_index=index,
+                start=start,
+                end=end,
+                entity_type=entity_type,
+                original=surface,
+                replacement=pick,
+                draw_index=draws if replaced else None,
+                replaced=replaced,
+            ))
+            draws += replaced
+            new_spans.append((len(new_tokens), len(new_tokens) + len(pick), entity_type))
+            new_tokens.extend(pick)
+            cursor = end
+        new_tokens.extend(sentence.tokens[cursor:])
+        tags = encode_tags(len(new_tokens), new_spans)
+        sentences[index] = Sentence(tuple(new_tokens), tags, sentence.language)
     return Corpus(tuple(sentences), corpus.language, corpus.split), records
 
 

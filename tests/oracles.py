@@ -22,9 +22,7 @@ from nerprune.corpus import (
     VALID_TAGS,
     Corpus,
     Sentence,
-    decode_spans,
     encode_tags,
-    extract_entities,
 )
 from nerprune.errors import AlignmentError, TagError
 from nerprune.evaluation import ScoreReport
@@ -115,8 +113,8 @@ def oracle_score_corpus(gold, predicted):
         for tag in tags:
             if tag not in VALID_TAGS:
                 raise TagError(f"sentence {idx}: unknown predicted tag {tag!r}")
-        gold_spans = set(decode_spans(sent.tags))
-        pred_spans = set(decode_spans(tags))
+        gold_spans = set(oracle_spans(sent.tags))
+        pred_spans = set(oracle_spans(tags))
         for span in pred_spans:
             bucket = per_type[span[2]]
             if span in gold_spans:
@@ -292,24 +290,23 @@ def oracle_perturb_corpus(corpus, pool, seed):
     sentences, records = [], []
     for index, sentence in enumerate(corpus):
         tokens, spans, cursor = [], [], 0
-        for mention in extract_entities(sentence):
-            tokens.extend(sentence.tokens[cursor:mention.start])
+        for start, end, etype in oracle_spans(sentence.tags):
+            surface = sentence.tokens[start:end]
+            tokens.extend(sentence.tokens[cursor:start])
             candidates = [
-                surface for surface in pool.by_type.get(mention.entity_type, ())
-                if surface != mention.surface
+                other for other in pool.by_type.get(etype, ()) if other != surface
             ]
-            pick = mention.surface
+            pick = surface
             if candidates:
                 pick = candidates[int(rng.integers(len(candidates)))]
             draws = sum(r.replaced for r in records)
             records.append(ReplacementRecord(
-                index, mention.start, mention.end, mention.entity_type,
-                mention.surface, pick, draws if candidates else None,
-                bool(candidates),
+                index, start, end, etype, surface, pick,
+                draws if candidates else None, bool(candidates),
             ))
-            spans.append((len(tokens), len(tokens) + len(pick), mention.entity_type))
+            spans.append((len(tokens), len(tokens) + len(pick), etype))
             tokens.extend(pick)
-            cursor = mention.end
+            cursor = end
         tokens.extend(sentence.tokens[cursor:])
         sentences.append(Sentence(
             tuple(tokens), encode_tags(len(tokens), spans), sentence.language))

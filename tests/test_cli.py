@@ -655,6 +655,45 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     assert "Traceback" not in err
 
 
+def _run_in_world(root, argv, capsys, mark=None):
+    """Exit code, stdout and output files of argv run in a fresh world
+    under root, after a UTF-8 byte-order mark is written before the file
+    mark names. Result lines drop train_seconds, which varies by run."""
+    write_world(root)
+    (root / "aa.iob2").write_text(AA_TEST_FILE)
+    if mark is not None:
+        (root / mark).write_bytes(b"\xef\xbb\xbf" + (root / mark).read_bytes())
+    code = main([arg.format(root=root) for arg in argv])
+    files = {}
+    for path in sorted((root / "out").rglob("*")):
+        if path.name == "results.jsonl":
+            files[path.relative_to(root)] = [
+                {k: v for k, v in json.loads(line).items() if k != "train_seconds"}
+                for line in path.read_text().splitlines()]
+        elif path.is_file():
+            files[path.relative_to(root)] = path.read_bytes()
+    return code, capsys.readouterr().out.replace(str(root), "<root>"), files
+
+
+# the mark used to become part of the first token, or to fail the
+# metadata header or the config's JSON
+@pytest.mark.parametrize("command, mark", [
+    ("validate", "aa.iob2"), ("perturb", "aa.iob2"), ("perturb", "languages.csv"),
+    ("experiment", "config.json"), ("experiment", "corpus/aa/test.iob2"),
+    ("experiment", "corpus/aa/train.iob2"), ("experiment", "languages.csv"),
+])
+def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, command, mark):
+    argv = {
+        "validate": ["validate", "{root}/aa.iob2", "--language", "aa"],
+        "perturb": ["perturb", "{root}/aa.iob2", "--scope", "in-language", "--seed", "1",
+                    "--meta", "{root}/languages.csv", "--out-dir", "{root}/out"],
+        "experiment": ["experiment", "--config", "{root}/config.json"],
+    }[command]
+    plain = _run_in_world(tmp_path / "plain", argv, capsys)
+    assert plain[0] == 0
+    assert _run_in_world(tmp_path / "marked", argv, capsys, mark) == plain
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("nerprune")
     if exe is None:

@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
 from leniency_cases import CASES, EDGE_ROWS, QUIET_ROWS, corpus_from_rows, corpus_st
+from oracles import oracle_spans
 from nerprune.corpus import (
+    ENTITY_TYPES,
     TAGSET,
     Corpus,
     LanguageMeta,
@@ -16,7 +19,6 @@ from nerprune.corpus import (
     decode_spans,
     encode_tags,
     entity_overlap,
-    extract_entities,
     load_language_metadata,
     parse_iob2,
     serialize_iob2,
@@ -97,6 +99,25 @@ def test_parse_strips_language_prefix_on_request():
     assert stripped.sentences[0].tokens == ("John", "Smith")
 
 
+@pytest.mark.parametrize("text", [
+    "ada\tB-PER\nsaw\tO\n\nlima\tB-LOC\n", "\n\nada\tB-PER\n", "", "\n",
+])
+def test_one_leading_byte_order_mark_is_dropped(text):
+    plain = parse_iob2(text, "en")
+    assert parse_iob2("\ufeff" + text, "en") == plain
+    assert parse_iob2(io.StringIO("\ufeff" + text), "en") == plain
+    assert load_language_metadata("\ufeff" + META_CSV) == load_language_metadata(META_CSV)
+
+
+def test_only_one_byte_order_mark_is_dropped():
+    corpus = parse_iob2("\ufeff\ufeffada\tB-PER\nbo\tB-PER\n", "en")
+    assert corpus.sentences[0].tokens == ("\ufeffada", "bo")
+    assert parse_iob2("ada\tB-PER\n\ufeffbo\tB-PER\n", "en").sentences[0].tokens == (
+        "ada", "\ufeffbo")
+    with pytest.raises(MetadataError, match=":1: header"):
+        load_language_metadata("\ufeff\ufeff" + META_CSV)
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(ParseError, match=r"corpus\.iob2:3"):
         parse_iob2("a\tO\nb\tO\na b c\n", "en", name="corpus.iob2")
@@ -153,14 +174,6 @@ def test_encode_rejects_overlap_and_out_of_range():
         encode_tags(2, [(0, 1, "GPE")])
 
 
-def test_extract_entities_carries_surfaces():
-    s = sent(["visit", "New", "York", "today"], ["O", "B-LOC", "I-LOC", "O"])
-    mentions = extract_entities(s)
-    assert len(mentions) == 1
-    assert mentions[0].surface == ("New", "York")
-    assert (mentions[0].start, mentions[0].end) == (1, 3)
-
-
 def test_entity_overlap_counts_test_mentions_with_multiplicity():
     train = corpus_of(
         [sent(["Lima", "rocks"], ["B-LOC", "O"])], split="train"
@@ -201,7 +214,8 @@ def test_count_mentions_by_type():
          test=corpus_from_rows(QUIET_ROWS, "xx"))
 def test_corpus_mentions_match_the_per_sentence_route(train, test):
     def per_sentence(corpus):
-        return [(m.entity_type, m.surface) for s in corpus for m in extract_entities(s)]
+        return [(etype, s.tokens[start:end])
+                for s in corpus for start, end, etype in decode_spans(s.tags)]
 
     want = per_sentence(test)
     assert test.mentions == tuple(want)
@@ -211,6 +225,26 @@ def test_corpus_mentions_match_the_per_sentence_route(train, test):
     assert entity_overlap(train, test) == (
         sum(m in train_keys for m in want) / len(want) if want else None)
     assert count_mentions(test) == Counter(etype for etype, _ in want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpus_st("xx"))
+@example(corpus=corpus_from_rows(EDGE_ROWS, "xx"))
+@example(corpus=corpus_from_rows(QUIET_ROWS, "xx"))
+def test_corpus_spans_rebased_per_sentence_are_its_spans(corpus):
+    offsets = corpus.offsets.tolist()
+    assert offsets == [0, *accumulate(len(s) for s in corpus)]
+    starts, ends, etypes = corpus.span_bounds()
+    bounds = list(zip(starts.tolist(), ends.tolist(),
+                      [ENTITY_TYPES[t] for t in etypes.tolist()]))
+    per_sentence = [
+        [(start - lo, end - lo, etype) for start, end, etype in bounds if lo <= start < hi]
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+    assert per_sentence == [oracle_spans(s.tags) for s in corpus]
+    assert sum(map(len, per_sentence)) == len(bounds)
+    assert corpus.spans is corpus.spans and corpus.offsets is corpus.offsets
+    assert not corpus.spans.flags.writeable and not corpus.offsets.flags.writeable
 
 
 META_CSV = (

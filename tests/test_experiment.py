@@ -9,11 +9,12 @@ import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nerprune import experiment
 from nerprune.cli import main
-from nerprune.corpus import serialize_iob2
+from nerprune.corpus import decode_span_ids, serialize_iob2
 from nerprune.errors import ConfigError, MissingMetadataError
 from nerprune.evaluation import read_run_records, score_corpus
 from nerprune.experiment import (
@@ -478,6 +479,9 @@ def test_cells_score_like_predict_and_score_corpus(tmp_path):
     perturbed = build_perturbed(load_metadata(config), tests, config.languages,
                                 config.scopes, config.perturbation_seed)
     bundle = build_bundle(config, config.languages, trains, tests, perturbed)
+    for split in bundle.splits:
+        assert np.array_equal(
+            split.gold_spans, decode_span_ids(split.encoded.tags, split.encoded.offsets))
     spec = plan(config)[-1]
     lines = execute_run(spec, config, bundle, checkpoint_dir=tmp_path / "ckpt")
     model = load_model(tmp_path / "ckpt")

@@ -11,7 +11,7 @@ from nerprune.corpus import (
     TAGSET,
     LanguageMeta,
     decode_spans,
-    extract_entities,
+    encode_tags,
     serialize_iob2,
 )
 from nerprune.errors import EmptyGroupError, MissingMetadataError
@@ -201,16 +201,16 @@ def test_perturbation_preserves_structure(tags, surfaces, seed):
     by_type = {etype: tuple(sorted(surfaces)) for etype in ("PER", "LOC", "ORG")}
     pool = pool_of(by_type)
     out, records = perturb_one(s, pool, seed)
-    before = extract_entities(s)
-    after = extract_entities(out)
-    assert [m.entity_type for m in after] == [m.entity_type for m in before]
+    before = decode_spans(s.tags)
+    after = decode_spans(out.tags)
+    assert [etype for *_, etype in after] == [etype for *_, etype in before]
     assert len(records) == len(before)
-    assert decode_spans(out.tags) is not None
+    assert encode_tags(len(out), after) == out.tags
     gaps_before = [t for t, g in zip(s.tokens, s.tags) if g == "O"]
     gaps_after = [t for t, g in zip(out.tokens, out.tags) if g == "O"]
     assert gaps_before == gaps_after
-    for mention, record in zip(after, records):
-        assert mention.surface == record.replacement
+    for (start, end, _), record in zip(after, records):
+        assert out.tokens[start:end] == record.replacement
 
 
 def test_replacement_log_round_trip(tmp_path):
@@ -246,6 +246,13 @@ pool_surfaces_st = st.lists(
     by_type=st.dictionaries(st.sampled_from(["PER", "LOC", "ORG"]), pool_surfaces_st),
     seed=st.integers(0, 1000),
 )
+# own surfaces first, in the middle, last and absent from the pool;
+# ORG ("x",) has no candidate and LOC no pool
+@example(sentences=corpus_from_rows(EDGE_ROWS, "aa").sentences,
+         by_type={"PER": [("y",), ("x", "y"), ("x",)], "ORG": [("x",)]}, seed=3)
+@example(sentences=corpus_from_rows(EDGE_ROWS, "aa").sentences, by_type={}, seed=0)
+@example(sentences=corpus_from_rows(QUIET_ROWS, "aa").sentences,
+         by_type={"PER": [("x",)]}, seed=0)
 def test_perturb_corpus_matches_the_candidate_list_draw(sentences, by_type, seed):
     pool = pool_of({etype: tuple(s) for etype, s in by_type.items() if s})
     corpus = corpus_of(sentences, "aa")
