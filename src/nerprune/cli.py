@@ -266,7 +266,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records = _read_results(args.results)
+    records = read_run_records(args.results)
     with open(args.meta, encoding="utf-8") as f:
         meta = load_language_metadata(f, name=args.meta)
     dim = analysis.GroupDimension.parse(args.dim)
@@ -283,7 +283,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = _read_results(args.results)
+    records = read_run_records(args.results)
     with open(args.meta, encoding="utf-8") as f:
         meta = load_language_metadata(f, name=args.meta)
     overlaps = None
@@ -296,13 +296,6 @@ def _cmd_report(args) -> int:
     for path in written:
         print(path)
     return 0
-
-
-def _read_results(path: str):
-    try:
-        return read_run_records(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed results file: {exc}") from None
 
 
 _COMMANDS = {

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import ENTITY_TYPES, TAG_IDS, Corpus, decode_span_ids
-from .errors import AlignmentError, TagError
+from .errors import AlignmentError, ConfigError, TagError
 from .perturb import SCOPE_NAMES
 from .pruning import PruneStrategy
 
@@ -179,11 +179,21 @@ class RunRecord:
 
 
 def read_run_records(path: str | Path) -> list[RunRecord]:
-    """Read a JSON-lines result file, ignoring unknown extra keys."""
+    """Read a JSON-lines result file, ignoring unknown extra keys. A line
+    that is not a valid record is a ConfigError that names its path and
+    line number."""
     records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_json_dict(json.loads(line)))
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if line:
+                    records.append(RunRecord.from_json_dict(json.loads(line)))
+    except UnicodeDecodeError as exc:
+        # text is decoded in blocks, so the line is not known
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}:{lineno}: malformed results file: {detail}") from None
     return records

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -86,6 +87,15 @@ class EntityPool:
     def size(self) -> int:
         return sum(len(s) for s in self.by_type.values())
 
+    @cached_property
+    def positions(self) -> dict[str, dict[tuple[str, ...], int]]:
+        """Per entity type, each surface's position in its tuple, built
+        once: the pool is immutable, so they are kept on it."""
+        return {
+            etype: {surface: i for i, surface in enumerate(surfaces)}
+            for etype, surfaces in self.by_type.items()
+        }
+
 
 def build_pool(
     corpora: Sequence[Corpus],
@@ -149,14 +159,6 @@ class ReplacementRecord:
     replaced: bool
 
 
-def _surface_positions(pool: EntityPool) -> dict[str, dict[tuple[str, ...], int]]:
-    """Per entity type, each pool surface's position in its tuple."""
-    return {
-        etype: {surface: i for i, surface in enumerate(surfaces)}
-        for etype, surfaces in pool.by_type.items()
-    }
-
-
 def perturb_corpus(
     corpus: Corpus, pool: EntityPool, seed: int
 ) -> tuple[Corpus, list[ReplacementRecord]]:
@@ -171,12 +173,12 @@ def perturb_corpus(
 
     A draw is O(1): it picks among the surfaces other than the mention's
     own by skipping the own position, which consumes the same draws as
-    picking from the list of candidates. The pool's surface positions
-    are indexed once per call and dropped with it: kept on the pool,
-    they would stay in memory for as long as the pool does.
+    picking from the list of candidates; the own position comes from
+    pool.positions, built on the pool's first use and shared by every
+    corpus perturbed against it.
     """
     rng = np.random.default_rng(seed)
-    positions = _surface_positions(pool)
+    positions = pool.positions
     starts, ends, etypes = corpus.span_bounds()
     owners = np.searchsorted(corpus.offsets, starts, side="right") - 1
     bases = corpus.offsets[owners]

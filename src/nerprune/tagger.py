@@ -271,26 +271,66 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _embedding_grad(flat_ids: np.ndarray,
-                    gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique ids of flat_ids and, per id, the sum of its gx rows;
-    bincount adds each entry's terms in input order from 0.0, as np.add.at
-    into a zeroed table does, so the bits are the same."""
-    rows, slot = np.unique(flat_ids, return_inverse=True)
+def _embedding_grad(slot: np.ndarray, n_rows: int, gx: np.ndarray) -> np.ndarray:
+    """Per embedding row a batch reads, the sum of its gx rows; entry i of
+    gx belongs to row slot[i]. bincount adds each row's terms in input
+    order from 0.0, as np.add.at into a zeroed table does, so the bits are
+    the same."""
     d = gx.shape[1]
     grad = np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1),
-                       weights=gx.reshape(-1), minlength=rows.size * d)
-    return rows, grad.reshape(rows.size, d)
+                       weights=gx.reshape(-1), minlength=n_rows * d)
+    return grad.reshape(n_rows, d)
+
+
+def _plan_rows(ids: np.ndarray, batch_bounds: Sequence[int],
+               vocab_size: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Each batch's embedding rows, planned for a whole epoch of window
+    ids (N, k) whose batch b is window rows a:c, with a = batch_bounds[b]
+    and c = batch_bounds[b + 1]. Returns (rows, first, slots): batch b
+    reads rows[first[b]:first[b + 1]] (sorted, unique), and
+    slots[k * a:k * c] holds the position among them of each of its ids
+    in row-major order. One np.unique over the keys batch * vocab_size +
+    id gives them all; keys sort by batch first, so each batch's rows and
+    slots are those np.unique gives for the batch alone."""
+    k = ids.shape[1]
+    n_batches = len(batch_bounds) - 1
+    batch = np.repeat(np.arange(n_batches), np.diff(batch_bounds) * k)
+    keys, inverse = np.unique(batch * vocab_size + ids.reshape(-1),
+                              return_inverse=True)
+    first = np.searchsorted(keys, np.arange(n_batches + 1) * vocab_size)
+    return keys % vocab_size, first.tolist(), inverse - first[batch]
+
+
+DENSE = ("W1", "b1", "W2", "b2")
+
+
+def _flat_views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of flat with the given shapes."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
+
+
+def _flatten_dense(params: dict[str, ParamTensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Rebind the values and masks of the DENSE tensors as views of one
+    flat values array and one flat mask array, which are returned."""
+    tensors = [params[name] for name in DENSE]
+    shapes = [t.shape for t in tensors]
+    values = np.concatenate([t.values.reshape(-1) for t in tensors])
+    mask = np.concatenate([t.mask.reshape(-1) for t in tensors])
+    for tensor, v, m in zip(tensors, _flat_views(values, shapes), _flat_views(mask, shapes)):
+        tensor.values, tensor.mask = v, m
+    return values, mask
 
 
 def _batch_loss_grads(
-    params: dict[str, ParamTensor], ids: np.ndarray, tags: np.ndarray
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch tokens, the embedding rows the
-    batch reads (sorted, unique) and gradients for all five tensors.
-
-    The E gradient covers only those rows, shape (rows, embed_dim), and
-    comes from _embedding_grad.
+    params: dict[str, ParamTensor], ids: np.ndarray, tags: np.ndarray,
+    rows: np.ndarray, slot: np.ndarray, grads: Mapping[str, np.ndarray],
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch tokens and the gradient of the
+    embedding rows the batch reads, which are rows (sorted, unique) with
+    entry i of ids.reshape(-1) at rows[slot[i]]: shape (rows, embed_dim),
+    from _embedding_grad. The DENSE gradients are written into grads,
+    arrays of their tensors' shapes.
     """
     e = params["E"].values
     w1, b1 = params["W1"].values, params["b1"].values
@@ -312,18 +352,24 @@ def _batch_loss_grads(
     g[picked] -= 1.0
     g /= n
 
-    grad_w2 = h.T @ g
-    grad_b2 = g.sum(axis=0)
+    np.matmul(h.T, g, out=grads["W2"])
+    g.sum(axis=0, out=grads["b2"])
     gh = g @ w2.T
     gh[z1 <= 0.0] = 0.0
-    grad_w1 = x.T @ gh
-    grad_b1 = gh.sum(axis=0)
+    np.matmul(x.T, gh, out=grads["W1"])
+    gh.sum(axis=0, out=grads["b1"])
     gx = (gh @ w1.T).reshape(n * k, d)
-    rows, grad_e = _embedding_grad(ids.reshape(-1), gx)
-    return loss, rows, {
-        "E": grad_e, "W1": grad_w1, "b1": grad_b1,
-        "W2": grad_w2, "b2": grad_b2,
-    }
+    return loss, _embedding_grad(slot, rows.size, gx)
+
+
+def _sentence_batch(model: TaggerModel, sentence: Sentence) -> tuple:
+    """A sentence as one batch, in the order _batch_loss_grads takes it
+    after params: window ids, tag ids, embedding rows and slots from
+    np.unique, and new arrays for the DENSE gradients."""
+    ids, tags = encode_sentence(model, sentence)
+    rows, slot = np.unique(ids.reshape(-1), return_inverse=True)
+    grads = {name: np.empty(model.params[name].shape) for name in DENSE}
+    return ids, tags, rows, slot, grads
 
 
 def loss_and_gradients(
@@ -333,11 +379,12 @@ def loss_and_gradients(
     if len(sentence) == 0:
         return 0.0, {name: np.zeros_like(p.values)
                      for name, p in model.params.items()}
-    ids, tags = encode_sentence(model, sentence)
-    loss, rows, grads = _batch_loss_grads(model.params, ids, tags)
+    batch = _sentence_batch(model, sentence)
+    loss, grad_rows = _batch_loss_grads(model.params, *batch)
+    _, _, rows, _, grads = batch
     grad_e = np.zeros_like(model.params["E"].values)
-    grad_e[rows] = grads["E"]
-    return loss, {**grads, "E": grad_e}
+    grad_e[rows] = grad_rows
+    return loss, {"E": grad_e, **grads}
 
 
 def train(
@@ -359,12 +406,18 @@ def train(
     model's vocab and window, so models that share them encode it once.
 
     A step's cost scales with the batch, not the vocabulary: it updates,
-    re-masks and re-checks only the embedding rows its batch reads (and
-    only tensors that hold a masked weight, so with none the check is
-    skipped), and sparsity is measured only when masks change. The first
-    step and event steps make a full pass over every tensor. Fixed costs
-    are few: batches are slices of one gather per epoch, and the
-    embedding gradient is one bincount.
+    re-masks and re-checks only the embedding rows its batch reads (with
+    one gather and one scatter while E holds a masked entry), and
+    sparsity is measured only when masks change. The first step and
+    event steps make a full pass over every tensor. Fixed costs are few:
+    batches are slices of one gather per epoch, each batch's embedding
+    rows are slices of one _plan_rows per epoch, and the embedding
+    gradient is one bincount. The dense tensors W1, b1, W2 and b2 are
+    rebound as views of one flat values array and one flat mask array
+    (arrays read from them before the call no longer follow the model),
+    so a step updates them, re-masks them (only while one holds a masked
+    weight) and checks the masked entries found at the last full pass in
+    one call each. With no masked weight anywhere the check is skipped.
     """
     config = model.config
     if not isinstance(train_data, TrainArrays):
@@ -386,20 +439,29 @@ def train(
     params = model.params
     tensors = model.param_list
     emb = params["E"]
-    rest = [tensor for tensor in tensors if tensor is not emb]
+    # the dense tensors' values and masks become views of one flat array
+    # each, and their gradients views of one flat gradient, so a step
+    # updates, re-masks and checks all four in one call each
+    dense, dense_mask = _flatten_dense(params)
+    dense_grad = np.empty_like(dense)
+    grads = dict(zip(DENSE, _flat_views(dense_grad, [params[n].shape for n in DENSE])))
+    k = train_data.ids.shape[1]
     lr = config.learning_rate
     history: list[TrainStep] = []
     step = 0
     ev = 0
     for _ in range(config.epochs):
         # the epoch's rows in shuffled sentence order, gathered at once;
-        # its sentence i ends at row bounds[i + 1]
+        # batch b is rows bounds[b]:bounds[b + 1]
         order = rng.permutation(n_sentences)
         lengths = np.diff(offsets)[order]
         ends = np.cumsum(lengths)
         gather = np.repeat(offsets[order] - ends + lengths, lengths) + np.arange(ends[-1])
         epoch_ids, epoch_tags = train_data.ids[gather], train_data.tags[gather]
-        bounds = [0, *ends.tolist()]
+        firsts = np.minimum(np.arange(n_batches + 1) * config.batch_size, n_sentences)
+        bounds = np.concatenate(([0], ends))[firsts]
+        plan_rows, plan_first, slots = _plan_rows(epoch_ids, bounds, emb.shape[0])
+        bounds = bounds.tolist()
         for b in range(n_batches):
             step += 1
             full_pass = step == 1
@@ -407,31 +469,35 @@ def train(
                 compute_masks(tensors, events[ev][1], strategy)
                 ev += 1
                 full_pass = True
-            start = bounds[b * config.batch_size]
-            stop = bounds[min((b + 1) * config.batch_size, n_sentences)]
+            start, stop = bounds[b], bounds[b + 1]
             if start == stop:
-                loss, rows = 0.0, np.zeros(0, dtype=np.int64)
+                loss = 0.0
             else:
-                loss, rows, grads = _batch_loss_grads(
-                    params, epoch_ids[start:stop], epoch_tags[start:stop])
-                emb.values[rows] -= lr * grads["E"]
-                for tensor in rest:
-                    tensor.values -= lr * grads[tensor.name]
+                rows = plan_rows[plan_first[b]:plan_first[b + 1]]
+                loss, grad_rows = _batch_loss_grads(
+                    params, epoch_ids[start:stop], epoch_tags[start:stop],
+                    rows, slots[k * start:k * stop], grads)
+                if not full_pass and emb_worst:
+                    # update, re-mask and re-check E's rows in one gather
+                    # and one scatter
+                    mask_rows = emb.mask[rows]
+                    emb.values[rows] = kept = (emb.values[rows] - lr * grad_rows) * mask_rows
+                    emb_worst[0][rows] = _masked_row_max(kept, mask_rows)
+                else:
+                    emb.values[rows] -= lr * grad_rows
+                dense -= lr * dense_grad
             if full_pass:
                 apply_masks(tensors)
                 sparsity = measure_sparsity(tensors, strategy)
-                # until masks next change, a tensor without a masked entry
-                # needs no re-masking and adds nothing to the check; E's
-                # per-row maxima are kept only while E has a masked entry
-                masked = [tensor for tensor in rest if not tensor.mask.all()]
+                # until masks next change, only these dense entries need
+                # re-masking and checking; E's per-row maxima are kept
+                # only while E has a masked entry
+                dense_masked = np.flatnonzero(dense_mask == 0)
                 emb_worst = [] if emb.mask.all() else [_masked_row_max(emb.values, emb.mask)]
-            else:
-                apply_masks(masked)
-                if emb_worst:
-                    mask_rows = emb.mask[rows]
-                    emb.values[rows] = kept = emb.values[rows] * mask_rows
-                    emb_worst[0][rows] = _masked_row_max(kept, mask_rows)
-            worst = _max_abs_masked(masked, *emb_worst)
+            elif dense_masked.size:
+                dense *= dense_mask
+            magnitudes = [np.abs(dense[dense_masked])] if dense_masked.size else []
+            worst = _max_abs_masked((), *magnitudes, *emb_worst)
             if not math.isfinite(loss) or math.isnan(worst):
                 raise DivergenceError(
                     f"training diverged at step {step}: loss {loss}, "
@@ -453,12 +519,13 @@ def _masked_row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _max_abs_masked(tensors: Iterable[ParamTensor],
-                    *row_maxima: np.ndarray) -> float:
+                    *magnitudes: np.ndarray) -> float:
     """Largest magnitude among the masked weights of tensors and among
-    row maxima from _masked_row_max; NaN if any of them is NaN, and
-    exactly 0.0 without a call into numpy when given none."""
+    arrays of magnitudes, such as row maxima from _masked_row_max; NaN if
+    any of them is NaN, and exactly 0.0 without a call into numpy when
+    given none."""
     maxima = [np.abs(t.values[t.mask == 0]).max(initial=0.0) for t in tensors]
-    maxima += [rows.max(initial=0.0) for rows in row_maxima]
+    maxima += [values.max(initial=0.0) for values in magnitudes]
     return float(np.max(maxima)) if maxima else 0.0
 
 
@@ -505,7 +572,7 @@ def grad_check(
     loss0, grads = loss_and_gradients(model, sentence)
     if loss0 == 0.0:
         return None
-    ids, tags = encode_sentence(model, sentence)
+    batch = _sentence_batch(model, sentence)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name in ("E", "W1", "b1", "W2", "b2"):
@@ -519,9 +586,9 @@ def grad_check(
         for i in coords:
             original = tensor.values.flat[i]
             tensor.values.flat[i] = original + epsilon
-            plus = _batch_loss_grads(model.params, ids, tags)[0]
+            plus = _batch_loss_grads(model.params, *batch)[0]
             tensor.values.flat[i] = original - epsilon
-            minus = _batch_loss_grads(model.params, ids, tags)[0]
+            minus = _batch_loss_grads(model.params, *batch)[0]
             tensor.values.flat[i] = original
             fd = (plus - minus) / (2.0 * epsilon)
             analytic = grad_flat[i]

@@ -553,6 +553,22 @@ def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
     assert "malformed results file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_malformed_results_record_names_its_line(tmp_path, capsys, command):
+    results = tmp_path / "results.jsonl"
+    record = json.loads(_record())
+    del record["f1"]
+    results.write_text(_record() + "\n" + json.dumps(record) + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    argv = [command, "--results", str(results), "--meta", str(meta)]
+    if command == "report":
+        argv += ["--out-dir", str(tmp_path / "report")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {results}:2: malformed results file: missing key 'f1'\n")
+
+
 def test_well_typed_results_record_is_read(tmp_path, capsys):
     # the record the malformed rows above each break in one field
     results = tmp_path / "results.jsonl"
@@ -628,6 +644,7 @@ def test_blocked_output_path_exits_two(tmp_path, capsys, command):
     ("validate", "corpus"), ("perturb", "corpus"), ("perturb", "meta"),
     ("analyze", "meta"), ("report", "meta"), ("experiment", "config"),
     ("experiment", "world-corpus"), ("experiment", "meta"),
+    ("analyze", "results"), ("report", "results"),
 ])
 def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     config = write_world(tmp_path)
@@ -636,7 +653,7 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     meta = tmp_path / "languages.csv"
     results = tmp_path / "results.jsonl"
     results.write_text(_record() + "\n")
-    target = {"corpus": corpus, "meta": meta, "config": config,
+    target = {"corpus": corpus, "meta": meta, "config": config, "results": results,
               "world-corpus": tmp_path / "corpus" / "aa" / "test.iob2"}[bad]
     # a lone Latin-1 byte, as in "caf\xe9"
     target.write_bytes(target.read_bytes().replace(b"a", b"\xe9", 1))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import corpus_of, sent
 from nerprune.corpus import TAG_IDS, TAGSET, decode_spans
 from nerprune.analysis import aggregate_seeds
-from nerprune.errors import AlignmentError, TagError
+from nerprune.errors import AlignmentError, ConfigError, TagError
 from nerprune.evaluation import (
     RunRecord,
     ScoreReport,
@@ -186,6 +186,25 @@ def test_read_run_records_ignores_extra_keys(tmp_path):
     records = read_run_records(path)
     assert len(records) == 1
     assert records[0].language == "af"
+
+
+@pytest.mark.parametrize("bad_line, detail", [
+    ("{'language': 'af'}", "Expecting property name enclosed in double quotes"),
+    ("missing-f1", "missing key 'f1'"),
+    ("[1, 2]", "list indices must be integers"),
+])
+def test_read_run_records_names_the_line_of_a_bad_record(tmp_path, bad_line, detail):
+    good = RunRecord("af", 0, "partial", 0, "regular", ScoreReport(1, 0, 0, 1.0, 1.0, 1.0)).to_json_dict()
+    if bad_line == "missing-f1":
+        bad_line = json.dumps({key: value for key, value in good.items() if key != "f1"})
+    path = tmp_path / "runs.jsonl"
+    # a blank line still counts: the bad record is on line 4
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(good)}\n{bad_line}\n")
+    with pytest.raises(ConfigError) as info:
+        read_run_records(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:4: malformed results file: ")
+    assert detail in message
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8))

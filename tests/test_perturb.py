@@ -261,3 +261,16 @@ def test_perturb_corpus_matches_the_candidate_list_draw(sentences, by_type, seed
     assert out == want_out
     assert records == want_records
     assert serialize_iob2(out) == serialize_iob2(want_out)
+
+
+def test_one_pool_indexes_its_surfaces_once_for_every_corpus():
+    by_type = {"PER": (("y",), ("x", "y"), ("x",)), "ORG": (("x",),)}
+    pool = pool_of(by_type)
+    corpora = [corpus_from_rows(EDGE_ROWS, "aa"), corpus_from_rows(QUIET_ROWS, "aa")]
+    for seed, corpus in enumerate(corpora * 2):
+        assert perturb_corpus(corpus, pool, seed) == oracle_perturb_corpus(corpus, pool, seed)
+    positions = pool.positions
+    assert pool.positions is positions
+    assert positions == {"PER": {("y",): 0, ("x", "y"): 1, ("x",): 2}, "ORG": {("x",): 0}}
+    # the index is not a field, so equality is unchanged
+    assert pool == pool_of(by_type)

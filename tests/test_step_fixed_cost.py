@@ -2,9 +2,11 @@
 each against the form it replaced.
 
 The embedding gradient sums with bincount where the reference uses
-np.add.at, the loss divides a sum where the reference takes a mean, and
+np.add.at, the loss divides a sum where the reference takes a mean,
 batches are slices of one gather per epoch where the reference
-concatenates each batch's sentences. All must give the same bytes.
+concatenates each batch's sentences, and each batch's embedding rows
+come from one plan per epoch where the reference calls np.unique per
+batch. All must give the same bytes.
 """
 
 import math
@@ -20,7 +22,18 @@ import synth
 from conftest import corpus_of, sent
 from nerprune.experiment import ExperimentConfig, build_bundle
 from nerprune.pruning import PruneSchedule, PruneStrategy
-from nerprune.tagger import TaggerConfig, _embedding_grad, build_vocab, init_model, train
+from nerprune.tagger import (
+    PAD_ID,
+    TaggerConfig,
+    _embedding_grad,
+    _plan_rows,
+    build_vocab,
+    encode_windows,
+    init_model,
+    load_model,
+    save_model,
+    train,
+)
 from oracles import oracle_embedding_grad, oracle_train
 from test_tagger import toy_corpus
 from test_train_step import _history_bytes, assert_matches_oracle
@@ -36,6 +49,12 @@ floats_st = st.one_of(
 )
 
 
+def _cuts(draw, n):
+    """Batch bounds 0 = c0 <= c1 <= ... = n, some batches empty."""
+    inner = draw(st.lists(st.integers(0, n), max_size=4))
+    return [0, *sorted(inner), n]
+
+
 @st.composite
 def gradient_terms(draw):
     d = draw(st.integers(1, 8))
@@ -44,21 +63,59 @@ def gradient_terms(draw):
     # few ids over many terms, so rows repeat
     flat_ids = draw(hnp.arrays(np.int64, n, elements=st.integers(0, vocab_size - 1)))
     gx = draw(hnp.arrays(np.float64, (n, d), elements=floats_st))
-    return flat_ids, gx, vocab_size
+    return flat_ids, gx, vocab_size, _cuts(draw, n)
 
 
 @settings(max_examples=400, deadline=None)
 @given(gradient_terms())
 # -0.0 alone sums to +0.0 from the 0.0 start; in input order
 # (1.0 + 1e-16) - 1.0 is 0.0, where adding 1.0 and -1.0 first keeps the 1e-16
-@example((np.array([3, 1, 3, 3]), np.array([[1.0], [-0.0], [1e-16], [-1.0]]), 4))
+@example((np.array([3, 1, 3, 3]), np.array([[1.0], [-0.0], [1e-16], [-1.0]]), 4, [0, 4]))
 def test_bincount_embedding_grad_has_the_bytes_of_add_at(case):
-    flat_ids, gx, vocab_size = case
-    rows, grad = _embedding_grad(flat_ids, gx)
-    full = oracle_embedding_grad(flat_ids, gx, vocab_size)
-    assert rows.tolist() == sorted(set(flat_ids.tolist()))
-    assert grad.shape == (rows.size, gx.shape[1])
-    assert grad.tobytes() == full[rows].tobytes()
+    """Over each batch's (rows, slot) from _plan_rows, with window width 1
+    so entry i is window row i."""
+    flat_ids, gx, vocab_size, cuts = case
+    plan_rows, first, slots = _plan_rows(flat_ids[:, None], cuts, vocab_size)
+    for b, (a, c) in enumerate(zip(cuts[:-1], cuts[1:])):
+        rows = plan_rows[first[b]:first[b + 1]]
+        grad = _embedding_grad(slots[a:c], rows.size, gx[a:c])
+        full = oracle_embedding_grad(flat_ids[a:c], gx[a:c], vocab_size)
+        assert rows.tolist() == sorted(set(flat_ids[a:c].tolist()))
+        assert grad.shape == (rows.size, gx.shape[1])
+        assert grad.tobytes() == full[rows].tobytes()
+
+
+@st.composite
+def epochs_of_windows(draw):
+    """Window ids of sentences laid end to end (some empty, so some
+    batches are), with pads at sentence edges and ids that repeat, cut
+    into batches of batch_size sentences as train cuts an epoch."""
+    vocab_size = draw(st.integers(3, 8))
+    window = draw(st.integers(0, 2))
+    batch_size = draw(st.integers(1, 4))
+    ids = st.integers(2, vocab_size - 1)
+    sentences = draw(st.lists(st.lists(ids, max_size=6), min_size=1, max_size=10))
+    vocab = {f"t{i}": i for i in range(vocab_size)}
+    encoded = encode_windows(vocab, window, [
+        sent([f"t{i}" for i in s], ["O"] * len(s)) for s in sentences])
+    n = len(sentences)
+    firsts = np.minimum(np.arange(math.ceil(n / batch_size) + 1) * batch_size, n)
+    return encoded.ids, encoded.offsets[firsts].tolist(), vocab_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(epochs_of_windows())
+@example((np.full((4, 3), PAD_ID, dtype=np.int64), [0, 0, 4], 3))
+def test_epoch_row_plan_matches_per_batch_unique(case):
+    ids, bounds, vocab_size = case
+    k = ids.shape[1]
+    plan_rows, first, slots = _plan_rows(ids, bounds, vocab_size)
+    assert len(first) == len(bounds)
+    assert slots.shape == (ids.size,)
+    for b, (a, c) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rows, slot = np.unique(ids[a:c].reshape(-1), return_inverse=True)
+        assert plan_rows[first[b]:first[b + 1]].tolist() == rows.tolist()
+        assert slots[k * a:k * c].tolist() == slot.tolist()
 
 
 @settings(max_examples=400, deadline=None)
@@ -123,3 +180,30 @@ def test_multilingual_bundle_matches_the_dense_step(strategy):
     for name, tensor in model.params.items():
         assert tensor.values.tobytes() == reference.params[name].values.tobytes(), name
         assert tensor.mask.tobytes() == reference.params[name].mask.tobytes(), name
+
+
+@pytest.mark.parametrize("strategy", list(PruneStrategy))
+def test_training_twice_and_reloading_keeps_the_oracle_bytes(strategy, tmp_path):
+    """A second train call starts from dense tensors that are views of
+    the first call's flat array; the checkpoint it leaves reloads to the
+    bytes of the reference."""
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    model = init_model(GATHER_CONFIG, vocab)
+    reference = init_model(GATHER_CONFIG, vocab)
+    # the second call's one event adds masks to those of the first
+    for schedule in (PruneSchedule(2, 8, 2, 0.7), PruneSchedule(4, 4, 1, 0.8)):
+        model, history = train(model, corpus, schedule=schedule, strategy=strategy)
+        expected = oracle_train(reference, corpus, schedule, strategy)
+        assert _history_bytes(history) == _history_bytes(expected)
+    assert model.params["W1"].values.base is model.params["b2"].values.base is not None
+
+    save_model(tmp_path / "model", model)
+    save_model(tmp_path / "reference", reference)
+    for path in sorted((tmp_path / "reference").iterdir()):
+        assert (tmp_path / "model" / path.name).read_bytes() == path.read_bytes(), path.name
+    loaded = load_model(tmp_path / "model")
+    for name, tensor in loaded.params.items():
+        want = reference.params[name]
+        assert tensor.values.tobytes() == want.values.tobytes(), name
+        assert tensor.mask.tobytes() == want.mask.tobytes(), name
