@@ -10,6 +10,7 @@ the target cubically from zero to the final sparsity.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -64,7 +65,7 @@ class ParamTensor:
                 raise ValueError(
                     f"{name}: mask shape {mask.shape} vs values {self.values.shape}"
                 )
-            if not np.isin(mask, (0, 1)).all():
+            if mask.max(initial=0) > 1:
                 raise ValueError(f"{name}: mask entries must be 0 or 1")
         self.mask = mask
 
@@ -173,10 +174,7 @@ def compute_masks(
     n = sum(t.size for t in tensors)
     if n == 0:
         raise PruningError(f"no prunable weights for {strategy.value}")
-    # live weights of every tensor in (name rank, flat index) order, so a
-    # position in their concatenation is the tie-break rank
-    live_idx = [np.flatnonzero(t.mask) for t in tensors]
-    masked = n - sum(idx.size for idx in live_idx)
+    masked = n - sum(np.count_nonzero(t.mask) for t in tensors)
     target = _target_count(sparsity, n)
     if target < masked:
         raise MonotonicityError(
@@ -185,23 +183,24 @@ def compute_masks(
     extra = target - masked
     if extra == 0:
         return params
-    mags = np.abs(np.concatenate(
-        [t.values.reshape(-1)[idx] for t, idx in zip(tensors, live_idx)]
-    ))
+    # magnitudes in tie-break order (name, flat index), masked ones +inf
+    mags = np.concatenate([t.values.reshape(-1) for t in tensors])
+    np.abs(mags, out=mags)
+    live = np.concatenate([t.mask.reshape(-1) for t in tensors]).view(bool)
+    np.copyto(mags, np.inf, where=~live)
     threshold = np.partition(mags, extra - 1)[extra - 1]
-    if np.isnan(threshold):
-        # NaN magnitudes rank after every number, as they sort
-        below, ties = ~np.isnan(mags), np.isnan(mags)
+    if np.isfinite(threshold):
+        chosen = mags < threshold
+        ties = np.flatnonzero(mags == threshold)
     else:
-        below, ties = mags < threshold, mags == threshold
-    n_ties = extra - int(below.sum())
-    chosen = below
-    chosen[np.flatnonzero(ties)[:n_ties]] = True
-    start = 0
-    for tensor, idx in zip(tensors, live_idx):
-        hits = idx[chosen[start:start + idx.size]]
-        start += idx.size
-        tensor.mask.flat[hits] = 0
+        # every number, then live inf, then NaN, as they sort
+        chosen = np.isfinite(mags)
+        ties = np.concatenate((np.flatnonzero(live & np.isinf(mags)),
+                               np.flatnonzero(np.isnan(mags))))
+    chosen[ties[:extra - np.count_nonzero(chosen)]] = True
+    cuts = np.cumsum([t.size for t in tensors])[:-1]
+    for tensor, keep in zip(tensors, np.split(~chosen, cuts)):
+        np.logical_and(tensor.mask, keep.reshape(tensor.shape), out=tensor.mask)
     return params
 
 
@@ -219,8 +218,7 @@ def measure_sparsity(params: Sequence[ParamTensor],
     n = sum(p.size for p in prunable)
     if n == 0:
         raise PruningError(f"no prunable weights for {strategy.value}")
-    masked = sum(int((p.mask == 0).sum()) for p in prunable)
-    return masked / n
+    return (n - sum(np.count_nonzero(p.mask) for p in prunable)) / n
 
 
 MANIFEST_NAME = "manifest.json"
@@ -278,15 +276,16 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
     params = []
     for entry in entries:
         try:
-            name, role = entry["name"], entry["role"]
-            shape = tuple(int(d) for d in entry["shape"])
+            name, role, shape = entry["name"], entry["role"], tuple(entry["shape"])
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise ValueError("dims must be non-negative integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"{manifest_path}: malformed tensor entry {entry!r}: {exc!r}"
             ) from None
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise CheckpointError(f"unsafe tensor name {name!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         try:
             role = Role(role)
         except ValueError:
@@ -307,7 +306,8 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
             )
         values = np.frombuffer(values_raw, dtype="<f8").astype(np.float64).reshape(shape)
         mask = np.frombuffer(mask_raw, dtype=np.uint8).copy().reshape(shape)
-        if not np.isin(mask, (0, 1)).all():
-            raise CheckpointError(f"{name}: mask entries must be 0 or 1")
-        params.append(ParamTensor(name, values, role, mask))
+        try:
+            params.append(ParamTensor(name, values, role, mask))
+        except ValueError as exc:  # a mask entry that is not 0 or 1
+            raise CheckpointError(str(exc)) from None
     return params, manifest

@@ -19,7 +19,7 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -415,9 +415,10 @@ def train(
     gradient is one bincount. The dense tensors W1, b1, W2 and b2 are
     rebound as views of one flat values array and one flat mask array
     (arrays read from them before the call no longer follow the model),
-    so a step updates them, re-masks them (only while one holds a masked
-    weight) and checks the masked entries found at the last full pass in
-    one call each. With no masked weight anywhere the check is skipped.
+    so a step updates and (only while one holds a masked weight)
+    re-masks them in one call each. The masked-weight check scans only
+    what the step re-masked, and only for NaN (see _max_abs_masked);
+    with no masked weight anywhere it is skipped.
     """
     config = model.config
     if not isinstance(train_data, TrainArrays):
@@ -470,6 +471,8 @@ def train(
                 ev += 1
                 full_pass = True
             start, stop = bounds[b], bounds[b + 1]
+            # the (values, mask) pairs this step re-masks, to be checked
+            checked = []
             if start == stop:
                 loss = 0.0
             else:
@@ -477,27 +480,27 @@ def train(
                 loss, grad_rows = _batch_loss_grads(
                     params, epoch_ids[start:stop], epoch_tags[start:stop],
                     rows, slots[k * start:k * stop], grads)
-                if not full_pass and emb_worst:
-                    # update, re-mask and re-check E's rows in one gather
-                    # and one scatter
+                if not full_pass and emb_masked:
+                    # update and re-mask E's rows in one gather and one
+                    # scatter, then check them
                     mask_rows = emb.mask[rows]
                     emb.values[rows] = kept = (emb.values[rows] - lr * grad_rows) * mask_rows
-                    emb_worst[0][rows] = _masked_row_max(kept, mask_rows)
+                    checked.append((kept, mask_rows))
                 else:
                     emb.values[rows] -= lr * grad_rows
                 dense -= lr * dense_grad
             if full_pass:
                 apply_masks(tensors)
                 sparsity = measure_sparsity(tensors, strategy)
-                # until masks next change, only these dense entries need
-                # re-masking and checking; E's per-row maxima are kept
-                # only while E has a masked entry
-                dense_masked = np.flatnonzero(dense_mask == 0)
-                emb_worst = [] if emb.mask.all() else [_masked_row_max(emb.values, emb.mask)]
-            elif dense_masked.size:
+                # until masks change, the dense tensors and E's rows need
+                # re-masking and checking only while they hold a masked weight
+                dense_masked = not dense_mask.all()
+                emb_masked = not emb.mask.all()
+                checked = [(dense, dense_mask), (emb.values, emb.mask)]
+            elif dense_masked:
                 dense *= dense_mask
-            magnitudes = [np.abs(dense[dense_masked])] if dense_masked.size else []
-            worst = _max_abs_masked((), *magnitudes, *emb_worst)
+                checked.append((dense, dense_mask))
+            worst = _max_abs_masked(*checked)
             if not math.isfinite(loss) or math.isnan(worst):
                 raise DivergenceError(
                     f"training diverged at step {step}: loss {loss}, "
@@ -512,21 +515,16 @@ def train(
     return model, history
 
 
-def _masked_row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row, the largest magnitude among masked entries (0 if none);
-    NaN wherever a masked entry is NaN."""
-    return np.abs(np.where(mask == 0, values, 0.0)).max(axis=1, initial=0.0)
-
-
-def _max_abs_masked(tensors: Iterable[ParamTensor],
-                    *magnitudes: np.ndarray) -> float:
-    """Largest magnitude among the masked weights of tensors and among
-    arrays of magnitudes, such as row maxima from _masked_row_max; NaN if
-    any of them is NaN, and exactly 0.0 without a call into numpy when
-    given none."""
-    maxima = [np.abs(t.values[t.mask == 0]).max(initial=0.0) for t in tensors]
-    maxima += [values.max(initial=0.0) for values in magnitudes]
-    return float(np.max(maxima)) if maxima else 0.0
+def _max_abs_masked(*checked: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest magnitude among the masked entries of (values, mask) pairs
+    re-masked as values * mask, 0.0 for no pairs. A masked entry is then
+    v * 0, +-0 unless NaN, so values are scanned for NaN and the exact
+    maximum is taken only for an array that holds one."""
+    worst = 0.0
+    for values, mask in checked:
+        if np.isnan(values).any():
+            worst = np.maximum(worst, np.abs(values[mask == 0]).max(initial=0.0))
+    return float(worst)
 
 
 def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
@@ -601,17 +599,18 @@ def save_model(directory: str | Path, model: TaggerModel) -> Path:
     """Checkpoint plus a JSON sidecar with config, tagset and vocab."""
     directory = Path(directory)
     save_checkpoint(directory, model.param_list, extra={"kind": "window_tagger"})
-    tokens = [None] * len(model.vocab)
-    for token, idx in model.vocab.items():
-        tokens[idx] = token
+    tokens = sorted(model.vocab, key=model.vocab.__getitem__)
     sidecar = {
         "config": asdict(model.config),
         "tagset": list(model.tagset),
-        "vocab_tokens": tokens,
+        "vocab_tokens": None,
     }
-    with open(directory / MODEL_SIDECAR, "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    # the bytes json.dump(indent=2, sort_keys=True) writes, but the token
+    # list (sorted last) goes through the C encoder, which cannot indent
+    text = json.dumps(sidecar, indent=2, sort_keys=True).removesuffix("null\n}")
+    listed = json.dumps(tokens, separators=(",\n    ", ": "))[1:-1]
+    (directory / MODEL_SIDECAR).write_text(
+        f"{text}[\n    {listed}\n  ]\n}}\n", encoding="utf-8")
     return directory
 
 

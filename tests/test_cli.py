@@ -328,6 +328,22 @@ def _non_integer_shape(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _set_b2_shape(ckpt, shape):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    entry, = (e for e in manifest["tensors"] if e["name"] == "b2")
+    entry["shape"] = shape
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _negative_shape(ckpt):
+    # b2 holds 9 entries, so the dims' product matches its files
+    _set_b2_shape(ckpt, [-3, -3])
+
+
+def _boolean_dim(ckpt):
+    _set_b2_shape(ckpt, [True, 9])
+
+
 def _manifest_not_an_object(ckpt):
     (ckpt / "manifest.json").write_text("[]")
 
@@ -353,6 +369,8 @@ def _sidecar_hidden_dim_seven(ckpt):
     (_garble_sidecar, "malformed model sidecar"),
     (_drop_tensor_name, "malformed tensor entry"),
     (_non_integer_shape, "malformed tensor entry"),
+    (_negative_shape, "dims must be non-negative integers"),
+    (_boolean_dim, "dims must be non-negative integers"),
     (_manifest_not_an_object, "manifest.json"),
     (_sidecar_window_two, "W1 shape (12, 6) does not match the (20, 6)"),
     (_sidecar_hidden_dim_seven, "W1 shape (12, 6) does not match the (12, 7)"),

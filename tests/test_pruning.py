@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerprune.errors import (
@@ -205,7 +205,26 @@ def tie_heavy_tensors(draw):
     return params
 
 
+def non_finite_tensors():
+    """Live and masked inf and NaN in every prunable tensor, so high
+    targets rank every number, then live inf, then live NaN."""
+    inf, nan = np.inf, np.nan
+    return [
+        ParamTensor("w2", np.array([0.25, inf, nan, inf, -inf]), Role.DENSE,
+                    np.array([1, 1, 1, 0, 1])),
+        ParamTensor("emb", np.array([nan, -1.0, inf, -inf]), Role.EMBEDDING,
+                    np.array([0, 1, 1, 1])),
+        ParamTensor("w1", np.array([nan, -0.0, inf, nan, 2.0]), Role.DENSE,
+                    np.array([1, 1, 0, 0, 1])),
+        ParamTensor("bias", np.array([nan, 0.0]), Role.EXCLUDED),
+    ]
+
+
 @settings(max_examples=200, deadline=None)
+@example(params=non_finite_tensors(), levels=[0.5, 0.7, 0.9, 1.0],
+         strategy=PruneStrategy.PARTIAL)
+@example(params=non_finite_tensors(), levels=[0.6, 0.75, 0.95, 1.0],
+         strategy=PruneStrategy.INCL_EMBEDDINGS)
 @given(
     params=tie_heavy_tensors(),
     levels=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 0.98, 1.0]),

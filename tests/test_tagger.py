@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +276,31 @@ def test_model_round_trip(tmp_path):
         assert (loaded.params[name].mask == model.params[name].mask).all()
     corpus = toy_corpus(split="test")
     assert predict(loaded, corpus) == predict(model, corpus)
+
+
+@pytest.mark.parametrize("extra", [
+    ["naïve", "東京", 'say "hi"', "back\\slash", "tab\there", "\x00\x1f\x7f", "\u2028", "😀"],
+    [],
+])
+def test_sidecar_bytes_are_those_of_json_dump(tmp_path, extra):
+    """model.json holds exactly what json.dump(indent=2, sort_keys=True)
+    writes, for escapes, non-ASCII text and the two reserved tokens
+    alone."""
+    vocab = {"<unk>": 0, "<pad>": 1}
+    for token in extra:
+        vocab[token] = len(vocab)
+    model = init_model(TaggerConfig(embed_dim=2, hidden_dim=3), vocab)
+    save_model(tmp_path / "m", model)
+    sidecar = {
+        "config": dataclasses.asdict(model.config),
+        "tagset": list(TAGSET),
+        "vocab_tokens": list(vocab),
+    }
+    with open(tmp_path / "want.json", "w", encoding="utf-8") as f:
+        json.dump(sidecar, f, indent=2, sort_keys=True)
+        f.write("\n")
+    assert ((tmp_path / "m" / "model.json").read_bytes()
+            == (tmp_path / "want.json").read_bytes())
 
 
 def test_load_model_validates_sidecar(tmp_path):

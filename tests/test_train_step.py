@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nerprune
 import synth
@@ -19,13 +21,12 @@ from nerprune.errors import DivergenceError
 from nerprune.pruning import ParamTensor, PruneSchedule, PruneStrategy, Role
 from nerprune.tagger import (
     TaggerConfig,
-    _masked_row_max,
     _max_abs_masked,
     build_vocab,
     init_model,
     train,
 )
-from oracles import oracle_train
+from oracles import _dense_max_abs_masked, oracle_train
 from test_tagger import toy_corpus
 
 C05_CONFIG = TaggerConfig(
@@ -131,22 +132,59 @@ def test_zipfian_config_matches_the_dense_step(strategy, batch_size, premask):
 
 
 def test_masked_nan_makes_the_check_nan_and_stays():
-    tensor = ParamTensor(
-        "W", np.array([[1.0, 2.0], [3.0, np.nan]]), Role.DENSE,
-        np.array([[1, 0], [1, 0]]),
-    )
-    assert np.isnan(_max_abs_masked([tensor]))
-    tensor.values[1, 1] = 0.0
-    assert _max_abs_masked([tensor]) == 2.0
+    values = np.array([[1.0, 2.0], [3.0, np.nan]])
+    mask = np.array([[1, 0], [1, 0]], dtype=np.uint8)
+    values *= mask  # re-masked: 2.0 becomes 0.0, NaN stays NaN
+    assert np.isnan(_max_abs_masked((values, mask)))
+    # re-masking again does not clear it, and other pairs do not hide it
+    values *= mask
+    clean = (np.array([0.5, -0.0]), np.array([1, 0], dtype=np.uint8))
+    assert np.isnan(_max_abs_masked(clean, (values, mask), clean))
+    # zeroed, the masked entry reads its true maximum
+    values[1, 1] = 0.0
+    assert _max_abs_masked((values, mask)) == 0.0
+    # a NaN at a live entry is not a masked weight
+    values[0, 0] = np.nan
+    assert _max_abs_masked((values, mask), clean) == 0.0
+    assert _max_abs_masked() == 0.0
 
-    emb = np.array([[0.0, np.nan], [0.5, 0.0], [4.0, 0.0]])
-    mask = np.array([[1, 0], [1, 0], [1, 1]], dtype=np.uint8)
-    rows_worst = _masked_row_max(emb, mask)
-    assert np.isnan(_max_abs_masked([], rows_worst))
-    # a later step re-checks only the rows it touched; row 0 keeps its NaN
-    rows = np.array([1, 2])
-    rows_worst[rows] = _masked_row_max(emb[rows], mask[rows])
-    assert np.isnan(_max_abs_masked([], rows_worst))
+
+# live entries take any of these; a masked entry is one of them times 0
+CHECK_VALUES = (0.0, -0.0, 0.5, -3.0, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(CHECK_VALUES), st.sampled_from((0, 1))),
+             min_size=1, max_size=12),
+)
+def test_masked_check_matches_the_dense_oracle(entries):
+    values = np.array([v for v, _ in entries])
+    mask = np.array([m for _, m in entries], dtype=np.uint8)
+    with np.errstate(invalid="ignore"):
+        values *= mask
+    want = _dense_max_abs_masked([ParamTensor("W", values, Role.DENSE, mask)])
+    got = _max_abs_masked((values, mask))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_live_nan_in_an_unread_row_trains_as_the_dense_step():
+    """A NaN at a live entry of an E row that no batch reads is not a
+    masked weight: training neither stops nor differs from the oracle,
+    also after pruning masks part of E."""
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    vocab["never-read"] = len(vocab)
+
+    def make_model():
+        model = init_model(C05_CONFIG, vocab)
+        model.params["E"].values[vocab["never-read"], 2] = np.nan
+        return model
+
+    assert_matches_oracle(
+        make_model, corpus, PruneSchedule(10, 40, 15, 0.5),
+        PruneStrategy.INCL_EMBEDDINGS,
+    )
 
 
 def test_package_exports_divergence_error():
