@@ -163,7 +163,7 @@ def _cmd_validate(args) -> int:
     mentions = count_mentions(corpus)
     summary = {
         "sentences": len(corpus),
-        "tokens": sum(len(s) for s in corpus),
+        "tokens": len(corpus.tokens),
         "mentions": {etype: mentions.get(etype, 0)
                      for etype in ("PER", "LOC", "ORG")},
     }

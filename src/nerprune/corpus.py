@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -59,49 +60,65 @@ class Sentence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Sentences of a single language and split."""
+    """Sentences of a single language and split, held as columns: the
+    tokens laid end to end, their TAG_IDS as int8 and offsets, so that
+    sentence i owns positions offsets[i]:offsets[i + 1]. The columns are
+    immutable, so decodes of them are kept on the corpus. Corpus(sentences,
+    language, split) lays Sentence objects out so; from_columns takes the
+    columns as they are, and the per-sentence view is built on first use."""
 
-    sentences: tuple[Sentence, ...]
-    language: str
-    split: str
+    def __init__(self, sentences: Iterable[Sentence], language: str, split: str):
+        sentences = tuple(sentences)
+        vars(self).update(vars(Corpus.from_columns(
+            tuple(chain.from_iterable(s.tokens for s in sentences)),
+            np.array([TAG_IDS[t] for s in sentences for t in s.tags], dtype=np.int8),
+            np.cumsum([0, *map(len, sentences)], dtype=np.int64), language, split)))
+        for sent in sentences:
+            if sent.language != language:
+                raise ValueError(f"sentence language {sent.language!r} in corpus {language!r}")
+        self.sentences = sentences
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if not self.language:
+    @classmethod
+    def from_columns(cls, tokens: tuple[str, ...], tag_ids: np.ndarray,
+                     offsets: np.ndarray, language: str, split: str) -> Corpus:
+        if split not in SPLITS:
+            raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+        if not language:
             raise ValueError("empty language code")
-        for sent in self.sentences:
-            if sent.language != self.language:
-                raise ValueError(
-                    f"sentence language {sent.language!r} in corpus "
-                    f"{self.language!r}"
-                )
+        tag_ids.flags.writeable = offsets.flags.writeable = False
+        corpus = cls.__new__(cls)
+        vars(corpus).update(tokens=tokens, tag_ids=tag_ids, offsets=offsets,
+                            language=language, split=split)
+        return corpus
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Corpus) and (self.language, self.split, self.tokens)
+                == (other.language, other.split, other.tokens)
+                and np.array_equal(self.tag_ids, other.tag_ids)
+                and np.array_equal(self.offsets, other.offsets))
+
+    def __repr__(self) -> str:
+        return f"Corpus({self.sentences!r}, {self.language!r}, {self.split!r})"
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.offsets) - 1
 
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        """Sentence i owns positions offsets[i]:offsets[i + 1] of the
-        corpus laid end to end."""
-        offsets = np.cumsum([0, *map(len, self.sentences)], dtype=np.int64)
-        offsets.flags.writeable = False
-        return offsets
+    def sentences(self) -> tuple[Sentence, ...]:
+        """One Sentence per sentence, from the columns."""
+        tags = list(map(TAGSET.__getitem__, self.tag_ids.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(Sentence(self.tokens[a:b], tuple(tags[a:b]), self.language)
+                     for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def spans(self) -> np.ndarray:
-        """decode_span_ids keys of the sentences' tags laid end to end,
-        decoded once: the corpus is immutable, so they are kept on it."""
-        tag_ids = np.fromiter(
-            map(TAG_IDS.__getitem__, chain.from_iterable(s.tags for s in self.sentences)),
-            dtype=np.int64, count=int(self.offsets[-1]),
-        )
-        spans = decode_span_ids(tag_ids, self.offsets)
+        """decode_span_ids keys of the tag ids, decoded once."""
+        spans = decode_span_ids(self.tag_ids, self.offsets)
         spans.flags.writeable = False
         return spans
 
@@ -116,23 +133,23 @@ class Corpus:
     def mentions(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """(entity type, surface) of every mention in sentence-then-position
         order, from spans."""
-        tokens = list(chain.from_iterable(s.tokens for s in self.sentences))
-        starts, ends, etypes = self.span_bounds()
-        return tuple(
-            (ENTITY_TYPES[t], tuple(tokens[start:end]))
-            for start, end, t in zip(starts.tolist(), ends.tolist(), etypes.tolist())
-        )
+        tokens = self.tokens
+        starts, ends, etypes = (a.tolist() for a in self.span_bounds())
+        return tuple((ENTITY_TYPES[t], tokens[a:b]) for a, b, t in zip(starts, ends, etypes))
 
 
-def _lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
-    """source's lines, less one leading byte-order mark (U+FEFF)."""
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
-    first = next(lines, None)
-    return () if first is None else chain((first.removeprefix("\ufeff"),), lines)
+def _text(source: str | TextIO, name: str, error: type[ParseError | MetadataError]) -> str:
+    """source's text less one leading byte-order mark (U+FEFF), with each
+    line end (\\n, \\r\\n or \\r, as a text file splits lines) as \\n."""
+    try:
+        text = source if isinstance(source, str) else source.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: not UTF-8 text: {exc.reason}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_iob2(
-    source: str | TextIO | Iterable[str],
+    source: str | TextIO,
     language: str,
     split: str = "test",
     strip_prefix: bool = False,
@@ -140,52 +157,64 @@ def parse_iob2(
 ) -> Corpus:
     """Parse token/tag lines into a Corpus.
 
-    A line holds one token and one tag separated by a tab, or by a single
-    space when no tab is present. Blank lines end sentences. When
+    Lines end at \\n, \\r\\n or \\r, as a text file splits them. A line
+    holds one token and one tag separated by a tab, or by a single space
+    when no tab is present. Whitespace-only lines end sentences. When
     strip_prefix is set, a leading "<language>:" on the token is removed
     (the raw export format prefixes tokens this way). One leading UTF-8
     byte-order mark is dropped.
 
-    Raises ParseError or TagError with the 1-based line number on any
-    malformed line.
+    The text is split and checked in bulk. Text that fails a check, or is
+    parsed with strip_prefix, is walked line by line instead, which raises
+    ParseError or TagError with the 1-based number of the first bad line.
     """
-    prefix = f"{language}:"
-    sentences: list[Sentence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
+    text = _text(source, name, ParseError)
+    prefix = f"{language}:" if strip_prefix else ""
+    columns = None if prefix else _bulk_columns(text, "\t" if "\t" in text else " ")
+    columns = columns or _bulk_columns(_walk(text.split("\n"), prefix, name), "\t")
+    return Corpus.from_columns(*columns, language, split)
 
-    def flush():
-        if tokens:
-            sentences.append(Sentence(tuple(tokens), tuple(tags), language))
-            tokens.clear()
-            tags.clear()
 
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(_lines(source), start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
-            fields = line.split("\t") if "\t" in line else line.split(" ")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{name}:{lineno}: expected TOKEN<sep>TAG, "
-                    f"got {len(fields)} fields: {line!r}"
-                )
-            token, tag = fields
-            if strip_prefix and token.startswith(prefix):
-                token = token[len(prefix):]
-            if not token:
-                raise ParseError(f"{name}:{lineno}: empty token")
-            if tag not in VALID_TAGS:
-                raise TagError(f"{name}:{lineno}: unknown tag {tag!r}")
-            tokens.append(token)
-            tags.append(tag)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{name}: not UTF-8 text: {exc.reason}") from None
-    flush()
-    return Corpus(tuple(sentences), language, split)
+def _bulk_columns(text: str, sep: str) -> tuple | None:
+    """Tokens, tag ids and offsets of text from bulk splits, when every
+    line is empty or one non-empty token, sep and a known tag; else None.
+    Empty lines end sentences."""
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # line i spans codes[bounds[i] + 1:bounds[i + 1]]
+    bounds = np.concatenate(([-1], np.flatnonzero(codes == 10), [codes.size]))
+    filled = np.diff(bounds) > 1
+    seps = np.diff(np.searchsorted(np.flatnonzero(codes == ord(sep)), bounds))
+    # with one sep per filled line, fields pair up unless one is empty
+    fields = list(filter(None, text.replace("\n", sep).split(sep)))
+    n = int(np.count_nonzero(filled))
+    if (seps != filled).any() or len(fields) != 2 * n:
+        return None
+    tag_ids = np.fromiter(map(TAG_IDS.get, fields[1::2], repeat(-1)), dtype=np.int8, count=n)
+    if (tag_ids < 0).any():
+        return None
+    ends = np.cumsum(filled)[~filled]
+    return tuple(fields[0::2]), tag_ids, np.unique(np.concatenate(([0], ends, [n])))
+
+
+def _walk(lines: list[str], prefix: str, name: str) -> str:
+    """lines checked one by one, raising on the first malformed one, and
+    rewritten as token<TAB>tag lines and empty lines."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            out.append("")
+            continue
+        fields = line.split("\t") if "\t" in line else line.split(" ")
+        if len(fields) != 2:
+            raise ParseError(f"{name}:{lineno}: expected TOKEN<sep>TAG, "
+                             f"got {len(fields)} fields: {line!r}")
+        token, tag = fields[0].removeprefix(prefix), fields[1]
+        if not token:
+            raise ParseError(f"{name}:{lineno}: empty token")
+        if tag not in VALID_TAGS:
+            raise TagError(f"{name}:{lineno}: unknown tag {tag!r}")
+        out.append(f"{token}\t{tag}")
+    return "\n".join(out)
 
 
 def serialize_iob2(corpus: Corpus) -> str:
@@ -194,12 +223,10 @@ def serialize_iob2(corpus: Corpus) -> str:
     Sentences are separated by one blank line; the output ends with one.
     parse_iob2(serialize_iob2(c)) reproduces c up to separator choice.
     """
-    parts: list[str] = []
-    for sent in corpus.sentences:
-        for token, tag in zip(sent.tokens, sent.tags):
-            parts.append(f"{token}\t{tag}\n")
-        parts.append("\n")
-    return "".join(parts)
+    rows = list(map("{}\t{}\n".format, corpus.tokens,
+                    map(TAGSET.__getitem__, corpus.tag_ids.tolist())))
+    bounds = corpus.offsets.tolist()
+    return "".join("".join(rows[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
 
 
 def decode_spans(tags: Iterable[str]) -> list[tuple[int, int, str]]:
@@ -292,7 +319,7 @@ def entity_overlap(train: Corpus, test: Corpus) -> float | None:
 
 def count_mentions(corpus: Corpus) -> Counter:
     """Mention counts per entity type, for quick corpus summaries."""
-    return Counter(etype for etype, _ in corpus.mentions)
+    return Counter(ENTITY_TYPES[t] for t in corpus.span_bounds()[2].tolist())
 
 
 METADATA_HEADER = ("code", "script", "family", "train_size", "pretrain_pct")
@@ -320,10 +347,13 @@ class LanguageMeta:
                 f"{self.code}: pretrain_pct must be non-negative, "
                 f"got {self.pretrain_pct}"
             )
+        if not math.isfinite(self.pretrain_pct):
+            raise MetadataError(
+                f"{self.code}: pretrain_pct must be finite, got {self.pretrain_pct}")
 
 
 def load_language_metadata(
-    source: str | TextIO | Iterable[str], name: str = "<metadata>"
+    source: str | TextIO, name: str = "<metadata>"
 ) -> dict[str, LanguageMeta]:
     """Load the language metadata CSV keyed by language code.
 
@@ -332,10 +362,7 @@ def load_language_metadata(
     Duplicate codes and non-numeric sizes are rejected with the offending
     line number.
     """
-    try:
-        rows = list(csv.reader(_lines(source)))
-    except UnicodeDecodeError as exc:
-        raise MetadataError(f"{name}: not UTF-8 text: {exc.reason}") from None
+    rows = list(csv.reader(io.StringIO(_text(source, name, MetadataError))))
     if not rows:
         raise MetadataError(f"{name}: empty metadata file")
     if tuple(h.strip() for h in rows[0]) != METADATA_HEADER:

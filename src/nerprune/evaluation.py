@@ -96,17 +96,15 @@ def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreRepor
     decoded leniently. Misaligned predictions raise AlignmentError,
     unknown predicted tags TagError.
     """
-    if len(predicted) != len(gold.sentences):
+    if len(predicted) != len(gold):
         raise AlignmentError(
-            f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
+            f"{len(predicted)} predictions for {len(gold)} sentences"
         )
     pred_ids: list[int] = []
-    for idx, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
-        if len(tags) != len(sent):
+    for idx, (n, tags) in enumerate(zip(np.diff(gold.offsets).tolist(), predicted)):
+        if len(tags) != n:
             raise AlignmentError(
-                f"sentence {idx}: {len(tags)} predicted tags "
-                f"for {len(sent)} tokens"
-            )
+                f"sentence {idx}: {len(tags)} predicted tags for {n} tokens")
         row = [TAG_IDS.get(tag) for tag in tags]
         if None in row:
             unknown = tags[row.index(None)]

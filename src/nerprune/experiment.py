@@ -483,7 +483,7 @@ def build_bundle(
             for scope_name in config.scopes
         ]
         for name, corpus in named:
-            encoded = encode_windows(vocab, window, corpus.sentences)
+            encoded = encode_windows(vocab, window, corpus)
             splits.append(ScoredSplit(language, name, encoded, corpus.spans))
     return Bundle(train_arrays, tuple(splits))
 

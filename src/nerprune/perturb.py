@@ -18,20 +18,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (
-    ENTITY_TYPES,
-    Corpus,
-    LanguageMeta,
-    Sentence,
-    encode_tags,
-)
+from .corpus import ENTITY_TYPES, TAG_IDS, Corpus, LanguageMeta, encode_tags
 from .errors import EmptyGroupError, MissingMetadataError
 
 
@@ -178,53 +171,45 @@ def perturb_corpus(
     corpus perturbed against it.
     """
     rng = np.random.default_rng(seed)
-    positions = pool.positions
+    tokens, offsets = corpus.tokens, corpus.offsets
     starts, ends, etypes = corpus.span_bounds()
-    owners = np.searchsorted(corpus.offsets, starts, side="right") - 1
-    bases = corpus.offsets[owners]
-    mentions = zip(owners.tolist(), (starts - bases).tolist(),
-                   (ends - bases).tolist(), etypes.tolist())
-    sentences = list(corpus.sentences)
+    owners = np.searchsorted(offsets, starts, side="right") - 1
+    mentions = zip(owners.tolist(), offsets[owners].tolist(), starts.tolist(),
+                   ends.tolist(), etypes.tolist())
     records: list[ReplacementRecord] = []
-    draws = 0
-    for index, group in groupby(mentions, key=itemgetter(0)):
-        sentence = sentences[index]
-        new_tokens: list[str] = []
-        new_spans: list[tuple[int, int, str]] = []
-        cursor = 0
-        for _, start, end, t in group:
-            entity_type = ENTITY_TYPES[t]
-            surface = sentence.tokens[start:end]
-            new_tokens.extend(sentence.tokens[cursor:start])
-            surfaces = pool.by_type.get(entity_type, ())
-            own = positions.get(entity_type, {}).get(surface)
-            n_candidates = len(surfaces) - (own is not None)
-            replaced = n_candidates > 0
-            if replaced:
-                pick_index = int(rng.integers(n_candidates))
-                if own is not None and pick_index >= own:
-                    pick_index += 1
-                pick = surfaces[pick_index]
-            else:
-                pick = surface
-            records.append(ReplacementRecord(
-                sentence_index=index,
-                start=start,
-                end=end,
-                entity_type=entity_type,
-                original=surface,
-                replacement=pick,
-                draw_index=draws if replaced else None,
-                replaced=replaced,
-            ))
-            draws += replaced
-            new_spans.append((len(new_tokens), len(new_tokens) + len(pick), entity_type))
-            new_tokens.extend(pick)
-            cursor = end
-        new_tokens.extend(sentence.tokens[cursor:])
-        tags = encode_tags(len(new_tokens), new_spans)
-        sentences[index] = Sentence(tuple(new_tokens), tags, sentence.language)
-    return Corpus(tuple(sentences), corpus.language, corpus.split), records
+    pieces: list[tuple[str, ...]] = []
+    cursor = draws = 0
+    for index, base, start, end, t in mentions:
+        entity_type = ENTITY_TYPES[t]
+        surface = tokens[start:end]
+        surfaces = pool.by_type.get(entity_type, ())
+        own = pool.positions.get(entity_type, {}).get(surface)
+        n_candidates = len(surfaces) - (own is not None)
+        replaced = n_candidates > 0
+        if replaced:
+            pick_index = int(rng.integers(n_candidates))
+            if own is not None and pick_index >= own:
+                pick_index += 1
+            pick = surfaces[pick_index]
+        else:
+            pick = surface
+        records.append(ReplacementRecord(index, start - base, end - base, entity_type,
+                                         surface, pick, draws if replaced else None, replaced))
+        draws += replaced
+        pieces += (tokens[cursor:start], pick)
+        cursor = end
+    pieces.append(tokens[cursor:])
+    # each mention moves by the length change of the mentions before it,
+    # and a sentence bound by that of the mentions ending at or before it
+    lengths = np.array([len(r.replacement) for r in records], dtype=np.int64)
+    shift = np.concatenate(([0], np.cumsum(lengths - (ends - starts))))
+    new_starts = starts + shift[:-1]
+    spans = zip(new_starts.tolist(), (new_starts + lengths).tolist(),
+                (r.entity_type for r in records))
+    new_offsets = offsets + shift[np.searchsorted(ends, offsets, side="right")]
+    tags = map(TAG_IDS.__getitem__, encode_tags(int(new_offsets[-1]), spans))
+    return Corpus.from_columns(tuple(chain.from_iterable(pieces)), np.fromiter(tags, np.int8),
+                               new_offsets, corpus.language, corpus.split), records
 
 
 def write_replacement_log(

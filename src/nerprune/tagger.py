@@ -17,13 +17,15 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TAG_IDS, TAGSET, Corpus, Sentence
+from .corpus import TAGSET, Corpus, Sentence
 from .errors import CheckpointError, ConfigError, DivergenceError, ScheduleError
 from .pruning import (
     ParamTensor,
@@ -116,13 +118,14 @@ class TrainStep:
     max_abs_masked: float
 
 
-def _sentences(data: Corpus | Sequence[Corpus]) -> list[Sentence]:
-    if isinstance(data, Corpus):
-        return list(data.sentences)
-    merged: list[Sentence] = []
-    for corpus in data:
-        merged.extend(corpus.sentences)
-    return merged
+def _columns(data: Corpus | Sequence[Corpus]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The tokens, tag ids (int64) and offsets of data laid end to end."""
+    corpora = [data] if isinstance(data, Corpus) else data
+    empty = np.zeros(0, dtype=np.int64)
+    lengths = np.concatenate([empty, *(np.diff(c.offsets) for c in corpora)])
+    return (list(chain.from_iterable(c.tokens for c in corpora)),
+            np.concatenate([empty, *(c.tag_ids for c in corpora)]),
+            np.concatenate(([0], np.cumsum(lengths))))
 
 
 def build_vocab(
@@ -135,19 +138,11 @@ def build_vocab(
     """
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    for sent in _sentences(data):
-        for token in sent.tokens:
-            counts[token] = counts.get(token, 0) + 1
-    vocab = {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID}
-    kept = [
-        token for token, count in counts.items()
-        if count >= min_count and token not in vocab
-    ]
-    kept.sort(key=lambda token: (-counts[token], token))
-    for token in kept:
-        vocab[token] = len(vocab)
-    return vocab
+    counts = Counter(_columns(data)[0])
+    kept = sorted((token for token, count in counts.items()
+                   if count >= min_count and token not in (UNK_TOKEN, PAD_TOKEN)),
+                  key=lambda token: (-counts[token], token))
+    return {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID, **{t: i for i, t in enumerate(kept, 2)}}
 
 
 def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -195,25 +190,19 @@ class Encoded(NamedTuple):
 
 
 def encode_windows(
-    vocab: Mapping[str, int], window: int, sentences: Sequence[Sentence]
+    vocab: Mapping[str, int], window: int, data: Corpus | Sequence[Corpus]
 ) -> Encoded:
-    """Encode sentences against a vocab in one vectorised pass.
+    """Encode the sentences of data's corpora, laid end to end, against
+    a vocab in one vectorised pass.
 
     Out-of-vocabulary tokens map to <unk>, positions beyond the edge of
     a token's own sentence to <pad>.
     """
     w = window
-    lengths = np.array([len(sent) for sent in sentences], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    flat = np.array(
-        [vocab.get(token, UNK_ID) for sent in sentences for token in sent.tokens],
-        dtype=np.int64,
-    )
-    tags = np.array(
-        [TAG_IDS[tag] for sent in sentences for tag in sent.tags],
-        dtype=np.int64,
-    )
-    n = flat.size
+    tokens, tags, offsets = _columns(data)
+    lengths = np.diff(offsets)
+    n = len(tokens)
+    flat = np.fromiter(map(vocab.get, tokens, repeat(UNK_ID)), dtype=np.int64, count=n)
     position = np.arange(n) - np.repeat(offsets[:-1], lengths)
     length = np.repeat(lengths, lengths)
     padded = np.concatenate((np.full(w, PAD_ID), flat, np.full(w, PAD_ID)))
@@ -243,17 +232,18 @@ def encode_train(
 ) -> TrainArrays:
     """Encode training data for train; data without sentences is a
     ConfigError."""
-    sentences = _sentences(data)
-    if not sentences:
+    encoded = encode_windows(vocab, window, data)
+    if len(encoded.offsets) == 1:
         raise ConfigError("training data has no sentences")
-    return TrainArrays(vocab, window, *encode_windows(vocab, window, sentences))
+    return TrainArrays(vocab, window, *encoded)
 
 
 def encode_sentence(
     model: TaggerModel, sentence: Sentence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window token ids (n, 2w+1) and gold tag ids (n,) for one sentence."""
-    return encode_windows(model.vocab, model.config.window, [sentence])[:2]
+    corpus = Corpus((sentence,), sentence.language, "test")
+    return encode_windows(model.vocab, model.config.window, corpus)[:2]
 
 
 def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
@@ -546,7 +536,7 @@ def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
 
 def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
     """Most likely tag per token, from predict_ids."""
-    encoded = encode_windows(model.vocab, model.config.window, corpus.sentences)
+    encoded = encode_windows(model.vocab, model.config.window, corpus)
     labels = [model.tagset[i] for i in predict_ids(model, encoded).tolist()]
     bounds = encoded.offsets.tolist()
     return [labels[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

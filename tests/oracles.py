@@ -7,11 +7,13 @@ mask selection via a full three-key sort, training via a dense step
 that updates, re-masks and re-checks every tensor in full (its
 embedding gradient through np.add.at into a full-size table), window
 encoding via a per-position loop, prediction one sentence at a time,
-pools sentence by sentence into lists and
-perturbation by drawing from a freshly built candidate list. Slow and
-obvious on purpose.
+pools sentence by sentence into lists,
+perturbation by drawing from a freshly built candidate list, and IOB2
+parsing by walking the lines of a universal-newline text stream into
+one Sentence per sentence. Slow and obvious on purpose.
 """
 
+import io
 import math
 
 import numpy as np
@@ -24,11 +26,11 @@ from nerprune.corpus import (
     Sentence,
     encode_tags,
 )
-from nerprune.errors import AlignmentError, TagError
+from nerprune.errors import AlignmentError, ParseError, TagError
 from nerprune.evaluation import ScoreReport
 from nerprune.perturb import ReplacementRecord
 from nerprune.pruning import _target_count, apply_masks, measure_sparsity, schedule_events
-from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores, _sentences
+from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores
 
 
 def oracle_spans(tags):
@@ -226,7 +228,8 @@ def oracle_train(model, train_data, schedule, strategy, ramp="cubic"):
     """Pruned SGD where every step updates, re-masks, measures and
     re-checks every tensor in full; returns the TrainStep history."""
     config = model.config
-    sentences = _sentences(train_data)
+    corpora = [train_data] if isinstance(train_data, Corpus) else train_data
+    sentences = [s for corpus in corpora for s in corpus]
     n_batches = math.ceil(len(sentences) / config.batch_size)
     events = schedule_events(schedule, ramp) if schedule is not None else []
     encoded = [oracle_encode_sentence(model, s) for s in sentences]
@@ -311,3 +314,44 @@ def oracle_perturb_corpus(corpus, pool, seed):
         sentences.append(Sentence(
             tuple(tokens), encode_tags(len(tokens), spans), sentence.language))
     return Corpus(tuple(sentences), corpus.language, corpus.split), records
+
+
+def oracle_parse_iob2(text, language, strip_prefix=False, name="<iob2>"):
+    """Sentences of an IOB2 text by the line-by-line walk: lines as a
+    text file splits them (at \\n, \\r\\n and \\r), less one leading
+    byte-order mark; whitespace-only lines end sentences; the first
+    malformed line raises with its 1-based number."""
+    prefix = f"{language}:"
+    sentences, tokens, tags = [], [], []
+
+    def flush():
+        if tokens:
+            sentences.append(Sentence(tuple(tokens), tuple(tags), language))
+            tokens.clear()
+            tags.clear()
+
+    lines = io.StringIO(text, newline=None).readlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        if not line.strip():
+            flush()
+            continue
+        fields = line.split("\t") if "\t" in line else line.split(" ")
+        if len(fields) != 2:
+            raise ParseError(
+                f"{name}:{lineno}: expected TOKEN<sep>TAG, "
+                f"got {len(fields)} fields: {line!r}"
+            )
+        token, tag = fields
+        if strip_prefix and token.startswith(prefix):
+            token = token[len(prefix):]
+        if not token:
+            raise ParseError(f"{name}:{lineno}: empty token")
+        if tag not in VALID_TAGS:
+            raise TagError(f"{name}:{lineno}: unknown tag {tag!r}")
+        tokens.append(token)
+        tags.append(tag)
+    flush()
+    return sentences

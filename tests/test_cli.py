@@ -612,6 +612,20 @@ def test_family_named_all_exits_two(tmp_path, capsys, command):
     assert "language 'aa': family 'all' is reserved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_pretrain_pct_exits_two(tmp_path, capsys, value):
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA + f"zz,Latn,x,100,{value}\n")
+    argv = ["report", "--results", str(results), "--meta", str(meta),
+            "--out-dir", str(tmp_path / "report")]
+    assert main(argv) == 2
+    line = len(METADATA.splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {meta}:{line}: zz: pretrain_pct must be finite, got {value}\n")
+
+
 def test_report_with_missing_corpus_exits_two(tmp_path, capsys):
     config = write_world(tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0

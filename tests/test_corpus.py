@@ -1,6 +1,6 @@
 import io
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
 from leniency_cases import CASES, EDGE_ROWS, QUIET_ROWS, corpus_from_rows, corpus_st
-from oracles import oracle_spans
+from oracles import oracle_parse_iob2, oracle_spans
 from nerprune.corpus import (
     ENTITY_TYPES,
+    TAG_IDS,
     TAGSET,
     Corpus,
     LanguageMeta,
@@ -128,6 +129,85 @@ def test_parse_reports_line_numbers():
 def test_parse_rejects_token_that_is_only_a_prefix():
     with pytest.raises(ParseError, match="empty token"):
         parse_iob2("en:\tO\n", "en", strip_prefix=True)
+
+
+def test_lone_carriage_return_ends_a_line_as_in_a_file(tmp_path):
+    path = tmp_path / "c.iob2"
+    path.write_bytes(b"a\rb\tO\n")
+    with open(path, encoding="utf-8") as f, pytest.raises(ParseError) as from_file:
+        parse_iob2(f, "en", name="c.iob2")
+    with pytest.raises(ParseError) as from_str:
+        parse_iob2("a\rb\tO\n", "en", name="c.iob2")
+    assert str(from_str.value) == str(from_file.value) == (
+        "c.iob2:1: expected TOKEN<sep>TAG, got 1 fields: 'a'")
+    lf = parse_iob2("a\tO\n\nb\tB-PER\n", "en")
+    assert parse_iob2("a\tO\r\n\r\nb\tB-PER\r\n", "en") == lf
+    assert parse_iob2("a\tO\r\rb\tB-PER\r", "en") == lf
+
+
+def test_line_separators_other_than_newlines_stay_in_tokens():
+    text = "a\x85b\tO\nc\u2028d\tB-LOC\ne\x1cf\tO\n"
+    corpus = parse_iob2(text, "en")
+    assert corpus.tokens == ("a\x85b", "c\u2028d", "e\x1cf")
+    assert parse_iob2(serialize_iob2(corpus), "en") == corpus
+
+
+# lines of an IOB2 text: well-formed pairs, whitespace-only lines, and
+# malformed ones (one or three fields, an unknown tag, an empty token)
+token_text_st = st.builds(
+    "".join, st.tuples(st.sampled_from(["", "xx:"]),
+                       st.text(alphabet="ab :\x85\u2028\x0b", max_size=3)))
+pair_line_st = st.builds(
+    "".join, st.tuples(token_text_st, st.sampled_from(["\t", " "]), st.sampled_from(TAGSET)))
+blank_line_st = st.sampled_from(["", "\t", "  ", "\x0b", " \t "])
+bad_line_st = st.one_of(
+    token_text_st,
+    st.builds("{}\t{}\t{}".format, token_text_st, st.sampled_from(TAGSET),
+              st.sampled_from(TAGSET)),
+    st.builds("{}{}{}".format, token_text_st, st.sampled_from(["\t", " "]),
+              st.sampled_from(["B-MISC", "o", "", "O "])),
+)
+
+
+@st.composite
+def iob2_text_st(draw):
+    lines = draw(st.lists(st.one_of(pair_line_st, blank_line_st), max_size=10))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_line_st))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if endings and draw(st.booleans()):
+        text = text[:-len(endings[-1])]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _parse_outcome(parse, text, strip_prefix):
+    """Each sentence's tokens and tags under parse(text), or the type and
+    message of what it raised."""
+    try:
+        sentences = parse(text, "xx", strip_prefix=strip_prefix, name="t.iob2")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([s.tokens for s in sentences], [s.tags for s in sentences])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=iob2_text_st(), strip_prefix=st.booleans())
+# two tabs in all, but foo has none and the next line two: line 1 raises
+@example(text="foo\nO\tO\tO\n", strip_prefix=False)
+@example(text="xx:\tO\n", strip_prefix=True)
+@example(text="a b\tO\n  \nc O\r\n\x0b\rd\tB-PER", strip_prefix=False)
+def test_parse_matches_the_line_walk(text, strip_prefix):
+    want = _parse_outcome(oracle_parse_iob2, text, strip_prefix)
+    assert _parse_outcome(parse_iob2, text, strip_prefix) == want
+    if isinstance(want[0], list):
+        corpus = parse_iob2(text, "xx", strip_prefix=strip_prefix)
+        tokens, tags = want
+        assert corpus.tokens == tuple(chain.from_iterable(tokens))
+        assert corpus.tag_ids.tolist() == [TAG_IDS[t] for t in chain.from_iterable(tags)]
+        assert corpus.offsets.tolist() == [0, *accumulate(map(len, tokens))]
+        assert "sentences" not in vars(corpus)
 
 
 @given(st.lists(tagged_st, min_size=0, max_size=5))
@@ -284,3 +364,7 @@ def test_metadata_rejects_bad_values():
     bad = "code,script,family,train_size,pretrain_pct\naf,Latin,IE,10,-1\n"
     with pytest.raises(MetadataError, match="non-negative"):
         load_language_metadata(bad)
+    for value in ("nan", "inf"):
+        bad = META_CSV + f"aa,Latn,x,100,{value}\n"
+        with pytest.raises(MetadataError, match=f":4: aa: pretrain_pct must be finite, got {value}"):
+            load_language_metadata(bad)

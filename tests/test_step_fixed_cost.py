@@ -96,8 +96,8 @@ def epochs_of_windows(draw):
     ids = st.integers(2, vocab_size - 1)
     sentences = draw(st.lists(st.lists(ids, max_size=6), min_size=1, max_size=10))
     vocab = {f"t{i}": i for i in range(vocab_size)}
-    encoded = encode_windows(vocab, window, [
-        sent([f"t{i}" for i in s], ["O"] * len(s)) for s in sentences])
+    encoded = encode_windows(vocab, window, corpus_of([
+        sent([f"t{i}" for i in s], ["O"] * len(s)) for s in sentences]))
     n = len(sentences)
     firsts = np.minimum(np.arange(math.ceil(n / batch_size) + 1) * batch_size, n)
     return encoded.ids, encoded.offsets[firsts].tolist(), vocab_size

@@ -119,7 +119,7 @@ sentence_st = st.lists(st.tuples(token_st, st.sampled_from(TAGSET)), max_size=5)
 def test_encode_windows_matches_the_per_sentence_loop(window, sentences):
     config = TaggerConfig(embed_dim=2, window=window, hidden_dim=2)
     model = init_model(config, {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3, "acme": 4})
-    ids, tags, offsets = encode_windows(model.vocab, window, sentences)
+    ids, tags, offsets = encode_windows(model.vocab, window, corpus_of(sentences))
     expected = [oracle_encode_sentence(model, s) for s in sentences]
     assert offsets.tolist() == np.cumsum([0] + [len(s) for s in sentences]).tolist()
     assert ids.dtype == tags.dtype == np.int64
