@@ -58,19 +58,23 @@ def robustness_ratio(perturbed_f1: float, regular_f1: float) -> float | None:
     return perturbed_f1 / regular_f1
 
 
-def _stat(values: Sequence[float], stat: str) -> float:
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and population std of values, the mean summed once, in order."""
     n = len(values)
-    if stat == "mean":
-        return sum(values) / n
+    mean = sum(values) / n
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+
+
+def _stat(values: Sequence[float], stat: str) -> float:
     if stat == "median":
         ordered = sorted(values)
-        mid = n // 2
-        if n % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2
+        mid = len(values) // 2
+        return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    mean, std = _mean_std(values)
+    if stat == "mean":
+        return mean
     if stat == "std":
-        mean = sum(values) / n
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+        return std
     raise ValueError(f"unknown stat {stat!r}")
 
 
@@ -93,7 +97,7 @@ def aggregate_seeds(records: Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
     for r in records:
         groups.setdefault((r.language, r.sparsity, r.strategy, r.split), []).append(
             r.report.f1)
-    return {key: SeedStats(_stat(values, "mean"), _stat(values, "std"), len(values))
+    return {key: SeedStats(*_mean_std(values), len(values))
             for key, values in groups.items()}
 
 
@@ -107,19 +111,21 @@ def _grouped_f1(
     order of stats, so sums over them do not depend on the grouping.
     Languages missing from meta raise MissingMetadataError, and a language
     whose group is named "all" raises MetadataError."""
-    missing = {lang for (lang, _, _, _) in stats if lang not in meta}
+    languages = dict.fromkeys(lang for (lang, _, _, _) in stats)
+    missing = {lang for lang in languages if lang not in meta}
     if missing:
         raise MissingMetadataError(missing)
-    cells: dict[tuple[int, str, str], dict[object, list[float]]] = {}
-    every: dict[tuple[int, str, str], list[float]] = {}
-    for (lang, sparsity, strategy, split), entry in stats.items():
-        group = dim.key(meta[lang])
+    group_of = {lang: dim.key(meta[lang]) for lang in languages}
+    for lang, group in group_of.items():
         if group == ALL_GROUP:
             raise MetadataError(
                 f"language {lang!r}: {dim.value} {ALL_GROUP!r} is reserved "
                 "for the group of every language")
+    cells: dict[tuple[int, str, str], dict[object, list[float]]] = {}
+    every: dict[tuple[int, str, str], list[float]] = {}
+    for (lang, sparsity, strategy, split), entry in stats.items():
         cell_key = (sparsity, strategy, split)
-        cells.setdefault(cell_key, {}).setdefault(group, []).append(entry.mean)
+        cells.setdefault(cell_key, {}).setdefault(group_of[lang], []).append(entry.mean)
         every.setdefault(cell_key, []).append(entry.mean)
     for cell_key, values in every.items():
         cells[cell_key][ALL_GROUP] = values
@@ -189,18 +195,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _pairs(
     stats: Mapping[GroupKey, SeedStats], base_key: Callable[[GroupKey], GroupKey]
 ) -> Iterator[tuple[GroupKey, float, float]]:
-    """(key, base mean, mean) for each seed-mean in key order whose base
-    key, base_key(key), is another key with a seed-mean. A key that is its
-    own base (a dense run for deltas, a regular split for ratios) gets no
-    row."""
-    for key, entry in sorted(stats.items()):
+    """(key, base mean, mean) for each seed-mean, in the order of stats,
+    whose base key, base_key(key), is another key with a seed-mean. A key
+    that is its own base (a dense run for deltas, a regular split for
+    ratios) gets no row."""
+    for key, entry in stats.items():
         base = base_key(key)
         if base != key and base in stats:
             yield key, stats[base].mean, entry.mean
@@ -226,25 +231,30 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     aggregated = aggregate_seeds(records)
     grouped = {dim: _grouped_f1(aggregated, meta, dim) for dim in GroupDimension}
+    ordered = dict(sorted(aggregated.items()))
     written = []
 
     rows = [
         (*key, _fmt(stats.mean), _fmt(stats.std), stats.n)
-        for key, stats in sorted(aggregated.items())
+        for key, stats in ordered.items()
     ]
     path = out_dir / "per_language.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
                       "mean_f1", "std_f1", "n_seeds"), rows)
     written.append(path)
 
+    mean_f1: dict[str, dict] = {}
     for dim, cells in grouped.items():
-        rows = [
-            (group_key, *cell_key,
-             _fmt(_stat(values, "mean")), _fmt(_stat(values, "median")),
-             _fmt(_stat(values, "std")), len(values))
-            for cell_key, groups in sorted(cells.items())
-            for group_key, values in sorted(groups.items(), key=lambda kv: str(kv[0]))
-        ]
+        rows = []
+        for (sparsity, strategy, split), groups in sorted(cells.items()):
+            for group_key, values in sorted(groups.items(), key=lambda kv: str(kv[0])):
+                mean, std = _mean_std(values)
+                median = _stat(values, "median")
+                rows.append((group_key, sparsity, strategy, split,
+                             _fmt(mean), _fmt(median), _fmt(std), len(values)))
+                if group_key == ALL_GROUP:  # the same in every dimension
+                    mean_f1.setdefault(split, {}).setdefault(strategy, {})[
+                        str(sparsity)] = round(mean, 4)
         path = out_dir / f"by_{dim.value}.csv"
         _write_csv(path, ("group", "sparsity", "strategy", "split",
                           "mean_f1", "median_f1", "std_f1", "n_languages"), rows)
@@ -254,7 +264,7 @@ def emit_report(
         (*key, _fmt(dense), _fmt(sparse), _fmt(sparse - dense),
          _fmt(relative_delta(sparse, dense)))
         for key, dense, sparse in _pairs(
-            aggregated, lambda key: (key[0], 0, key[2], key[3]))
+            ordered, lambda key: (key[0], 0, key[2], key[3]))
     ]
     path = out_dir / "deltas.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
@@ -265,7 +275,7 @@ def emit_report(
         (*key, _fmt(regular), _fmt(perturbed),
          _fmt(robustness_ratio(perturbed, regular)))
         for key, regular, perturbed in _pairs(
-            aggregated, lambda key: (key[0], key[1], key[2], "regular"))
+            ordered, lambda key: (key[0], key[1], key[2], "regular"))
     ]
     path = out_dir / "ratios.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
@@ -286,16 +296,12 @@ def emit_report(
         _write_csv(path, ("language", "entity_overlap", "dense_f1"), rows)
         written.append(path)
 
-    mean_f1: dict[str, dict] = {}
-    for (sparsity, strategy, split), groups in grouped[GroupDimension.SIZE].items():
-        mean_f1.setdefault(split, {}).setdefault(strategy, {})[str(sparsity)] = round(
-            _stat(groups[ALL_GROUP], "mean"), 4)
     summary = {
         "n_records": len(records),
-        "languages": sorted({r.language for r in records}),
-        "sparsity_levels": sorted({r.sparsity for r in records}),
-        "strategies": sorted({r.strategy for r in records}),
-        "splits": sorted({r.split for r in records}),
+        "languages": sorted({key[0] for key in aggregated}),
+        "sparsity_levels": sorted({key[1] for key in aggregated}),
+        "strategies": sorted({key[2] for key in aggregated}),
+        "splits": sorted({key[3] for key in aggregated}),
         "mean_f1": mean_f1,
     }
     path = out_dir / "summary.json"

@@ -156,6 +156,13 @@ def _prunable(params: Sequence[ParamTensor],
     return [p for p in params if p.role in roles]
 
 
+# a pruning event ranks only the gathered live magnitudes when fewer than
+# this share of the prunable weights is live, else every magnitude with
+# the masked ones at +inf; on a 720k-weight model the two break even near
+# 65 % live, and a 90 % cubic schedule's events have 100, 37 and 13 % live
+_LIVE_ONLY_BELOW = 0.5
+
+
 def compute_masks(
     params: Sequence[ParamTensor],
     sparsity: float,
@@ -183,11 +190,18 @@ def compute_masks(
     extra = target - masked
     if extra == 0:
         return params
-    # magnitudes in tie-break order (name, flat index), masked ones +inf
-    mags = np.concatenate([t.values.reshape(-1) for t in tensors])
-    np.abs(mags, out=mags)
     live = np.concatenate([t.mask.reshape(-1) for t in tensors]).view(bool)
-    np.copyto(mags, np.inf, where=~live)
+    values = np.concatenate([t.values.reshape(-1) for t in tensors])
+    # magnitudes in tie-break order (name, flat index): of the live weights
+    # alone when few are live, else of every weight, masked ones +inf
+    gathered = n - masked < _LIVE_ONLY_BELOW * n
+    if gathered:
+        where = np.flatnonzero(live)
+        live = live[where]  # all true, as mags has only live weights
+        mags = np.abs(values[where])
+    else:
+        mags = np.abs(values, out=values)
+        np.copyto(mags, np.inf, where=~live)
     threshold = np.partition(mags, extra - 1)[extra - 1]
     if np.isfinite(threshold):
         chosen = mags < threshold
@@ -198,9 +212,14 @@ def compute_masks(
         ties = np.concatenate((np.flatnonzero(live & np.isinf(mags)),
                                np.flatnonzero(np.isnan(mags))))
     chosen[ties[:extra - np.count_nonzero(chosen)]] = True
+    if gathered:
+        keep = np.zeros(n, dtype=bool)
+        keep[where] = ~chosen
+    else:
+        keep = ~chosen
     cuts = np.cumsum([t.size for t in tensors])[:-1]
-    for tensor, keep in zip(tensors, np.split(~chosen, cuts)):
-        np.logical_and(tensor.mask, keep.reshape(tensor.shape), out=tensor.mask)
+    for tensor, part in zip(tensors, np.split(keep, cuts)):
+        np.logical_and(tensor.mask, part.reshape(tensor.shape), out=tensor.mask)
     return params
 
 

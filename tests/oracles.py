@@ -8,13 +8,19 @@ that updates, re-masks and re-checks every tensor in full (its
 embedding gradient through np.add.at into a full-size table), window
 encoding via a per-position loop, prediction one sentence at a time,
 pools sentence by sentence into lists,
-perturbation by drawing from a freshly built candidate list, and IOB2
+perturbation by drawing from a freshly built candidate list, IOB2
 parsing by walking the lines of a universal-newline text stream into
-one Sentence per sentence. Slow and obvious on purpose.
+one Sentence per sentence, results files by decoding and checking one
+record per line, and the report by grouping every seed-mean under each
+dimension and computing each statistic on its own. Slow and obvious on
+purpose.
 """
 
+import csv
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +32,22 @@ from nerprune.corpus import (
     Sentence,
     encode_tags,
 )
-from nerprune.errors import AlignmentError, ParseError, TagError
-from nerprune.evaluation import ScoreReport
+from nerprune.analysis import (
+    ALL_GROUP,
+    GroupDimension,
+    SeedStats,
+    relative_delta,
+    robustness_ratio,
+)
+from nerprune.errors import (
+    AlignmentError,
+    ConfigError,
+    MetadataError,
+    MissingMetadataError,
+    ParseError,
+    TagError,
+)
+from nerprune.evaluation import STRATEGY_NAMES, RunRecord, ScoreReport
 from nerprune.perturb import ReplacementRecord
 from nerprune.pruning import _target_count, apply_masks, measure_sparsity, schedule_events
 from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores
@@ -355,3 +375,173 @@ def oracle_parse_iob2(text, language, strip_prefix=False, name="<iob2>"):
         tags.append(tag)
     flush()
     return sentences
+
+
+def oracle_read_run_records(path):
+    """Records of a results file by the line walk: json.loads and
+    RunRecord.from_json_dict on each non-blank line of the text file, the
+    first bad line raising a ConfigError with its number."""
+    records = []
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if line:
+                    records.append(RunRecord.from_json_dict(json.loads(line)))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}:{lineno}: malformed results file: {detail}") from None
+    return records
+
+
+def _oracle_stat(values, stat):
+    n = len(values)
+    if stat == "mean":
+        return sum(values) / n
+    if stat == "median":
+        ordered = sorted(values)
+        mid = n // 2
+        if n % 2:
+            return ordered[mid]
+        return (ordered[mid - 1] + ordered[mid]) / 2
+    if stat == "std":
+        mean = sum(values) / n
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+    raise ValueError(f"unknown stat {stat!r}")
+
+
+def _oracle_aggregate_seeds(records):
+    groups = {}
+    for r in records:
+        groups.setdefault((r.language, r.sparsity, r.strategy, r.split), []).append(
+            r.report.f1)
+    return {key: SeedStats(_oracle_stat(values, "mean"), _oracle_stat(values, "std"),
+                           len(values))
+            for key, values in groups.items()}
+
+
+def _oracle_grouped_f1(stats, meta, dim):
+    """Seed-means per cell and group, each entry's group looked up anew."""
+    missing = {lang for (lang, _, _, _) in stats if lang not in meta}
+    if missing:
+        raise MissingMetadataError(missing)
+    cells, every = {}, {}
+    for (lang, sparsity, strategy, split), entry in stats.items():
+        group = dim.key(meta[lang])
+        if group == ALL_GROUP:
+            raise MetadataError(
+                f"language {lang!r}: {dim.value} {ALL_GROUP!r} is reserved "
+                "for the group of every language")
+        cell_key = (sparsity, strategy, split)
+        cells.setdefault(cell_key, {}).setdefault(group, []).append(entry.mean)
+        every.setdefault(cell_key, []).append(entry.mean)
+    for cell_key, values in every.items():
+        cells[cell_key][ALL_GROUP] = values
+    return cells
+
+
+def _oracle_fmt(value):
+    return "" if value is None else f"{value:.4f}"
+
+
+def _oracle_write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def _oracle_pairs(stats, base_key):
+    for key, entry in sorted(stats.items()):
+        base = base_key(key)
+        if base != key and base in stats:
+            yield key, stats[base].mean, entry.mean
+
+
+def oracle_emit_report(records, meta, out_dir, overlaps=None):
+    """The report's files, with every statistic computed on its own and
+    the seed-means sorted again for each table."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fmt = _oracle_fmt
+    aggregated = _oracle_aggregate_seeds(records)
+    grouped = {dim: _oracle_grouped_f1(aggregated, meta, dim) for dim in GroupDimension}
+    written = []
+
+    rows = [(*key, fmt(stats.mean), fmt(stats.std), stats.n)
+            for key, stats in sorted(aggregated.items())]
+    path = out_dir / "per_language.csv"
+    _oracle_write_csv(path, ("language", "sparsity", "strategy", "split",
+                             "mean_f1", "std_f1", "n_seeds"), rows)
+    written.append(path)
+
+    for dim, cells in grouped.items():
+        rows = [
+            (group_key, *cell_key,
+             fmt(_oracle_stat(values, "mean")), fmt(_oracle_stat(values, "median")),
+             fmt(_oracle_stat(values, "std")), len(values))
+            for cell_key, groups in sorted(cells.items())
+            for group_key, values in sorted(groups.items(), key=lambda kv: str(kv[0]))
+        ]
+        path = out_dir / f"by_{dim.value}.csv"
+        _oracle_write_csv(path, ("group", "sparsity", "strategy", "split",
+                                 "mean_f1", "median_f1", "std_f1", "n_languages"), rows)
+        written.append(path)
+
+    rows = [
+        (*key, fmt(dense), fmt(sparse), fmt(sparse - dense),
+         fmt(relative_delta(sparse, dense)))
+        for key, dense, sparse in _oracle_pairs(
+            aggregated, lambda key: (key[0], 0, key[2], key[3]))
+    ]
+    path = out_dir / "deltas.csv"
+    _oracle_write_csv(path, ("language", "sparsity", "strategy", "split",
+                             "dense_f1", "sparse_f1", "abs_delta", "rel_delta"), rows)
+    written.append(path)
+
+    rows = [
+        (*key, fmt(regular), fmt(perturbed), fmt(robustness_ratio(perturbed, regular)))
+        for key, regular, perturbed in _oracle_pairs(
+            aggregated, lambda key: (key[0], key[1], key[2], "regular"))
+    ]
+    path = out_dir / "ratios.csv"
+    _oracle_write_csv(path, ("language", "sparsity", "strategy", "split",
+                             "regular_f1", "perturbed_f1", "ratio"), rows)
+    written.append(path)
+
+    if overlaps is not None:
+        rows = []
+        for lang in sorted(overlaps):
+            dense = None
+            for strategy in STRATEGY_NAMES:
+                key = (lang, 0, strategy, "regular")
+                if key in aggregated:
+                    dense = aggregated[key].mean
+                    break
+            rows.append((lang, fmt(overlaps[lang]), fmt(dense)))
+        path = out_dir / "overlap_f1.csv"
+        _oracle_write_csv(path, ("language", "entity_overlap", "dense_f1"), rows)
+        written.append(path)
+
+    mean_f1 = {}
+    for (sparsity, strategy, split), groups in grouped[GroupDimension.SIZE].items():
+        mean_f1.setdefault(split, {}).setdefault(strategy, {})[str(sparsity)] = round(
+            _oracle_stat(groups[ALL_GROUP], "mean"), 4)
+    summary = {
+        "n_records": len(records),
+        "languages": sorted({r.language for r in records}),
+        "sparsity_levels": sorted({r.sparsity for r in records}),
+        "strategies": sorted({r.strategy for r in records}),
+        "splits": sorted({r.split for r in records}),
+        "mean_f1": mean_f1,
+    }
+    path = out_dir / "summary.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+        f.write("\n")
+    written.append(path)
+    return written

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerprune.analysis import (
@@ -19,7 +21,7 @@ from nerprune.analysis import (
 from nerprune.corpus import LanguageMeta
 from nerprune.errors import MetadataError, MissingMetadataError
 from nerprune.evaluation import RunRecord, ScoreReport
-from oracles import oracle_tau
+from oracles import oracle_emit_report, oracle_tau
 
 META = {
     "aa": LanguageMeta("aa", "Latin", "Fam1", 100, 0.1),
@@ -258,3 +260,58 @@ def test_report_summary_and_pairs_agree_with_the_tables(tmp_path):
     assert keys("ratios.csv") == sorted(
         (lang, sparsity, strategy, split) for lang, sparsity, strategy, split in means
         if split != "regular" and (lang, sparsity, strategy, "regular") in means)
+
+
+REPORT_KEYS = [
+    (lang, sparsity, strategy, split)
+    for lang in ("aa", "bb", "cc", "dd")
+    for sparsity in (0, 50, 98)
+    for strategy in ("partial", "incl_embeddings")
+    for split in ("regular", "perturbed-in-language", "perturbed-in-family")
+]
+
+
+@st.composite
+def report_inputs(draw):
+    """Shuffled records over a random subset of the keys, so that some
+    have no dense or no regular partner, each with one to three of its
+    seeds; metadata in which a language's family or script may be named
+    "all" or be missing; and optional overlaps."""
+    keys = draw(st.lists(st.sampled_from(REPORT_KEYS), unique=True, max_size=40))
+    f1s = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    records = [
+        RunRecord(*key[:3], seed, key[3], ScoreReport(0, 0, 0, f1, f1, f1))
+        for key in keys
+        for seed in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        for f1 in [draw(f1s)]
+    ]
+    records = draw(st.permutations(records))
+    names = st.sampled_from(["Fam1", "Fam2", "Latin"] * 3 + ["all"])
+    meta = {
+        lang: LanguageMeta(lang, draw(names), draw(names), draw(st.sampled_from([100, 1000])),
+                           0.1)
+        for lang in draw(st.sampled_from([["aa", "bb", "cc", "dd"]] * 4 + [["aa", "bb", "cc"]]))
+    }
+    overlaps = draw(st.none() | st.dictionaries(
+        st.sampled_from(["aa", "bb", "ee"]), st.floats(0, 1), max_size=3))
+    return records, meta, overlaps
+
+
+def _report_files(emit, records, meta, overlaps):
+    """(file name, bytes) of each written file, or the error raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            written = emit(records, meta, Path(tmp) / "out", overlaps=overlaps)
+        except MetadataError as exc:
+            return type(exc), str(exc)
+        return [(path.name, path.read_bytes()) for path in written]
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_inputs())
+@example(([record("aa", 50, 0.2), record("bb", 50, 0.8)],
+          {**META, "aa": LanguageMeta("aa", "Latin", "all", 100, 0.1)}, None))
+def test_report_bytes_match_the_oracle(inputs):
+    records, meta, overlaps = inputs
+    assert (_report_files(emit_report, records, meta, overlaps)
+            == _report_files(oracle_emit_report, records, meta, overlaps))

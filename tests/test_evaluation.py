@@ -1,5 +1,7 @@
 import json
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from nerprune.corpus import TAG_IDS, TAGSET, decode_spans
 from nerprune.analysis import aggregate_seeds
 from nerprune.errors import AlignmentError, ConfigError, TagError
 from nerprune.evaluation import (
+    SPARSITY_LEVELS,
+    SPLIT_NAMES,
+    STRATEGY_NAMES,
     RunRecord,
     ScoreReport,
     decode_span_ids,
@@ -19,7 +24,7 @@ from nerprune.evaluation import (
     score_ids,
 )
 from nerprune.experiment import ExperimentConfig, build_bundle
-from oracles import oracle_score_corpus
+from oracles import oracle_read_run_records, oracle_score_corpus
 
 tags_st = st.lists(st.sampled_from(TAGSET), min_size=1, max_size=10)
 
@@ -87,6 +92,18 @@ def test_misaligned_predictions_are_rejected():
         score_corpus(gold, [["O"]])
     with pytest.raises(TagError, match="B-GPE"):
         score_corpus(gold, [["O", "B-GPE"]])
+    # the first bad sentence is named, whichever error comes later
+    gold = corpus_of([sent(["a"], ["O"]), sent(["b", "c"], ["O", "O"]),
+                      sent(["d", "e"], ["B-PER", "I-PER"])])
+    with pytest.raises(AlignmentError) as info:
+        score_corpus(gold, [["O"], ["O", "O"], ["O"]])
+    assert str(info.value) == "sentence 2: 1 predicted tags for 2 tokens"
+    with pytest.raises(TagError) as info:
+        score_corpus(gold, [["O"], ["O", "B-GPE"], ["O"]])
+    assert str(info.value) == "sentence 1: unknown predicted tag 'B-GPE'"
+    with pytest.raises(AlignmentError) as info:
+        score_corpus(gold, [["O"], ["O", "O", "O"], ["X", "O"]])
+    assert str(info.value) == "sentence 1: 3 predicted tags for 2 tokens"
 
 
 @given(st.lists(tags_st, min_size=1, max_size=5))
@@ -205,6 +222,82 @@ def test_read_run_records_names_the_line_of_a_bad_record(tmp_path, bad_line, det
     message = str(info.value)
     assert message.startswith(f"{path}:4: malformed results file: ")
     assert detail in message
+
+
+GOOD_FIELDS = {
+    "sparsity": st.sampled_from(SPARSITY_LEVELS),
+    "seed": st.integers(-2, 3),
+    **{key: st.integers(0, 9) for key in ("tp", "fp", "fn")},
+    **{key: st.one_of(st.floats(0, 1), st.sampled_from([0, 1]))
+       for key in ("precision", "recall", "f1")},
+    # line separators other than \n stay inside a line
+    "language": st.sampled_from(["af", "a\u2028b", "c\x85d", "sw"]),
+    "strategy": st.sampled_from(STRATEGY_NAMES),
+    "split": st.sampled_from(SPLIT_NAMES),
+}
+# values of the wrong type or out of range for some field
+ODD_VALUES = st.sampled_from([
+    True, False, 1.0, 50.0, 3, -1, 1.5, float("nan"), float("inf"), 45,
+    "full", "dev", "s", None, [1],
+])
+
+
+@st.composite
+def record_lines(draw):
+    """A record line, good or with one field odd, missing or extra."""
+    data = draw(st.fixed_dictionaries(GOOD_FIELDS))
+    change = draw(st.sampled_from(["none"] * 4 + ["extra", "odd", "missing"]))
+    key = draw(st.sampled_from(sorted(GOOD_FIELDS)))
+    if change == "extra":
+        data["run_id"] = draw(st.one_of(ODD_VALUES, st.just({"k": [1]})))
+    elif change == "odd":
+        data[key] = draw(ODD_VALUES)
+    elif change == "missing":
+        del data[key]
+    return json.dumps(data, ensure_ascii=draw(st.booleans()))
+
+
+# mostly records and blank lines, so that many files are valid
+results_lines = st.one_of(
+    record_lines(),
+    record_lines(),
+    record_lines().map(lambda line: f" \t{line}\u2028"),
+    st.sampled_from(["", "  ", "\t", "\u2028", "\x85"]),
+    st.sampled_from(["[1, 2]", "3", '"s"', "{'language': 'af'}", "{", "NaN"]),
+    st.tuples(record_lines(), record_lines()).map(" ".join),
+)
+
+
+GOOD_LINE = json.dumps(RunRecord(
+    "af", 0, "partial", 0, "regular", ScoreReport(1, 0, 0, 1.0, 1.0, 1.0)).to_json_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(results_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                max_size=8),
+       st.booleans(), st.none() | st.integers(0))
+# a NaN score after a good one, which a min and max check would miss
+@example([(GOOD_LINE, "\n"), (GOOD_LINE.replace('"f1": 1.0', '"f1": NaN'), "\n")],
+         True, None)
+def test_reader_matches_the_line_walk(lines, ends_with_newline, latin1_at):
+    text = "".join(line + end for line, end in lines)
+    if lines and not ends_with_newline:
+        text = text[:-len(lines[-1][1])]
+    data = text.encode("utf-8")
+    if data and latin1_at is not None:  # a Latin-1 "é", not UTF-8 on its own
+        at = latin1_at % len(data)
+        data = data[:at] + b"\xe9" + data[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.jsonl"
+        path.write_bytes(data)
+        try:
+            expected = oracle_read_run_records(path)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                read_run_records(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert read_run_records(path) == expected
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8))

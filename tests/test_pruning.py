@@ -220,7 +220,27 @@ def non_finite_tensors():
     ]
 
 
+def mostly_masked_tensors():
+    """Tied finite magnitudes with under half of every strategy's weights
+    live, so a first event already ranks only the live ones."""
+    return [
+        ParamTensor("w2", np.array([0.5, -0.5, 0.25, 1.0]), Role.DENSE,
+                    np.array([1, 0, 1, 0])),
+        ParamTensor("emb", np.array([0.25, 0.5, -0.25]), Role.EMBEDDING,
+                    np.array([0, 1, 0])),
+        ParamTensor("w1", np.array([-0.5, 0.25, 0.5, 0.0]), Role.DENSE,
+                    np.array([1, 0, 0, 0])),
+        ParamTensor("bias", np.array([0.0]), Role.EXCLUDED),
+    ]
+
+
+# the non-finite examples start with most weights live and end with few,
+# so both sides of compute_masks' live-only cut see inf and NaN ties
 @settings(max_examples=200, deadline=None)
+@example(params=mostly_masked_tensors(), levels=[0.875, 1.0],
+         strategy=PruneStrategy.PARTIAL)
+@example(params=mostly_masked_tensors(), levels=[0.8, 1.0],
+         strategy=PruneStrategy.INCL_EMBEDDINGS)
 @example(params=non_finite_tensors(), levels=[0.5, 0.7, 0.9, 1.0],
          strategy=PruneStrategy.PARTIAL)
 @example(params=non_finite_tensors(), levels=[0.6, 0.75, 0.95, 1.0],
