@@ -130,12 +130,13 @@ class Corpus:
         return starts, ends, etypes
 
     @cached_property
-    def mentions(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """(entity type, surface) of every mention in sentence-then-position
-        order, from spans."""
-        tokens = self.tokens
-        starts, ends, etypes = (a.tolist() for a in self.span_bounds())
-        return tuple((ENTITY_TYPES[t], tokens[a:b]) for a, b, t in zip(starts, ends, etypes))
+    def mention_surfaces(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """Per entity type (every one of ENTITY_TYPES), the surfaces of its
+        mentions in sentence-then-position order, sliced once from spans."""
+        tokens, (starts, ends, etypes) = self.tokens, self.span_bounds()
+        return {etype: tuple([tokens[a:b] for a, b in zip(starts[etypes == t].tolist(),
+                                                          ends[etypes == t].tolist())])
+                for t, etype in enumerate(ENTITY_TYPES)}
 
 
 def _text(source: str | TextIO, name: str, error: type[ParseError | MetadataError]) -> str:
@@ -311,10 +312,10 @@ def entity_overlap(train: Corpus, test: Corpus) -> float | None:
     Test mentions count with multiplicity; the train side is a set.
     Returns None when the test corpus has no mentions at all.
     """
-    if not test.mentions:
+    if not test.spans.size:
         return None
-    train_keys = set(train.mentions)
-    return sum(m in train_keys for m in test.mentions) / len(test.mentions)
+    return sum(sum(map(set(train.mention_surfaces[etype]).__contains__, surfaces))
+               for etype, surfaces in test.mention_surfaces.items()) / test.spans.size
 
 
 def count_mentions(corpus: Corpus) -> Counter:

@@ -563,6 +563,13 @@ def execute_run(
             f"nominal {spec.sparsity / 100:.2f}"
         )
     save_model(staging, model)
+    cell = {
+        "run_id": spec.run_id,
+        "config_hash": config.config_hash,
+        "schedule": list(schedule_row) if schedule_row else None,
+        "train_seconds": round(elapsed, 3),
+        "achieved_sparsity": achieved,
+    }
     lines = []
     for split in bundle.splits:
         predicted = predict_ids(model, split.encoded)
@@ -574,15 +581,7 @@ def execute_run(
             split=split.name,
             report=score_ids(split.gold_spans, predicted, split.encoded.offsets),
         )
-        line = record.to_json_dict()
-        line.update({
-            "run_id": spec.run_id,
-            "config_hash": config.config_hash,
-            "schedule": list(schedule_row) if schedule_row else None,
-            "train_seconds": round(elapsed, 3),
-            "achieved_sparsity": achieved,
-        })
-        lines.append(line)
+        lines.append({**record.to_json_dict(), **cell})
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
     staging.rename(checkpoint_dir)
     return lines

@@ -58,7 +58,8 @@ class EntityPool:
     """Deduplicated mention surfaces per entity type for one scope group.
 
     Surfaces keep first-occurrence order over the contributing corpora,
-    so a pool is a pure function of its inputs.
+    so a pool is a pure function of its inputs. build_pool makes them
+    unique and non-empty, so its pools skip __post_init__'s checks.
     """
 
     scope: Scope
@@ -82,8 +83,8 @@ class EntityPool:
 
     @cached_property
     def positions(self) -> dict[str, dict[tuple[str, ...], int]]:
-        """Per entity type, each surface's position in its tuple, built
-        once: the pool is immutable, so they are kept on it."""
+        """Per entity type, each surface's position in its tuple, kept on the
+        immutable pool: build_pool sets it, a pool made by hand builds it."""
         return {
             etype: {surface: i for i, surface in enumerate(surfaces)}
             for etype, surfaces in self.by_type.items()
@@ -117,20 +118,19 @@ def build_pool(
         raise EmptyGroupError(
             f"no corpora in {scope.value} group {group_key!r}"
         )
-    by_type: dict[str, dict[tuple[str, ...], None]] = {
-        etype: {} for etype in ENTITY_TYPES
-    }
-    for corpus in members:
-        for etype, surface in corpus.mentions:
-            by_type[etype].setdefault(surface)
-    return EntityPool(
-        scope=scope,
-        group_key=group_key,
-        by_type={
-            etype: tuple(surfaces)
-            for etype, surfaces in by_type.items() if surfaces
-        },
-    )
+    by_type, positions = {}, {}
+    for etype in ENTITY_TYPES:
+        # one hash per mention: each surface's first occurrence is its
+        # position, and the index keeps that order
+        index: dict[tuple[str, ...], int] = {}
+        for surface in chain.from_iterable(c.mention_surfaces[etype] for c in members):
+            index.setdefault(surface, len(index))
+        if index:
+            by_type[etype], positions[etype] = tuple(index), index
+    pool = object.__new__(EntityPool)
+    vars(pool).update(scope=scope, group_key=group_key, by_type=by_type,
+                      positions=positions)
+    return pool
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def perturb_corpus(
     A draw is O(1): it picks among the surfaces other than the mention's
     own by skipping the own position, which consumes the same draws as
     picking from the list of candidates; the own position comes from
-    pool.positions, built on the pool's first use and shared by every
-    corpus perturbed against it.
+    pool.positions, built once per pool and shared by every corpus
+    perturbed against it.
     """
     rng = np.random.default_rng(seed)
     tokens, offsets = corpus.tokens, corpus.offsets

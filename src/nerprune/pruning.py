@@ -282,7 +282,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
-    """Read a checkpoint directory back; returns (tensors, manifest)."""
+    """Read a checkpoint directory back; returns (tensors, manifest).
+    Values must be finite and exactly 0 (either sign) under a zero mask."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -325,6 +326,10 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
             )
         values = np.frombuffer(values_raw, dtype="<f8").astype(np.float64).reshape(shape)
         mask = np.frombuffer(mask_raw, dtype=np.uint8).copy().reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{name}: values hold NaN or infinity")
+        if values[mask == 0].any():  # -0.0 is 0
+            raise CheckpointError(f"{name}: a weight under a zero mask is not 0")
         try:
             params.append(ParamTensor(name, values, role, mask))
         except ValueError as exc:  # a mask entry that is not 0 or 1

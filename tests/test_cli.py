@@ -1,8 +1,11 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nerprune.experiment
@@ -364,8 +367,27 @@ def _sidecar_hidden_dim_seven(ckpt):
     _set_sidecar_config(ckpt, hidden_dim=7)
 
 
+def _set_value(ckpt, name, pick, value):
+    """Sets the first entry whose mask passes pick to value."""
+    values = np.fromfile(ckpt / f"{name}.values.bin", dtype="<f8")
+    mask = np.fromfile(ckpt / f"{name}.mask.bin", dtype=np.uint8)
+    values[np.flatnonzero(pick(mask))[0]] = value
+    values.tofile(ckpt / f"{name}.values.bin")
+
+
+def _nan_in_w2(ckpt):
+    _set_value(ckpt, "W2", lambda mask: mask == 1, float("nan"))
+
+
+def _masked_weight_in_w1(ckpt):
+    # the checkpoint was trained to 50 % sparsity, so W1 has masked entries
+    _set_value(ckpt, "W1", lambda mask: mask == 0, 0.5)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_values_file, "W1.values.bin"),
+    (_nan_in_w2, "W2: values hold NaN or infinity"),
+    (_masked_weight_in_w1, "W1: a weight under a zero mask is not 0"),
     (_garble_sidecar, "malformed model sidecar"),
     (_drop_tensor_name, "malformed tensor entry"),
     (_non_integer_shape, "malformed tensor entry"),
@@ -741,6 +763,27 @@ def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, comma
     plain = _run_in_world(tmp_path / "plain", argv, capsys)
     assert plain[0] == 0
     assert _run_in_world(tmp_path / "marked", argv, capsys, mark) == plain
+
+
+def test_module_runs_as_a_process_from_the_source_tree(tmp_path):
+    src = str(Path(nerprune.experiment.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    good, bad = tmp_path / "aa.iob2", tmp_path / "bad.iob2"
+    good.write_text(AA_TEST_FILE)
+    bad.write_text("ada\tB-GPE\n")
+
+    def validate(path):
+        return subprocess.run([sys.executable, "-m", "nerprune", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    proc = validate(good)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "sentences": 2, "tokens": 5, "mentions": {"PER": 1, "LOC": 2, "ORG": 0}}
+    proc = validate(bad)
+    assert proc.returncode == 2
+    assert "unknown tag 'B-GPE'" in proc.stderr
 
 
 def test_console_script_is_installed(tmp_path):

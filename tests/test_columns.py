@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import synth
 from conftest import corpus_of, sent
 from nerprune.corpus import (
+    ENTITY_TYPES,
     TAG_IDS,
     TAGSET,
     Corpus,
     count_mentions,
+    decode_spans,
     entity_overlap,
     parse_iob2,
     serialize_iob2,
@@ -84,7 +86,10 @@ def test_columns_and_sentences_give_the_same_corpus(rows, window):
     assert len(from_columns) == len(from_sentences) == len(rows)
     for name in ("offsets", "spans"):
         assert np.array_equal(getattr(from_columns, name), getattr(from_sentences, name))
-    assert from_columns.mentions == from_sentences.mentions
+    per_sentence = {etype: tuple(s.tokens[a:b] for s in sentences
+                                 for a, b, e in decode_spans(s.tags) if e == etype)
+                    for etype in ENTITY_TYPES}
+    assert from_columns.mention_surfaces == from_sentences.mention_surfaces == per_sentence
     assert count_mentions(from_columns) == count_mentions(from_sentences)
     assert serialize_iob2(from_columns) == serialize_iob2(from_sentences) == "".join(
         "".join(f"{t}\t{g}\n" for t, g in row) + "\n" for row in rows)

@@ -298,8 +298,9 @@ def test_corpus_mentions_match_the_per_sentence_route(train, test):
                 for s in corpus for start, end, etype in decode_spans(s.tags)]
 
     want = per_sentence(test)
-    assert test.mentions == tuple(want)
-    assert test.mentions is test.mentions
+    assert test.mention_surfaces == {
+        etype: tuple(s for e, s in want if e == etype) for etype in ENTITY_TYPES}
+    assert test.mention_surfaces is test.mention_surfaces
     assert test == Corpus(test.sentences, test.language, test.split)
     train_keys = set(per_sentence(train))
     assert entity_overlap(train, test) == (

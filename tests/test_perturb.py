@@ -103,7 +103,13 @@ def test_build_pool_matches_the_per_sentence_oracle(corpora):
     for scope in Scope:
         for group_key in {scope.group_key(META[c.language]) for c in corpora}:
             pool = build_pool(corpora, META, scope, group_key)
-            assert pool.by_type == oracle_build_pool(corpora, META, scope, group_key)
+            want = oracle_build_pool(corpora, META, scope, group_key)
+            assert pool.by_type == want
+            # the checked constructor accepts the same surfaces
+            assert pool == EntityPool(scope, group_key, want)
+            assert pool.positions == {
+                etype: {s: i for i, s in enumerate(surfaces)}
+                for etype, surfaces in want.items()}
 
 
 def test_build_pool_rejects_bad_inputs():

@@ -300,6 +300,32 @@ def test_checkpoint_rejects_bad_mask_bytes(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("index, value, message", [
+    (0, float("nan"), "w: values hold NaN or infinity"),
+    (1, float("inf"), "w: values hold NaN or infinity"),
+    # under the zero mask a NaN or inf fails as not finite
+    (2, float("nan"), "w: values hold NaN or infinity"),
+    (2, -float("inf"), "w: values hold NaN or infinity"),
+    (2, 1e-300, "w: a weight under a zero mask is not 0"),
+])
+def test_checkpoint_rejects_broken_weights(tmp_path, index, value, message):
+    params = [ParamTensor("v", np.ones(2), Role.DENSE),
+              ParamTensor("w", np.array([1.0, 2.0, 0.0]), Role.DENSE, np.array([1, 1, 0]))]
+    path = save_checkpoint(tmp_path / "ckpt", params)
+    values = np.array([1.0, 2.0, 0.0], dtype="<f8")
+    values[index] = value
+    (path / "w.values.bin").write_bytes(values.tobytes())
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_accepts_negative_zero_under_a_zero_mask(tmp_path):
+    params = [ParamTensor("w", np.array([1.0, -0.0]), Role.DENSE, np.array([1, 0]))]
+    path = save_checkpoint(tmp_path / "ckpt", params)
+    loaded, _ = load_checkpoint(path)
+    assert loaded[0].values.tobytes() == np.array([1.0, -0.0]).tobytes()
+
+
 def test_checkpoint_requires_manifest(tmp_path):
     with pytest.raises(CheckpointError, match="no manifest"):
         load_checkpoint(tmp_path)
