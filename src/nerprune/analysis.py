@@ -29,13 +29,6 @@ class GroupDimension(Enum):
     FAMILY = "family"
     SCRIPT = "script"
 
-    @classmethod
-    def parse(cls, text: str) -> "GroupDimension":
-        for dim in cls:
-            if dim.value == text:
-                return dim
-        raise ValueError(f"unknown dimension {text!r}")
-
     def key(self, meta: LanguageMeta):
         if self is GroupDimension.SIZE:
             return meta.train_size

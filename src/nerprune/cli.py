@@ -121,22 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel training runs (default: 1)")
 
     p = sub.add_parser(
-        "analyze", help="print grouped statistics for a results file",
-        description=(
-            "Aggregate a results.jsonl across seeds and print the chosen "
-            "statistic of per-language F1 for each group as JSON."
-        ),
-    )
-    p.add_argument("--results", required=True, help="results.jsonl path")
-    p.add_argument("--meta", required=True, help="language metadata CSV")
-    p.add_argument("--dim", default="size",
-                   choices=[d.value for d in analysis.GroupDimension],
-                   help="grouping dimension (default: size)")
-    p.add_argument("--stat", default="mean",
-                   choices=["mean", "median", "std"],
-                   help="statistic over each group (default: mean)")
-
-    p = sub.add_parser(
         "report", help="write CSV tables and a JSON summary for results",
         description=(
             "Emit per-language, per-group, delta and robustness-ratio "
@@ -265,23 +249,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    records = read_run_records(args.results)
-    with open(args.meta, encoding="utf-8") as f:
-        meta = load_language_metadata(f, name=args.meta)
-    dim = analysis.GroupDimension.parse(args.dim)
-    cells = analysis.group_stats(records, meta, dim, args.stat)
-    payload = {
-        f"sparsity={sparsity} strategy={strategy} split={split}": {
-            str(group): round(value, 4)
-            for group, value in sorted(groups.items(), key=lambda kv: str(kv[0]))
-        }
-        for (sparsity, strategy, split), groups in sorted(cells.items())
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_report(args) -> int:
     records = read_run_records(args.results)
     with open(args.meta, encoding="utf-8") as f:
@@ -304,7 +271,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "evaluate": _cmd_evaluate,
     "experiment": _cmd_experiment,
-    "analyze": _cmd_analyze,
     "report": _cmd_report,
 }
 

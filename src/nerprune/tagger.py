@@ -352,31 +352,6 @@ def _batch_loss_grads(
     return loss, _embedding_grad(slot, rows.size, gx)
 
 
-def _sentence_batch(model: TaggerModel, sentence: Sentence) -> tuple:
-    """A sentence as one batch, in the order _batch_loss_grads takes it
-    after params: window ids, tag ids, embedding rows and slots from
-    np.unique, and new arrays for the DENSE gradients."""
-    ids, tags = encode_sentence(model, sentence)
-    rows, slot = np.unique(ids.reshape(-1), return_inverse=True)
-    grads = {name: np.empty(model.params[name].shape) for name in DENSE}
-    return ids, tags, rows, slot, grads
-
-
-def loss_and_gradients(
-    model: TaggerModel, sentence: Sentence
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy loss and analytic gradients for a single sentence."""
-    if len(sentence) == 0:
-        return 0.0, {name: np.zeros_like(p.values)
-                     for name, p in model.params.items()}
-    batch = _sentence_batch(model, sentence)
-    loss, grad_rows = _batch_loss_grads(model.params, *batch)
-    _, _, rows, _, grads = batch
-    grad_e = np.zeros_like(model.params["E"].values)
-    grad_e[rows] = grad_rows
-    return loss, {"E": grad_e, **grads}
-
-
 def train(
     model: TaggerModel,
     train_data: Corpus | Sequence[Corpus] | TrainArrays,
@@ -554,13 +529,21 @@ def grad_check(
     Samples at least samples_per_tensor coordinates per tensor (all of
     them for small tensors). Returns None for a zero-loss sentence where
     there is nothing to check. Weights are restored exactly afterwards.
+    The analytic gradients come from the batch step train runs, on the
+    sentence's rows as _plan_rows plans them.
     """
     if len(sentence) == 0:
         return None
-    loss0, grads = loss_and_gradients(model, sentence)
+    ids, tags = encode_sentence(model, sentence)
+    rows, _, slot = _plan_rows(ids, [0, len(ids)], len(model.vocab))
+    grads = {name: np.empty(model.params[name].shape) for name in DENSE}
+    loss0, grad_rows = _batch_loss_grads(model.params, ids, tags, rows, slot, grads)
     if loss0 == 0.0:
         return None
-    batch = _sentence_batch(model, sentence)
+    grads["E"] = np.zeros_like(model.params["E"].values)
+    grads["E"][rows] = grad_rows
+    # the probes below write their DENSE gradients into a scratch set
+    batch = (ids, tags, rows, slot, {name: np.empty_like(grads[name]) for name in DENSE})
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name in ("E", "W1", "b1", "W2", "b2"):
@@ -614,14 +597,15 @@ def load_model(directory: str | Path) -> TaggerModel:
         config = TaggerConfig(**sidecar["config"])
         tagset = tuple(sidecar["tagset"])
         vocab = {token: idx for idx, token in enumerate(sidecar["vocab_tokens"])}
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(
             f"{sidecar_path}: malformed model sidecar: {exc!r}"
         ) from None
     if tagset != TAGSET:
-        raise CheckpointError(f"unsupported tagset {tagset}")
+        raise CheckpointError(f"{sidecar_path}: unsupported tagset {tagset}")
     if vocab.get(UNK_TOKEN) != UNK_ID or vocab.get(PAD_TOKEN) != PAD_ID:
-        raise CheckpointError("vocab sidecar must map <unk> to 0 and <pad> to 1")
+        raise CheckpointError(
+            f"{sidecar_path}: vocab must map <unk> to 0 and <pad> to 1")
     params_list, _ = load_checkpoint(directory)
     params = {p.name: p for p in params_list}
     shapes = _param_shapes(config, len(vocab))

@@ -37,9 +37,9 @@ def record(lang, sparsity, f1, strategy="partial", seed=0, split="regular"):
 
 
 def test_dimension_parse_and_keys():
-    assert GroupDimension.parse("family") is GroupDimension.FAMILY
-    with pytest.raises(ValueError, match="unknown dimension"):
-        GroupDimension.parse("region")
+    assert GroupDimension("family") is GroupDimension.FAMILY
+    with pytest.raises(ValueError, match="'region' is not a valid GroupDimension"):
+        GroupDimension("region")
     meta = META["bb"]
     assert GroupDimension.SIZE.key(meta) == 1000
     assert GroupDimension.FAMILY.key(meta) == "Fam2"
@@ -241,12 +241,23 @@ def test_report_summary_and_pairs_agree_with_the_tables(tmp_path):
              for sparsity in by_sparsity}
     for dim in GroupDimension:
         with open(tmp_path / f"by_{dim.value}.csv", encoding="utf-8") as f:
-            rows = [row for row in csv.DictReader(f) if row["group"] == "all"]
+            table = list(csv.DictReader(f))
+        rows = [row for row in table if row["group"] == "all"]
         assert {(r["split"], r["strategy"], r["sparsity"]) for r in rows} == cells
         assert len(rows) == len(cells)
         for r in rows:
             value = summary[r["split"]][r["strategy"]][r["sparsity"]]
             assert f"{value:.4f}" == r["mean_f1"]
+        # each row holds every statistic group_stats gives its group
+        for stat in ("mean", "median", "std"):
+            expected = {
+                (str(group), str(sparsity), strategy, split): f"{value:.4f}"
+                for (sparsity, strategy, split), groups
+                in group_stats(records, META, dim, stat).items()
+                for group, value in groups.items()
+            }
+            assert {(r["group"], r["sparsity"], r["strategy"], r["split"]): r[f"{stat}_f1"]
+                    for r in table} == expected
 
     def keys(name):
         with open(tmp_path / name, encoding="utf-8") as f:

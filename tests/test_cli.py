@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nerprune.experiment
-from nerprune.cli import build_parser, main
+from nerprune.cli import _COMMANDS, build_parser, main
 from worlds import AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, write_world
 
 HELP_DIR = Path(__file__).parent / "data" / "cli_help"
@@ -24,11 +24,7 @@ wins\tO
 """
 
 
-@pytest.mark.parametrize(
-    "command",
-    [None, "validate", "perturb", "train", "evaluate",
-     "experiment", "analyze", "report"],
-)
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
 def test_help_text_is_stable(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     argv = ["--help"] if command is None else [command, "--help"]
@@ -37,6 +33,10 @@ def test_help_text_is_stable(command, capsys, monkeypatch):
     assert info.value.code == 0
     expected = (HELP_DIR / f"{command or 'main'}.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_help_fixtures_are_the_commands():
+    assert {path.stem for path in HELP_DIR.glob("*.txt")} == {"main", *_COMMANDS}
 
 
 def test_usage_errors_exit_one():
@@ -351,20 +351,38 @@ def _manifest_not_an_object(ckpt):
     (ckpt / "manifest.json").write_text("[]")
 
 
-def _set_sidecar_config(ckpt, **fields):
+def _set_sidecar(ckpt, config=(), **fields):
+    """Updates the sidecar's config with config and the sidecar with fields."""
     sidecar = json.loads((ckpt / "model.json").read_text())
-    sidecar["config"].update(fields)
+    sidecar["config"].update(config)
+    sidecar.update(fields)
     (ckpt / "model.json").write_text(json.dumps(sidecar))
 
 
 def _sidecar_window_two(ckpt):
     # the checkpoint was trained with window 1
-    _set_sidecar_config(ckpt, window=2)
+    _set_sidecar(ckpt, config={"window": 2})
 
 
 def _sidecar_hidden_dim_seven(ckpt):
     # the checkpoint was trained with hidden_dim 6
-    _set_sidecar_config(ckpt, hidden_dim=7)
+    _set_sidecar(ckpt, config={"hidden_dim": 7})
+
+
+def _sidecar_embed_dim_zero(ckpt):
+    _set_sidecar(ckpt, config={"embed_dim": 0})
+
+
+def _sidecar_learning_rate_text(ckpt):
+    _set_sidecar(ckpt, config={"learning_rate": "x"})
+
+
+def _sidecar_tagset_o(ckpt):
+    _set_sidecar(ckpt, tagset=["O"])
+
+
+def _sidecar_unk_not_first(ckpt):
+    _set_sidecar(ckpt, vocab_tokens=["x", "<unk>", "<pad>"])
 
 
 def _set_value(ckpt, name, pick, value):
@@ -396,6 +414,13 @@ def _masked_weight_in_w1(ckpt):
     (_manifest_not_an_object, "manifest.json"),
     (_sidecar_window_two, "W1 shape (12, 6) does not match the (20, 6)"),
     (_sidecar_hidden_dim_seven, "W1 shape (12, 6) does not match the (12, 7)"),
+    # a config that fails TaggerConfig's checks used to print without the path
+    (_sidecar_embed_dim_zero, "model.json: malformed model sidecar: "
+     "ConfigError('embed_dim and hidden_dim must be >= 1')"),
+    (_sidecar_learning_rate_text, "model.json: malformed model sidecar: "
+     "ConfigError(\"learning_rate must be a finite positive number, got 'x'\")"),
+    (_sidecar_tagset_o, "model.json: unsupported tagset ('O',)"),
+    (_sidecar_unk_not_first, "model.json: vocab must map <unk> to 0 and <pad> to 1"),
 ])
 def test_evaluate_broken_checkpoint_exits_two(trained, tmp_path, capsys,
                                               corrupt, message):
@@ -515,22 +540,13 @@ def test_train_validates_language_against_mode(tmp_path, capsys):
     assert "does not apply" in capsys.readouterr().err
 
 
-def test_experiment_analyze_report_pipeline(tmp_path, capsys):
+def test_experiment_report_pipeline(tmp_path, capsys):
     config = write_world(tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0
     results = Path(capsys.readouterr().out.strip())
     assert results.is_file()
 
     meta = tmp_path / "languages.csv"
-    assert main([
-        "analyze", "--results", str(results), "--meta", str(meta),
-        "--dim", "family", "--stat", "mean",
-    ]) == 0
-    cells = json.loads(capsys.readouterr().out)
-    key = "sparsity=0 strategy=partial split=regular"
-    assert key in cells
-    assert set(cells[key]) == {"Fam1", "all"}
-
     report_dir = tmp_path / "report"
     assert main([
         "report", "--results", str(results), "--meta", str(meta),
@@ -541,14 +557,17 @@ def test_experiment_analyze_report_pipeline(tmp_path, capsys):
     assert str(report_dir / "summary.json") in printed
     assert (report_dir / "overlap_f1.csv").is_file()
     assert (report_dir / "deltas.csv").is_file()
+    by_family = (report_dir / "by_family.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in by_family
+            if ",0,partial,regular," in row] == ["Fam1", "all"]
 
 
-def test_analyze_rejects_missing_results_file(tmp_path, capsys):
+def test_report_rejects_missing_results_file(tmp_path, capsys):
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA)
     assert main([
-        "analyze", "--results", str(tmp_path / "absent.jsonl"),
-        "--meta", str(meta),
+        "report", "--results", str(tmp_path / "absent.jsonl"),
+        "--meta", str(meta), "--out-dir", str(tmp_path / "report"),
     ]) == 2
     assert "absent.jsonl" in capsys.readouterr().err
 
@@ -561,50 +580,44 @@ def _record(**overrides):
     })
 
 
-@pytest.mark.parametrize("command, line", [
-    ("analyze", "[1, 2]"),
-    ("report", json.dumps({
-        "language": "aa", "sparsity": 0, "strategy": "partial", "seed": 0,
-        "split": "regular", "tp": 1, "fp": 0, "fn": 0,
-        "precision": 1.0, "recall": 1.0, "f1": None,
-    })),
+def _report_argv(tmp_path, results, meta):
+    return ["report", "--results", str(results), "--meta", str(meta),
+            "--out-dir", str(tmp_path / "report")]
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    _record(f1=None),
     # each used to be converted: 50.7 grouped as sparsity 50, true read as F1 1.0
-    *(("analyze", _record(**{key: value})) for key, value in [
+    *(_record(**{key: value}) for key, value in [
         ("sparsity", 50.7), ("sparsity", True), ("seed", "0"), ("tp", 1.5),
         ("fn", False), ("precision", "1.0"), ("f1", True), ("language", 7),
         ("strategy", None), ("split", ["regular"])]),
-    # each used to exit 0, and analyze printed NaN, which is not JSON
-    *(("analyze", _record(**{key: value})) for key, value in [
+    # each used to exit 0
+    *(_record(**{key: value}) for key, value in [
         ("f1", float("nan")), ("f1", 7.5), ("precision", -0.5),
         ("recall", float("inf"))]),
-], ids=["analyze-non-object-line", "report-null-f1", "float-sparsity", "bool-sparsity",
+], ids=["non-object-line", "report-null-f1", "float-sparsity", "bool-sparsity",
         "string-seed", "float-tp", "bool-fn", "string-precision", "bool-f1",
         "int-language", "null-strategy", "array-split", "nan-f1", "f1-above-one",
         "negative-precision", "infinite-recall"])
-def test_malformed_results_record_exits_two(tmp_path, capsys, command, line):
+def test_malformed_results_record_exits_two(tmp_path, capsys, line):
     results = tmp_path / "results.jsonl"
     results.write_text(line + "\n")
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA)
-    argv = [command, "--results", str(results), "--meta", str(meta)]
-    if command == "report":
-        argv += ["--out-dir", str(tmp_path / "report")]
-    assert main(argv) == 2
+    assert main(_report_argv(tmp_path, results, meta)) == 2
     assert "malformed results file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "report"])
-def test_malformed_results_record_names_its_line(tmp_path, capsys, command):
+def test_malformed_results_record_names_its_line(tmp_path, capsys):
     results = tmp_path / "results.jsonl"
     record = json.loads(_record())
     del record["f1"]
     results.write_text(_record() + "\n" + json.dumps(record) + "\n")
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA)
-    argv = [command, "--results", str(results), "--meta", str(meta)]
-    if command == "report":
-        argv += ["--out-dir", str(tmp_path / "report")]
-    assert main(argv) == 2
+    assert main(_report_argv(tmp_path, results, meta)) == 2
     assert capsys.readouterr().err == (
         f"nerprune: error: {results}:2: malformed results file: missing key 'f1'\n")
 
@@ -615,22 +628,16 @@ def test_well_typed_results_record_is_read(tmp_path, capsys):
     results.write_text(_record() + "\n")
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA)
-    assert main(["analyze", "--results", str(results), "--meta", str(meta)]) == 0
+    assert main(_report_argv(tmp_path, results, meta)) == 0
 
 
-@pytest.mark.parametrize("command", ["analyze", "report"])
-def test_family_named_all_exits_two(tmp_path, capsys, command):
+def test_family_named_all_exits_two(tmp_path, capsys):
     # "all" names the group of every language, which would hide aa's group
     results = tmp_path / "results.jsonl"
     results.write_text(_record(f1=0.2) + "\n" + _record(language="bb", f1=0.8) + "\n")
     meta = tmp_path / "languages.csv"
     meta.write_text(METADATA.replace("aa,Latin,Fam1", "aa,Latin,all"))
-    argv = [command, "--results", str(results), "--meta", str(meta)]
-    if command == "analyze":
-        argv += ["--dim", "family"]
-    else:
-        argv += ["--out-dir", str(tmp_path / "report")]
-    assert main(argv) == 2
+    assert main(_report_argv(tmp_path, results, meta)) == 2
     assert "language 'aa': family 'all' is reserved" in capsys.readouterr().err
 
 
@@ -696,9 +703,8 @@ def test_blocked_output_path_exits_two(tmp_path, capsys, command):
 # each used to die with a UnicodeDecodeError traceback and exit 1
 @pytest.mark.parametrize("command, bad", [
     ("validate", "corpus"), ("perturb", "corpus"), ("perturb", "meta"),
-    ("analyze", "meta"), ("report", "meta"), ("experiment", "config"),
-    ("experiment", "world-corpus"), ("experiment", "meta"),
-    ("analyze", "results"), ("report", "results"),
+    ("report", "meta"), ("experiment", "config"),
+    ("experiment", "world-corpus"), ("experiment", "meta"), ("report", "results"),
 ])
 def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     config = write_world(tmp_path)
@@ -715,9 +721,7 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
         "validate": ["validate", str(corpus), "--language", "aa"],
         "perturb": ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
                     "--meta", str(meta), "--out-dir", str(tmp_path / "p")],
-        "analyze": ["analyze", "--results", str(results), "--meta", str(meta)],
-        "report": ["report", "--results", str(results), "--meta", str(meta),
-                   "--out-dir", str(tmp_path / "report")],
+        "report": _report_argv(tmp_path, results, meta),
         "experiment": ["experiment", "--config", str(config)],
     }[command]
     assert main(argv) == 2

@@ -23,7 +23,6 @@ from nerprune.tagger import (
     grad_check,
     init_model,
     load_model,
-    loss_and_gradients,
     predict,
     save_model,
     train,
