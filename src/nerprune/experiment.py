@@ -4,9 +4,9 @@ A config pins the mode (one model per language, or one joint model over
 all languages), the sparsity levels, pruning strategies, seeds and
 perturbation scopes. Results land under
 <output>/<config-hash>/results.jsonl, one JSON record per (run,
-language, split), plus per-run checkpoints and the perturbed test sets
-with their replacement logs. Completed run ids are skipped on rerun, so
-the command is safe to restart.
+language, split), plus per-run checkpoints with their training traces
+and the perturbed test sets with their replacement logs. Completed run
+ids are skipped on rerun, so the command is safe to restart.
 
 Perturbed test sets are generated once per (language, scope) from the
 single perturbation seed and shared by every run, mirroring a fixed
@@ -18,7 +18,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import re
+import resource
 import shutil
 import time
 import traceback
@@ -51,7 +53,7 @@ from .evaluation import (
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
-from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, measure_sparsity
+from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, schedule_events
 from .tagger import (
     Encoded,
     TaggerConfig,
@@ -78,6 +80,9 @@ DEFAULT_SCHEDULE_TABLE = (
 
 MODES = ("monolingual", "multilingual")
 HASH_PREFIX_LEN = 12
+TRACE_NAME = "trace.jsonl"
+# the tensors a strategy may prune, as a trace counts their masked weights
+PRUNABLE_TENSORS = ("E", "W1", "W2")
 
 
 @dataclass(frozen=True)
@@ -526,8 +531,9 @@ def execute_run(
     bundle: Bundle,
     checkpoint_dir: Path,
 ) -> list[dict]:
-    """Train one grid cell on its language set's bundle, save it to
-    checkpoint_dir and score it on every split it owes.
+    """Train one grid cell on its language set's bundle, save it and its
+    trace.jsonl (see _write_trace) to checkpoint_dir and score it on every
+    split it owes.
 
     Returns the result line dicts. The nominal sparsity must be achieved
     within 1/N of the prunable weight count or the run fails. The
@@ -551,23 +557,25 @@ def execute_run(
         start, end, freq = schedule_row
         schedule = PruneSchedule(start, end, freq, spec.sparsity / 100)
     started = time.perf_counter()
-    train(model, bundle.train, schedule=schedule, strategy=strategy)
-    elapsed = time.perf_counter() - started
-    achieved = measure_sparsity(model.param_list, strategy)
-    n_prunable = sum(
-        p.size for p in model.param_list if p.role in strategy.prunable_roles
-    )
+    model, history = train(model, bundle.train, schedule=schedule, strategy=strategy)
+    trained = time.perf_counter()
+    # the last full pass measured the final masks
+    achieved = history[-1].sparsity
+    prunable = {name: model.params[name].size
+                if model.params[name].role in strategy.prunable_roles else 0
+                for name in PRUNABLE_TENSORS}
+    n_prunable = sum(prunable.values())
     if abs(achieved - spec.sparsity / 100) > 1 / n_prunable + 1e-12:
         raise PruningError(
             f"{spec.run_id}: achieved sparsity {achieved:.6f} misses "
             f"nominal {spec.sparsity / 100:.2f}"
         )
     save_model(staging, model)
+    saved = time.perf_counter()
     cell = {
         "run_id": spec.run_id,
         "config_hash": config.config_hash,
         "schedule": list(schedule_row) if schedule_row else None,
-        "train_seconds": round(elapsed, 3),
         "achieved_sparsity": achieved,
     }
     lines = []
@@ -582,9 +590,38 @@ def execute_run(
             report=score_ids(split.gold_spans, predicted, split.encoded.offsets),
         )
         lines.append({**record.to_json_dict(), **cell})
+    timings = {"train_s": trained - started, "save_s": saved - trained,
+               "predict_score_s": time.perf_counter() - saved}
+    steps_per_epoch = math.ceil((len(bundle.train.offsets) - 1) / config.tagger.batch_size)
+    _write_trace(staging / TRACE_NAME, history, steps_per_epoch,
+                 schedule_events(schedule) if schedule else [], model, prunable, timings)
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
     staging.rename(checkpoint_dir)
     return lines
+
+
+def _write_trace(path, history, steps_per_epoch, events, model, prunable, timings):
+    """Write a run's trace.jsonl: per epoch, the steps so far and the mean
+    step loss; per pruning event, its step, target and the sparsity
+    measured at the step it ran (step 1 for an event at step 0); a final
+    line with the step count, the largest masked magnitude and the masked
+    and prunable counts per tensor; last, the stage timings and peak RSS,
+    the only line that varies between runs of one config."""
+    k = steps_per_epoch
+    losses = [h.loss for h in history]
+    trace = [{"kind": "epoch", "steps": end, "loss": sum(losses[end - k:end]) / k}
+             for end in range(k, len(history) + 1, k)]
+    trace += [{"kind": "event", "step": step, "target": target,
+               "sparsity": history[max(step, 1) - 1].sparsity} for step, target in events]
+    masked = {name: model.params[name].size - int(np.count_nonzero(model.params[name].mask))
+              for name in PRUNABLE_TENSORS}
+    trace.append({"kind": "final", "steps": len(history), "masked": masked,
+                  "prunable": prunable,
+                  "max_abs_masked": max(h.max_abs_masked for h in history)})
+    trace.append({"kind": "timing", **{name: round(t, 6) for name, t in timings.items()},
+                  "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss})
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in trace),
+                    encoding="utf-8")
 
 
 def _failure(spec: RunSpec, exc: Exception) -> tuple[str, str]:

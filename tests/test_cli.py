@@ -10,7 +10,9 @@ import pytest
 
 import nerprune.experiment
 from nerprune.cli import _COMMANDS, build_parser, main
-from worlds import AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, write_world
+from worlds import (
+    AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, trace_without_timing, write_world,
+)
 
 HELP_DIR = Path(__file__).parent / "data" / "cli_help"
 
@@ -733,7 +735,7 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
 def _run_in_world(root, argv, capsys, mark=None):
     """Exit code, stdout and output files of argv run in a fresh world
     under root, after a UTF-8 byte-order mark is written before the file
-    mark names. Result lines drop train_seconds, which varies by run."""
+    mark names. Traces drop their timing line, which varies by run."""
     write_world(root)
     (root / "aa.iob2").write_text(AA_TEST_FILE)
     if mark is not None:
@@ -741,10 +743,8 @@ def _run_in_world(root, argv, capsys, mark=None):
     code = main([arg.format(root=root) for arg in argv])
     files = {}
     for path in sorted((root / "out").rglob("*")):
-        if path.name == "results.jsonl":
-            files[path.relative_to(root)] = [
-                {k: v for k, v in json.loads(line).items() if k != "train_seconds"}
-                for line in path.read_text().splitlines()]
+        if path.name == "trace.jsonl":
+            files[path.relative_to(root)] = trace_without_timing(path)
         elif path.is_file():
             files[path.relative_to(root)] = path.read_bytes()
     return code, capsys.readouterr().out.replace(str(root), "<root>"), files

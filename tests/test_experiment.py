@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -33,8 +35,9 @@ from nerprune.experiment import (
     run,
     train_test_overlaps,
 )
+from nerprune.pruning import PruneSchedule, schedule_events
 from nerprune.tagger import TaggerConfig, load_model, predict
-from worlds import DIVERGING_TAGGER, write_world
+from worlds import DIVERGING_TAGGER, trace_without_timing, write_world
 
 
 @pytest.fixture
@@ -230,6 +233,62 @@ def test_rerun_is_idempotent(world, monkeypatch):
     assert {p.name: p.read_bytes() for p in perturbed_dir.iterdir()} == perturbed
 
 
+def test_results_written_before_the_trace_resume_without_rerunning(world, monkeypatch):
+    results = run(world)
+    before = results.read_text().splitlines(keepends=True)
+    # the first two runs' lines as they were written when each line also
+    # carried the run's train_seconds
+    old = [json.dumps({**json.loads(l), "train_seconds": 0.123}, sort_keys=True) + "\n"
+           for l in before[:4]]
+    results.write_text("".join(old))
+    calls = []
+    _count_calls(monkeypatch, "train", calls)
+    run(world)
+    assert len(calls) == len(plan(world)) - 2
+    assert results.read_text().splitlines(keepends=True) == old + before[4:]
+
+
+# an event at step 0 runs at step 1, before the first update
+@pytest.mark.parametrize("schedule", [(2, 10, 2), (0, 10, 2)])
+def test_every_cell_leaves_a_trace_of_its_training(tmp_path, schedule):
+    config = config_from_file(write_world(
+        tmp_path, schedule=schedule, extra={"strategies": ["partial", "incl_embeddings"]}))
+    results = run(config)
+    checkpoints = results.parent / "checkpoints"
+    achieved = {l["run_id"]: l["achieved_sparsity"]
+                for l in map(json.loads, results.read_text().splitlines())}
+    specs = plan(config)
+    assert sorted(p.parent.name for p in checkpoints.glob("*/trace.jsonl")) == sorted(
+        s.run_id for s in specs)
+    for spec in specs:
+        trace = [json.loads(l) for l in
+                 (checkpoints / spec.run_id / "trace.jsonl").read_text().splitlines()]
+        n_sentences = len(load_split(config.corpus_root_path, spec.language, "train"))
+        per_epoch = math.ceil(n_sentences / config.tagger.batch_size)
+        steps = config.tagger.epochs * per_epoch
+        epochs = [t for t in trace if t["kind"] == "epoch"]
+        assert [t["steps"] for t in epochs] == list(range(per_epoch, steps + 1, per_epoch))
+        assert all(math.isfinite(t["loss"]) for t in epochs)
+        events = [t for t in trace if t["kind"] == "event"]
+        expected = schedule_events(PruneSchedule(
+            *config.schedule_for(n_sentences), spec.sparsity / 100)) if spec.sparsity else []
+        assert [(t["step"], t["target"]) for t in events] == expected
+        final, timing = trace[-2:]
+        assert [t["kind"] for t in trace] == (
+            ["epoch"] * len(epochs) + ["event"] * len(events) + ["final", "timing"])
+        assert final["steps"] == steps
+        assert final["max_abs_masked"] == 0
+        n_prunable = sum(final["prunable"].values())
+        # each event masks floor(target * n_prunable) weights
+        assert all(abs(t["sparsity"] - t["target"]) < 1 / n_prunable for t in events)
+        if events:
+            assert events[-1]["sparsity"] == achieved[spec.run_id]
+        assert sum(final["masked"].values()) == round(achieved[spec.run_id] * n_prunable)
+        assert (final["prunable"]["E"] > 0) == (spec.strategy == "incl_embeddings")
+        assert set(timing) == {"kind", "train_s", "save_s", "predict_score_s", "max_rss_kb"}
+        assert all(v >= 0 for k, v in timing.items() if k != "kind")
+
+
 def test_interrupted_run_resumes_missing_cells(world):
     results = run(world)
     lines = results.read_text().splitlines()
@@ -242,30 +301,21 @@ def test_interrupted_run_resumes_missing_cells(world):
     assert {l["run_id"] for l in final} == {s.run_id for s in plan(world)}
 
 
-def _lines_without_timing(results):
-    return sorted(
-        json.dumps({k: v for k, v in json.loads(l).items() if k != "train_seconds"},
-                   sort_keys=True)
-        for l in results.read_text().splitlines()
-    )
-
-
 # (whole lines, then bytes) cut off the end: only the newline, inside the
 # last line, inside the first line of the last run, or exactly the last
 # line, which leaves the last run short of a line with no torn line
 @pytest.mark.parametrize("lines_cut, bytes_cut", [(0, 1), (0, 40), (1, 40), (1, 0)])
 def test_torn_last_line_is_cut_and_its_run_reruns(world, lines_cut, bytes_cut):
     results = run(world)
-    before = _lines_without_timing(results)
-    lines = results.read_bytes().splitlines(keepends=True)
+    before = results.read_bytes()
+    lines = before.splitlines(keepends=True)
     kept = lines[:len(lines) - lines_cut]
     data = b"".join(kept)
     results.write_bytes(data[:len(data) - bytes_cut])
     torn_id = json.loads(kept[-1])["run_id"]
     (results.parent / "checkpoints" / torn_id / "manifest.json").unlink()
     run(world)
-    assert results.read_bytes().endswith(b"\n")
-    assert _lines_without_timing(results) == before
+    assert results.read_bytes() == before
     assert (results.parent / "checkpoints" / torn_id / "manifest.json").is_file()
 
 
@@ -358,14 +408,19 @@ def test_parallel_run_matches_serial_results(world, monkeypatch):
     files = {}
     for workers in (1, 2):
         results = run(world, workers=workers)
+        out_dir = results.parent
         files[workers] = (
-            [{k: v for k, v in json.loads(l).items() if k != "train_seconds"}
-             for l in results.read_text().splitlines()],
-            (results.parent / "failures.jsonl").read_bytes(),
+            results.read_bytes(),
+            (out_dir / "failures.jsonl").read_bytes(),
+            {p.parent.name: trace_without_timing(p)
+             for p in out_dir.glob("checkpoints/*/trace.jsonl")},
         )
         results.unlink()
+        shutil.rmtree(out_dir / "checkpoints")
     assert files[2] == files[1]
-    lines, failures = files[1]
+    results, failures, traces = files[1]
+    lines = [json.loads(l) for l in results.splitlines()]
+    assert sorted(traces) == sorted({l["run_id"] for l in lines})
     assert [l["run_id"] for l in lines[::2]] == [
         s.run_id for s in plan(world) if s.run_id != "mono-aa-s50-partial-seed0"]
     assert failures.count(b"\n") == 1
@@ -613,10 +668,7 @@ raise SystemExit("the grid finished without reaching its kill point")
 @pytest.mark.parametrize("point, cut", [("renamed", 0), ("torn", 40), ("torn", -40)])
 def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, point, cut):
     whole = config_from_file(write_world(tmp_path / "whole"))
-    expected = [
-        {k: v for k, v in json.loads(l).items() if k != "train_seconds"}
-        for l in run(whole).read_text().splitlines()
-    ]
+    expected = run(whole).read_bytes()
     config_path = write_world(tmp_path / "killed")
     src = str(Path(experiment.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -634,11 +686,6 @@ def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, poi
         assert killed_cell not in (out_dir / "results.jsonl").read_text()
     else:
         assert not (out_dir / "results.jsonl").read_bytes().endswith(b"\n")
-    results = run(config)
-    lines = [
-        {k: v for k, v in json.loads(l).items() if k != "train_seconds"}
-        for l in results.read_text().splitlines()
-    ]
-    assert lines == expected
+    assert run(config).read_bytes() == expected
     assert sorted(p.name for p in (out_dir / "checkpoints").iterdir()) == sorted(
         s.run_id for s in plan(config))

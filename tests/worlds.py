@@ -107,3 +107,11 @@ def write_world(root, mode="monolingual", sparsity_levels=(0, 50),
     path = root / "config.json"
     path.write_text(json.dumps(data, indent=2))
     return path
+
+
+def trace_without_timing(path):
+    """The lines of a run's trace.jsonl, as text, but its timing line,
+    the only one that varies between runs of one config."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert json.loads(lines[-1])["kind"] == "timing"
+    return lines[:-1]
