@@ -45,6 +45,7 @@ from .errors import (
 )
 from .evaluation import (
     RunRecord,
+    RunTable,
     ScoreReport,
     read_run_records,
     score_corpus,

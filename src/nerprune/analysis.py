@@ -14,12 +14,16 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, repeat
+from operator import sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import LanguageMeta
 from .errors import MetadataError, MissingMetadataError
-from .evaluation import STRATEGY_NAMES, RunRecord
+from .evaluation import STRATEGY_NAMES, RunRecord, RunTable
 
 ALL_GROUP = "all"
 
@@ -51,24 +55,27 @@ def robustness_ratio(perturbed_f1: float, regular_f1: float) -> float | None:
     return perturbed_f1 / regular_f1
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and population std of values, the mean summed once, in order."""
-    n = len(values)
-    mean = sum(values) / n
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+def _ids(keys: Iterable[Hashable]) -> tuple[dict, np.ndarray]:
+    """Each distinct key mapped to its id, in order of first occurrence,
+    and the id of each key."""
+    keys = list(keys)
+    ids = dict(zip(dict.fromkeys(keys), count()))
+    return ids, np.array(list(map(ids.__getitem__, keys)), dtype=np.intp)
 
 
-def _stat(values: Sequence[float], stat: str) -> float:
-    if stat == "median":
-        ordered = sorted(values)
-        mid = len(values) // 2
-        return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-    mean, std = _mean_std(values)
-    if stat == "mean":
-        return mean
-    if stat == "std":
-        return std
-    raise ValueError(f"unknown stat {stat!r}")
+def _stats(ids: np.ndarray, values: np.ndarray, size: int) -> list[np.ndarray]:
+    """Count, mean, median and population std of the values of each id in
+    range(size), every id present. Sums add the values in order from 0.0,
+    as Python 3.11's sum() does, and each squared deviation is Python's
+    (v - mean) ** 2, whose pow can round otherwise than a product."""
+    n = np.bincount(ids, minlength=size)
+    mean = np.bincount(ids, values, size) / n
+    deviations = (values - mean[ids]).tolist()
+    squares = np.fromiter(map(pow, deviations, repeat(2)), np.float64, len(deviations))
+    ordered = values[np.lexsort((values, ids))]
+    mid = np.cumsum(n) - n + n // 2
+    median = np.where(n % 2, ordered[mid], (ordered[mid - 1] + ordered[mid]) / 2)
+    return [n, mean, median, np.sqrt(np.bincount(ids, squares, size) / n)]
 
 
 @dataclass(frozen=True)
@@ -83,50 +90,56 @@ class SeedStats:
 GroupKey = tuple[str, int, str, str]
 
 
-def aggregate_seeds(records: Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
+def _seed_stats(records: RunTable | Iterable[RunRecord]):
+    """Each (language, sparsity, strategy, split) of records mapped to its
+    index, in order of first occurrence, and per index the seed count,
+    mean, median and population std of F1."""
+    if not isinstance(records, RunTable):
+        records = RunTable.from_records(records)
+    ids, key_ids = _ids(zip(records.language, records.sparsity, records.strategy,
+                            records.split))
+    return [ids, *_stats(key_ids, records.f1, len(ids))]
+
+
+def aggregate_seeds(records: RunTable | Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
     """Aggregate F1 across seeds per (language, sparsity, strategy, split),
     keyed in the order the keys first occur in records."""
-    groups: dict[GroupKey, list[float]] = {}
-    for r in records:
-        groups.setdefault((r.language, r.sparsity, r.strategy, r.split), []).append(
-            r.report.f1)
-    return {key: SeedStats(*_mean_std(values), len(values))
-            for key, values in groups.items()}
+    ids, n, mean, _, std = _seed_stats(records)
+    return {key: SeedStats(*entry)
+            for key, entry in zip(ids, zip(mean.tolist(), std.tolist(), n.tolist()))}
 
 
-def _grouped_f1(
-    stats: Mapping[GroupKey, SeedStats],
-    meta: Mapping[str, LanguageMeta],
-    dim: GroupDimension,
-) -> dict[tuple[int, str, str], dict[object, list[float]]]:
-    """Seed-mean F1 values per (sparsity, strategy, split) cell and group,
-    then an "all" entry over every language of the cell. Values keep the
-    order of stats, so sums over them do not depend on the grouping.
-    Languages missing from meta raise MissingMetadataError, and a language
-    whose group is named "all" raises MetadataError."""
-    languages = dict.fromkeys(lang for (lang, _, _, _) in stats)
+def _grouped(keys: Sequence[GroupKey], means: np.ndarray,
+             meta: Mapping[str, LanguageMeta], dims: Iterable[GroupDimension]) -> dict:
+    """Per dimension, ((sparsity, strategy, split), group) labels in order
+    of first occurrence, then each cell's "all" group, and the _stats of
+    the seed-means under each label, which keep the order of keys. A
+    language missing from meta raises MissingMetadataError, and one whose
+    group is named "all" MetadataError."""
+    languages = [key[0] for key in keys]
     missing = {lang for lang in languages if lang not in meta}
     if missing:
         raise MissingMetadataError(missing)
-    group_of = {lang: dim.key(meta[lang]) for lang in languages}
-    for lang, group in group_of.items():
-        if group == ALL_GROUP:
-            raise MetadataError(
-                f"language {lang!r}: {dim.value} {ALL_GROUP!r} is reserved "
-                "for the group of every language")
-    cells: dict[tuple[int, str, str], dict[object, list[float]]] = {}
-    every: dict[tuple[int, str, str], list[float]] = {}
-    for (lang, sparsity, strategy, split), entry in stats.items():
-        cell_key = (sparsity, strategy, split)
-        cells.setdefault(cell_key, {}).setdefault(group_of[lang], []).append(entry.mean)
-        every.setdefault(cell_key, []).append(entry.mean)
-    for cell_key, values in every.items():
-        cells[cell_key][ALL_GROUP] = values
-    return cells
+    cells, cell_ids = _ids(key[1:] for key in keys)
+    cell_keys = list(cells)
+    every = _stats(cell_ids, means, len(cells))
+    grouped = {}
+    for dim in dims:
+        group_of = {lang: dim.key(meta[lang]) for lang in dict.fromkeys(languages)}
+        for lang, group in group_of.items():
+            if group == ALL_GROUP:
+                raise MetadataError(
+                    f"language {lang!r}: {dim.value} {ALL_GROUP!r} is reserved "
+                    "for the group of every language")
+        groups, group_ids = _ids(zip(cell_ids.tolist(), map(group_of.__getitem__, languages)))
+        labels = [(cell_keys[c], group) for c, group in groups]
+        grouped[dim] = (labels + [(cell, ALL_GROUP) for cell in cell_keys], *map(
+            np.concatenate, zip(_stats(group_ids, means, len(groups)), every)))
+    return grouped
 
 
 def group_stats(
-    records: Iterable[RunRecord],
+    records: RunTable | Iterable[RunRecord],
     meta: Mapping[str, LanguageMeta],
     dim: GroupDimension,
     stat: str = "mean",
@@ -138,10 +151,15 @@ def group_stats(
     languages, plus an "all" entry over every language. Languages
     missing from meta raise MissingMetadataError.
     """
-    return {
-        cell_key: {group: _stat(values, stat) for group, values in groups.items()}
-        for cell_key, groups in _grouped_f1(aggregate_seeds(records), meta, dim).items()
-    }
+    ids, _, means, _, _ = _seed_stats(records)
+    labels, _, *columns = _grouped(list(ids), means, meta, [dim])[dim]
+    column = dict(zip(("mean", "median", "std"), columns)).get(stat)
+    if column is None:
+        raise ValueError(f"unknown stat {stat!r}")
+    cells: dict[tuple[int, str, str], dict] = {}
+    for (cell, group), value in zip(labels, column.tolist()):
+        cells.setdefault(cell, {})[group] = value
+    return cells
 
 
 def kendall_tau(
@@ -180,8 +198,9 @@ def kendall_tau(
     return numerator / n0
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.4f}"
+def _fmt(values: Iterable[float | None]) -> list[str]:
+    """Each value to 4 decimal places, None to an empty field."""
+    return ["" if value is None else f"{value:.4f}" for value in values]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -191,21 +210,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _pairs(
-    stats: Mapping[GroupKey, SeedStats], base_key: Callable[[GroupKey], GroupKey]
-) -> Iterator[tuple[GroupKey, float, float]]:
-    """(key, base mean, mean) for each seed-mean, in the order of stats,
-    whose base key, base_key(key), is another key with a seed-mean. A key
-    that is its own base (a dense run for deltas, a regular split for
-    ratios) gets no row."""
-    for key, entry in stats.items():
-        base = base_key(key)
-        if base != key and base in stats:
-            yield key, stats[base].mean, entry.mean
-
-
 def emit_report(
-    records: Sequence[RunRecord],
+    records: RunTable | Iterable[RunRecord],
     meta: Mapping[str, LanguageMeta],
     out_dir: str | Path,
     overlaps: Mapping[str, float] | None = None,
@@ -222,79 +228,85 @@ def emit_report(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    aggregated = aggregate_seeds(records)
-    grouped = {dim: _grouped_f1(aggregated, meta, dim) for dim in GroupDimension}
-    ordered = dict(sorted(aggregated.items()))
+    ids, n_seeds, means, _, stds = _seed_stats(records)
+    keys = list(ids)
+    grouped = _grouped(keys, means, meta, GroupDimension)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    mean_list = means.tolist()
+    mean_text = _fmt(mean_list)
     written = []
 
-    rows = [
-        (*key, _fmt(stats.mean), _fmt(stats.std), stats.n)
-        for key, stats in ordered.items()
-    ]
+    std_text = _fmt(stds.tolist())
+    counts = n_seeds.tolist()
     path = out_dir / "per_language.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
-                      "mean_f1", "std_f1", "n_seeds"), rows)
+                      "mean_f1", "std_f1", "n_seeds"),
+               [(*keys[i], mean_text[i], std_text[i], counts[i]) for i in order])
     written.append(path)
 
-    mean_f1: dict[str, dict] = {}
-    for dim, cells in grouped.items():
-        rows = []
-        for (sparsity, strategy, split), groups in sorted(cells.items()):
-            for group_key, values in sorted(groups.items(), key=lambda kv: str(kv[0])):
-                mean, std = _mean_std(values)
-                median = _stat(values, "median")
-                rows.append((group_key, sparsity, strategy, split,
-                             _fmt(mean), _fmt(median), _fmt(std), len(values)))
-                if group_key == ALL_GROUP:  # the same in every dimension
-                    mean_f1.setdefault(split, {}).setdefault(strategy, {})[
-                        str(sparsity)] = round(mean, 4)
+    for dim, (labels, n, *columns) in grouped.items():
+        mean, median, std = (_fmt(column.tolist()) for column in columns)
+        counts = n.tolist()
         path = out_dir / f"by_{dim.value}.csv"
         _write_csv(path, ("group", "sparsity", "strategy", "split",
-                          "mean_f1", "median_f1", "std_f1", "n_languages"), rows)
+                          "mean_f1", "median_f1", "std_f1", "n_languages"),
+                   [(labels[i][1], *labels[i][0], mean[i], median[i], std[i], counts[i])
+                    for i in sorted(range(len(labels)),
+                                    key=lambda i: (labels[i][0], str(labels[i][1])))])
         written.append(path)
 
-    rows = [
-        (*key, _fmt(dense), _fmt(sparse), _fmt(sparse - dense),
-         _fmt(relative_delta(sparse, dense)))
-        for key, dense, sparse in _pairs(
-            ordered, lambda key: (key[0], 0, key[2], key[3]))
-    ]
+    def pairs(base_key: Callable[[GroupKey], GroupKey]) -> tuple[list, list, list]:
+        """(index, base index) of each key, in key order, whose base_key is
+        another key, and the means of both; a key that is its own base (a
+        dense run for deltas, a regular split for ratios) gets no row."""
+        found = ((i, ids.get(base_key(keys[i]))) for i in order)
+        found = [(i, base) for i, base in found if base is not None and base != i]
+        return (found, [mean_list[i] for i, _ in found],
+                [mean_list[base] for _, base in found])
+
+    found, sparse, dense = pairs(lambda key: (key[0], 0, key[2], key[3]))
     path = out_dir / "deltas.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
-                      "dense_f1", "sparse_f1", "abs_delta", "rel_delta"), rows)
+                      "dense_f1", "sparse_f1", "abs_delta", "rel_delta"),
+               [(*keys[i], mean_text[base], mean_text[i], delta, relative)
+                for (i, base), delta, relative in zip(
+                    found, _fmt(map(sub, sparse, dense)),
+                    _fmt(map(relative_delta, sparse, dense)))])
     written.append(path)
 
-    rows = [
-        (*key, _fmt(regular), _fmt(perturbed),
-         _fmt(robustness_ratio(perturbed, regular)))
-        for key, regular, perturbed in _pairs(
-            ordered, lambda key: (key[0], key[1], key[2], "regular"))
-    ]
+    found, perturbed, regular = pairs(lambda key: (key[0], key[1], key[2], "regular"))
     path = out_dir / "ratios.csv"
     _write_csv(path, ("language", "sparsity", "strategy", "split",
-                      "regular_f1", "perturbed_f1", "ratio"), rows)
+                      "regular_f1", "perturbed_f1", "ratio"),
+               [(*keys[i], mean_text[base], mean_text[i], ratio)
+                for (i, base), ratio in zip(
+                    found, _fmt(map(robustness_ratio, perturbed, regular)))])
     written.append(path)
 
     if overlaps is not None:
-        rows = []
-        for lang in sorted(overlaps):
-            dense = None
-            for strategy in STRATEGY_NAMES:
-                key = (lang, 0, strategy, "regular")
-                if key in aggregated:
-                    dense = aggregated[key].mean
-                    break
-            rows.append((lang, _fmt(overlaps[lang]), _fmt(dense)))
+        languages = sorted(overlaps)
+        dense = []
+        for lang in languages:
+            found = (ids.get((lang, 0, strategy, "regular")) for strategy in STRATEGY_NAMES)
+            dense.append(next((mean_list[i] for i in found if i is not None), None))
         path = out_dir / "overlap_f1.csv"
-        _write_csv(path, ("language", "entity_overlap", "dense_f1"), rows)
+        _write_csv(path, ("language", "entity_overlap", "dense_f1"),
+                   zip(languages, _fmt(map(overlaps.__getitem__, languages)), _fmt(dense)))
         written.append(path)
 
+    # the "all" groups are the same in every dimension
+    labels, _, mean, *_ = grouped[GroupDimension.SIZE]
+    mean_f1: dict[str, dict] = {}
+    for ((sparsity, strategy, split), group), value in zip(labels, mean.tolist()):
+        if group == ALL_GROUP:
+            mean_f1.setdefault(split, {}).setdefault(strategy, {})[
+                str(sparsity)] = round(value, 4)
     summary = {
-        "n_records": len(records),
-        "languages": sorted({key[0] for key in aggregated}),
-        "sparsity_levels": sorted({key[1] for key in aggregated}),
-        "strategies": sorted({key[2] for key in aggregated}),
-        "splits": sorted({key[3] for key in aggregated}),
+        "n_records": int(n_seeds.sum()),
+        "languages": sorted({key[0] for key in keys}),
+        "sparsity_levels": sorted({key[1] for key in keys}),
+        "strategies": sorted({key[2] for key in keys}),
+        "splits": sorted({key[3] for key in keys}),
         "mean_f1": mean_f1,
     }
     path = out_dir / "summary.json"

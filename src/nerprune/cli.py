@@ -255,7 +255,7 @@ def _cmd_report(args) -> int:
         meta = load_language_metadata(f, name=args.meta)
     overlaps = None
     if args.corpus_root:
-        languages = sorted({r.language for r in records})
+        languages = sorted(set(records.language))
         overlaps = experiment.train_test_overlaps(
             *experiment.load_corpora(args.corpus_root, languages)
         )

@@ -9,11 +9,11 @@ back to 0 whenever their denominator is 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,12 +187,55 @@ class RunRecord:
                    values["seed"], values["split"], report)
 
 
-def _bulk_rows(lines: Iterable[str]) -> list[tuple] | None:
-    """The field values of each record in the lines of a results file, in
-    _RECORD_FIELDS order, or None when a line is not a valid record or not
-    UTF-8. Each line is decoded by one call of json's C scanner and cut to
-    its row at once, so no decoded dict outlives its line; each field is
-    then checked once over its column."""
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Run records as columns, in record order: a tuple for each key and
+    count column, a float64 array for each score. Iterating or indexing
+    a table builds RunRecords one at a time."""
+
+    language: tuple[str, ...]
+    sparsity: tuple[int, ...]
+    strategy: tuple[str, ...]
+    seed: tuple[int, ...]
+    split: tuple[str, ...]
+    tp: tuple[int, ...]
+    fp: tuple[int, ...]
+    fn: tuple[int, ...]
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.language)
+
+    def __getitem__(self, i: int) -> RunRecord:
+        report = ScoreReport(self.tp[i], self.fp[i], self.fn[i], float(self.precision[i]),
+                             float(self.recall[i]), float(self.f1[i]))
+        return RunRecord(self.language[i], self.sparsity[i], self.strategy[i],
+                         self.seed[i], self.split[i], report)
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[RunRecord]) -> "RunTable":
+        return _table(list(zip(*(_record_values(r.to_json_dict()) for r in records))))
+
+
+def _table(columns: list[tuple]) -> RunTable:
+    """The table of columns of field values in _RECORD_FIELDS order."""
+    sparsity, seed, tp, fp, fn, precision, recall, f1, language, strategy, split = (
+        columns or [()] * len(_RECORD_FIELDS))
+    return RunTable(language, sparsity, strategy, seed, split, tp, fp, fn,
+                    *np.array((precision, recall, f1), dtype=np.float64))
+
+
+def _bulk_table(lines: Iterable[str]) -> RunTable | None:
+    """The records in the lines of a results file, or None when a line is
+    not a valid record or not UTF-8, or two records share a key. Each
+    line is decoded by one call of json's C scanner and cut to its row at
+    once, so no decoded dict outlives its line; each field is then
+    checked once over its column."""
     rows = []
     try:
         for line in lines:
@@ -204,59 +247,41 @@ def _bulk_rows(lines: Iterable[str]) -> list[tuple] | None:
                 rows.append(_record_values(data))
     except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
         return None
-    if not rows:
-        return rows
     columns = list(zip(*rows))
     if not all(set(map(type, column)) <= kinds
                for column, kinds in zip(columns, _COLUMN_TYPES)):
         return None
-    sparsity, _, tp, fp, fn, precision, recall, f1, _, strategy, split = columns
-    if not (set(sparsity) <= set(SPARSITY_LEVELS)
-            and set(strategy) <= set(STRATEGY_NAMES) and set(split) <= set(SPLIT_NAMES)
-            and min(tp + fp + fn) >= 0
-            and all(0 <= v <= 1 for v in precision + recall + f1)):  # NaN fails too
+    try:
+        t = _table(columns)
+    except OverflowError:  # an int too large for a float, so out of range
         return None
-    return rows
-
-
-def _checked_records(rows: list[tuple]) -> list[RunRecord]:
-    """Records of rows that _bulk_rows has checked, built without running
-    __post_init__'s checks again. Fields are set one by one, in order, as a
-    frozen dataclass's __init__ sets them, so each instance keeps its
-    compact attribute storage (filling __dict__ instead costs 2.6 MB more
-    for 6720 records)."""
-    records = []
-    new, set_field = object.__new__, object.__setattr__
-    for sparsity, seed, tp, fp, fn, precision, recall, f1, language, strategy, split in rows:
-        report = new(ScoreReport)
-        set_field(report, "tp", tp)
-        set_field(report, "fp", fp)
-        set_field(report, "fn", fn)
-        set_field(report, "precision", precision)
-        set_field(report, "recall", recall)
-        set_field(report, "f1", f1)
-        set_field(report, "per_type", None)
-        record = new(RunRecord)
-        set_field(record, "language", language)
-        set_field(record, "sparsity", sparsity)
-        set_field(record, "strategy", strategy)
-        set_field(record, "seed", seed)
-        set_field(record, "split", split)
-        set_field(record, "report", report)
-        records.append(record)
-    return records
+    scores = np.concatenate((t.precision, t.recall, t.f1))
+    if not (set(t.sparsity) <= set(SPARSITY_LEVELS)
+            and set(t.strategy) <= set(STRATEGY_NAMES) and set(t.split) <= set(SPLIT_NAMES)
+            and min(t.tp + t.fp + t.fn, default=0) >= 0
+            and ((scores >= 0) & (scores <= 1)).all()  # NaN fails too
+            and len(set(zip(t.language, t.sparsity, t.strategy, t.seed, t.split))) == len(t)):
+        return None
+    return t
 
 
 def _walk_records(path: str | Path) -> list[RunRecord]:
     """read_run_records line by line, raising at the first bad line."""
     records = []
+    first_line: dict[tuple, int] = {}
     lineno = 0
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if line:
-                    records.append(RunRecord.from_json_dict(json.loads(line)))
+                    record = RunRecord.from_json_dict(json.loads(line))
+                    key = astuple(record)[:5]  # (language, sparsity, strategy, seed, split)
+                    first = first_line.setdefault(key, lineno)
+                    if first != lineno:
+                        raise ConfigError(f"{path}:{lineno}: duplicate record of {key!r}, "
+                                          f"first at line {first}")
+                    records.append(record)
     except UnicodeDecodeError as exc:
         # text is decoded in blocks, so the line is not known
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
@@ -266,11 +291,12 @@ def _walk_records(path: str | Path) -> list[RunRecord]:
     return records
 
 
-def read_run_records(path: str | Path) -> list[RunRecord]:
+def read_run_records(path: str | Path) -> RunTable:
     """Read a JSON-lines result file, ignoring unknown extra keys. A line
-    that is not a valid record is a ConfigError that names its path and
-    line number."""
+    that is not a valid record, or that repeats the (language, sparsity,
+    strategy, seed, split) of an earlier one, is a ConfigError that names
+    its path and line number."""
     with open(path, encoding="utf-8") as f:
-        rows = _bulk_rows(f)
+        table = _bulk_table(f)
     # the walk raises the error of the first bad line or bad text
-    return _walk_records(path) if rows is None else _checked_records(rows)
+    return RunTable.from_records(_walk_records(path)) if table is None else table

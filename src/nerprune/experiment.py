@@ -661,7 +661,8 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
     appends its lines in one write, so a kill or a full disk can cut only
     the last run short, inside a line or at a line boundary: the file is
     truncated just past the last line that completes a run, and the cut
-    run reruns. A malformed complete line is a ConfigError."""
+    run reruns. A malformed complete line, or a line past its run's
+    count, is a ConfigError."""
     if not results_path.is_file():
         return set()
     data = results_path.read_bytes()
@@ -683,6 +684,9 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
             if seen[run_id] == line_counts.get(run_id):
                 done.add(run_id)
                 end = offset
+            elif run_id in done:
+                raise ConfigError(f"{results_path}:{number}: run {run_id} has more "
+                                  f"than its {line_counts[run_id]} lines")
     if end < len(data):
         with open(results_path, "r+b") as f:
             f.truncate(end)

@@ -139,9 +139,9 @@ def build_vocab(
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
     counts = Counter(_columns(data)[0])
-    kept = sorted((token for token, count in counts.items()
-                   if count >= min_count and token not in (UNK_TOKEN, PAD_TOKEN)),
-                  key=lambda token: (-counts[token], token))
+    kept = sorted(token for token, count in counts.items()
+                  if count >= min_count and token not in (UNK_TOKEN, PAD_TOKEN))
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay sorted
     return {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID, **{t: i for i, t in enumerate(kept, 2)}}
 
 

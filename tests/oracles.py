@@ -11,9 +11,9 @@ pools sentence by sentence into lists,
 perturbation by drawing from a freshly built candidate list, IOB2
 parsing by walking the lines of a universal-newline text stream into
 one Sentence per sentence, results files by decoding and checking one
-record per line, and the report by grouping every seed-mean under each
-dimension and computing each statistic on its own. Slow and obvious on
-purpose.
+record per line against every earlier one, and the report by grouping
+every seed-mean under each dimension and computing each statistic on its
+own, with sums as plain loops. Slow and obvious on purpose.
 """
 
 import csv
@@ -380,15 +380,27 @@ def oracle_parse_iob2(text, language, strip_prefix=False, name="<iob2>"):
 def oracle_read_run_records(path):
     """Records of a results file by the line walk: json.loads and
     RunRecord.from_json_dict on each non-blank line of the text file, the
-    first bad line raising a ConfigError with its number."""
-    records = []
+    first bad line, or the first line that repeats an earlier record's
+    (language, sparsity, strategy, seed, split), raising a ConfigError
+    with its number."""
+    records, lines = [], []
     lineno = 0
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if line:
-                    records.append(RunRecord.from_json_dict(json.loads(line)))
+                    record = RunRecord.from_json_dict(json.loads(line))
+                    key = (record.language, record.sparsity, record.strategy,
+                           record.seed, record.split)
+                    for first, earlier in enumerate(records):
+                        if key == (earlier.language, earlier.sparsity, earlier.strategy,
+                                   earlier.seed, earlier.split):
+                            raise ConfigError(
+                                f"{path}:{lineno}: duplicate record of {key!r}, "
+                                f"first at line {lines[first]}")
+                    records.append(record)
+                    lines.append(lineno)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except (ValueError, KeyError, TypeError) as exc:
@@ -397,10 +409,19 @@ def oracle_read_run_records(path):
     return records
 
 
+def _oracle_sum(values):
+    """Values added in order from 0.0, by the plain loop that Python 3.11's
+    sum() runs (3.12's sum() compensates, and rounds differently)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _oracle_stat(values, stat):
     n = len(values)
     if stat == "mean":
-        return sum(values) / n
+        return _oracle_sum(values) / n
     if stat == "median":
         ordered = sorted(values)
         mid = n // 2
@@ -408,8 +429,8 @@ def _oracle_stat(values, stat):
             return ordered[mid]
         return (ordered[mid - 1] + ordered[mid]) / 2
     if stat == "std":
-        mean = sum(values) / n
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+        mean = _oracle_sum(values) / n
+        return math.sqrt(_oracle_sum([(v - mean) ** 2 for v in values]) / n)
     raise ValueError(f"unknown stat {stat!r}")
 
 

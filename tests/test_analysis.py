@@ -20,7 +20,7 @@ from nerprune.analysis import (
 )
 from nerprune.corpus import LanguageMeta
 from nerprune.errors import MetadataError, MissingMetadataError
-from nerprune.evaluation import RunRecord, ScoreReport
+from nerprune.evaluation import RunRecord, ScoreReport, read_run_records
 from oracles import oracle_emit_report, oracle_tau
 
 META = {
@@ -324,5 +324,11 @@ def _report_files(emit, records, meta, overlaps):
           {**META, "aa": LanguageMeta("aa", "Latin", "all", 100, 0.1)}, None))
 def test_report_bytes_match_the_oracle(inputs):
     records, meta, overlaps = inputs
-    assert (_report_files(emit_report, records, meta, overlaps)
-            == _report_files(oracle_emit_report, records, meta, overlaps))
+    expected = _report_files(oracle_emit_report, records, meta, overlaps)
+    assert _report_files(emit_report, records, meta, overlaps) == expected
+    # the same records as read back from a results file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.jsonl"
+        path.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in records))
+        table = read_run_records(path)
+    assert _report_files(emit_report, table, meta, overlaps) == expected

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import nerprune.experiment
+from nerprune.analysis import SeedStats
 from nerprune.cli import _COMMANDS, build_parser, main
+from nerprune.evaluation import RunRecord, ScoreReport, read_run_records
 from worlds import (
     AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, trace_without_timing, write_world,
 )
@@ -622,6 +624,41 @@ def test_malformed_results_record_names_its_line(tmp_path, capsys):
     assert main(_report_argv(tmp_path, results, meta)) == 2
     assert capsys.readouterr().err == (
         f"nerprune: error: {results}:2: malformed results file: missing key 'f1'\n")
+
+
+def test_duplicated_results_record_exits_two(tmp_path, capsys):
+    # a second record of one key used to count as one more seed
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n" + _record(seed=1) + "\n\n" + _record(f1=0.5) + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    assert main(_report_argv(tmp_path, results, meta)) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {results}:4: duplicate record of "
+        "('aa', 0, 'partial', 0, 'regular'), first at line 1\n")
+
+
+def test_report_builds_no_record_objects(tmp_path, capsys, monkeypatch):
+    write_world(tmp_path)
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(
+        _record(language=lang, sparsity=sparsity, seed=seed, f1=f1) + "\n"
+        for lang, f1 in (("aa", 0.5), ("bb", 0.25)) for sparsity in (0, 50)
+        for seed in (0, 1)))
+    built = []
+    for cls in (RunRecord, ScoreReport, SeedStats):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    argv = _report_argv(tmp_path, results, tmp_path / "languages.csv")
+    assert main(argv) == 0
+    assert main([*argv, "--corpus-root", str(tmp_path / "corpus")]) == 0
+    assert (tmp_path / "report" / "overlap_f1.csv").is_file()
+    assert built == []
+    # the count sees records when they are built
+    assert len(list(read_run_records(results))) == 8
+    assert built == ["ScoreReport", "RunRecord"] * 8
 
 
 def test_well_typed_results_record_is_read(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_run_records_round_trip_through_jsonl(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text("".join(
         json.dumps(record.to_json_dict(), sort_keys=True) + "\n" for record in records))
-    assert read_run_records(path) == records
+    assert list(read_run_records(path)) == records
 
 
 def test_read_run_records_ignores_extra_keys(tmp_path):
@@ -216,7 +216,7 @@ def test_read_run_records_names_the_line_of_a_bad_record(tmp_path, bad_line, det
         bad_line = json.dumps({key: value for key, value in good.items() if key != "f1"})
     path = tmp_path / "runs.jsonl"
     # a blank line still counts: the bad record is on line 4
-    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(good)}\n{bad_line}\n")
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps({**good, 'seed': 1})}\n{bad_line}\n")
     with pytest.raises(ConfigError) as info:
         read_run_records(path)
     message = str(info.value)
@@ -257,10 +257,15 @@ def record_lines(draw):
     return json.dumps(data, ensure_ascii=draw(st.booleans()))
 
 
-# mostly records and blank lines, so that many files are valid
+GOOD_LINE = json.dumps(RunRecord(
+    "af", 0, "partial", 0, "regular", ScoreReport(1, 0, 0, 1.0, 1.0, 1.0)).to_json_dict())
+
+# mostly records and blank lines, so that many files are valid; one fixed
+# record, so that some files repeat a key
 results_lines = st.one_of(
     record_lines(),
     record_lines(),
+    st.just(GOOD_LINE),
     record_lines().map(lambda line: f" \t{line}\u2028"),
     st.sampled_from(["", "  ", "\t", "\u2028", "\x85"]),
     st.sampled_from(["[1, 2]", "3", '"s"', "{'language': 'af'}", "{", "NaN"]),
@@ -268,16 +273,15 @@ results_lines = st.one_of(
 )
 
 
-GOOD_LINE = json.dumps(RunRecord(
-    "af", 0, "partial", 0, "regular", ScoreReport(1, 0, 0, 1.0, 1.0, 1.0)).to_json_dict())
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(results_lines, st.sampled_from(["\n", "\r\n", "\r"])),
                 max_size=8),
        st.booleans(), st.none() | st.integers(0))
 # a NaN score after a good one, which a min and max check would miss
-@example([(GOOD_LINE, "\n"), (GOOD_LINE.replace('"f1": 1.0', '"f1": NaN'), "\n")],
+@example([(GOOD_LINE.replace('"seed": 0', '"seed": 1'), "\n"),
+          (GOOD_LINE.replace('"f1": 1.0', '"f1": NaN'), "\n")], True, None)
+# the key of line 1 again on line 3, with another score
+@example([(GOOD_LINE, "\n"), ("", "\n"), (GOOD_LINE.replace('"f1": 1.0', '"f1": 0.5'), "\n")],
          True, None)
 def test_reader_matches_the_line_walk(lines, ends_with_newline, latin1_at):
     text = "".join(line + end for line, end in lines)
@@ -297,7 +301,7 @@ def test_reader_matches_the_line_walk(lines, ends_with_newline, latin1_at):
                 read_run_records(path)
             assert str(info.value) == str(exc)
         else:
-            assert read_run_records(path) == expected
+            assert list(read_run_records(path)) == expected
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8))

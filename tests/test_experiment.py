@@ -335,6 +335,23 @@ def test_malformed_complete_results_line_is_a_config_error(world, capsys):
     assert "results.jsonl:2: malformed results line" in capsys.readouterr().err
 
 
+def test_run_with_more_lines_than_its_count_is_a_config_error(world, monkeypatch, capsys):
+    results = run(world)
+    lines = results.read_text().splitlines(keepends=True)
+    first_id = json.loads(lines[0])["run_id"]
+    cell = [l for l in lines if json.loads(l)["run_id"] == first_id]
+    # one cell's lines appended twice used to count as that run done
+    results.write_text("".join(cell + cell))
+    calls = []
+    _count_calls(monkeypatch, "train", calls)
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {results}:{len(cell) + 1}: run {first_id} has more than "
+        f"its {len(cell)} lines\n")
+    assert calls == []
+    assert results.read_text() == "".join(cell + cell)
+
+
 def test_failures_are_recorded_and_do_not_stop_the_grid(tmp_path):
     config = config_from_file(
         write_world(tmp_path, schedule=(2, 1000, 2))

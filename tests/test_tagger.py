@@ -76,6 +76,22 @@ def test_vocab_min_count_filters_rare_tokens():
     assert "a" in vocab and "b" not in vocab
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["b", "a", "B", "é", "ab", "<unk>", "<pad>"]),
+                         max_size=6), max_size=8),
+       st.integers(1, 3))
+def test_vocab_order_is_count_then_token(rows, min_count):
+    corpus = corpus_of([sent(row, ["O"] * len(row)) for row in rows], split="train")
+    counts = {}
+    for token in (token for row in rows for token in row):
+        counts[token] = counts.get(token, 0) + 1
+    kept = sorted((token for token, count in counts.items()
+                   if count >= min_count and token not in ("<unk>", "<pad>")),
+                  key=lambda token: (-counts[token], token))
+    assert list(build_vocab(corpus, min_count).items()) == [
+        ("<unk>", UNK_ID), ("<pad>", PAD_ID), *((token, i) for i, token in enumerate(kept, 2))]
+
+
 def test_init_is_seed_deterministic_and_role_tagged():
     vocab = build_vocab(toy_corpus())
     m1 = init_model(SMALL, vocab)
