@@ -285,7 +285,7 @@ def _walk_records(path: str | Path) -> list[RunRecord]:
     except UnicodeDecodeError as exc:
         # text is decoded in blocks, so the line is not known
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{path}:{lineno}: malformed results file: {detail}") from None
     return records

@@ -50,6 +50,7 @@ from .evaluation import (
     SPARSITY_LEVELS,
     STRATEGY_NAMES,
     RunRecord,
+    _scan_json,
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
@@ -656,6 +657,21 @@ def _language_set_outcomes(config, languages, specs, inputs, out_dir, mapper):
     yield from mapper(lambda spec: _cell_outcome(spec, config, bundle, out_dir), specs)
 
 
+def _loads_line(line: bytes):
+    """json.loads(line). A line that is one JSON value alone in UTF-8, as
+    run writes them, is decoded by one call of json's C scanner, which
+    skips json.loads's encoding detection and whitespace passes; any other
+    line goes to json.loads, which decodes it or raises its own error."""
+    try:
+        text = line.decode()
+        value, end = _scan_json(text, 0)
+        if end == len(text):
+            return value
+    except (UnicodeDecodeError, StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set[str]:
     """Run ids with all their line_counts[run_id] lines on disk. A run
     appends its lines in one write, so a kill or a full disk can cut only
@@ -673,10 +689,10 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
         offset += len(line) + 1
         if line.strip():
             try:
-                run_id = json.loads(line)["run_id"]
+                run_id = _loads_line(line)["run_id"]
                 if not isinstance(run_id, str):
                     raise TypeError(f"run_id must be a string, got {run_id!r}")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(
                     f"{results_path}:{number}: malformed results line: {exc!r}"
                 ) from None

@@ -191,17 +191,23 @@ def compute_masks(
     if extra == 0:
         return params
     live = np.concatenate([t.mask.reshape(-1) for t in tensors]).view(bool)
-    values = np.concatenate([t.values.reshape(-1) for t in tensors])
+    cuts = np.cumsum([t.size for t in tensors])[:-1]
     # magnitudes in tie-break order (name, flat index): of the live weights
     # alone when few are live, else of every weight, masked ones +inf
     gathered = n - masked < _LIVE_ONLY_BELOW * n
     if gathered:
         where = np.flatnonzero(live)
         live = live[where]  # all true, as mags has only live weights
-        mags = np.abs(values[where])
+        # taken from each tensor, so that no masked value is copied
+        mags = np.concatenate([
+            t.values.reshape(-1).take(part - start) for t, part, start
+            in zip(tensors, np.split(where, np.searchsorted(where, cuts)), [0, *cuts])])
+        np.abs(mags, out=mags)
     else:
-        mags = np.abs(values, out=values)
-        np.copyto(mags, np.inf, where=~live)
+        mags = np.concatenate([t.values.reshape(-1) for t in tensors])
+        np.abs(mags, out=mags)
+        if masked:
+            np.copyto(mags, np.inf, where=~live)
     threshold = np.partition(mags, extra - 1)[extra - 1]
     if np.isfinite(threshold):
         chosen = mags < threshold
@@ -217,7 +223,6 @@ def compute_masks(
         keep[where] = ~chosen
     else:
         keep = ~chosen
-    cuts = np.cumsum([t.size for t in tensors])[:-1]
     for tensor, part in zip(tensors, np.split(keep, cuts)):
         np.logical_and(tensor.mask, part.reshape(tensor.shape), out=tensor.mask)
     return params
@@ -271,10 +276,11 @@ def save_checkpoint(
         "extra": extra or {},
     }
     for tensor in params:
+        # written from the arrays' own buffers, without a bytes copy
         values = np.ascontiguousarray(tensor.values, dtype="<f8")
-        (directory / f"{tensor.name}.values.bin").write_bytes(values.tobytes())
+        (directory / f"{tensor.name}.values.bin").write_bytes(values)
         mask = np.ascontiguousarray(tensor.mask, dtype=np.uint8)
-        (directory / f"{tensor.name}.mask.bin").write_bytes(mask.tobytes())
+        (directory / f"{tensor.name}.mask.bin").write_bytes(mask)
     with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

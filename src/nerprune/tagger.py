@@ -138,11 +138,15 @@ def build_vocab(
     """
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
-    counts = Counter(_columns(data)[0])
-    kept = sorted(token for token, count in counts.items()
-                  if count >= min_count and token not in (UNK_TOKEN, PAD_TOKEN))
+    corpora = [data] if isinstance(data, Corpus) else data
+    counts = Counter(chain.from_iterable(c.tokens for c in corpora))
+    counts.pop(UNK_TOKEN, None)
+    counts.pop(PAD_TOKEN, None)
+    kept = sorted(token for token, count in counts.items() if count >= min_count)
     kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay sorted
-    return {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID, **{t: i for i, t in enumerate(kept, 2)}}
+    vocab = {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID}
+    vocab.update(zip(kept, range(2, len(kept) + 2)))
+    return vocab
 
 
 def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -250,25 +254,52 @@ def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
     """Forward pass on window ids, returns (n, n_tags) scores."""
     e = params["E"].values
     n, k = ids.shape
-    x = e[ids.reshape(-1)].reshape(n, k * e.shape[1])
-    z1 = x @ params["W1"].values + params["b1"].values
-    h = np.maximum(z1, 0.0)
-    return h @ params["W2"].values + params["b2"].values
+    x = e.take(ids.reshape(-1), axis=0).reshape(n, k * e.shape[1])
+    z1 = x @ params["W1"].values
+    z1 += params["b1"].values
+    h = np.maximum(z1, 0.0, out=z1)
+    scores = h @ params["W2"].values
+    scores += params["b2"].values
+    return scores
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over each row of scores, computed in place in scores."""
+    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    scores -= np.log(np.add.reduce(np.exp(scores), axis=1, keepdims=True))
+    return scores
+
+
+def _flat_picks(tags: np.ndarray, n_tags: int) -> np.ndarray:
+    """Positions of row i's entry tags[i] in a C-ordered (len(tags),
+    n_tags) array's flat layout: one index array in place of the tuple
+    (arange(n), tags), which numpy indexes more slowly."""
+    return np.arange(len(tags)) * n_tags + tags
+
+
+def _zero_dead(gh: np.ndarray, z1: np.ndarray) -> None:
+    """gh[z1 <= 0.0] = 0.0, in place, as one bitwise AND of gh's bits:
+    the mask is 0 where z1 <= 0.0 and all ones elsewhere, so dead
+    entries become exactly +0.0 (whatever gh held, NaN and inf too) and
+    the rest keep their bits. A boolean-mask store over entries of
+    random sign costs several times more; gh *= z1 > 0 would leave -0.0
+    for a negative gh."""
+    keep = (z1 <= 0.0).astype(np.int64)
+    keep -= 1
+    bits = gh.view(np.int64)
+    np.bitwise_and(bits, keep, out=bits)
 
 
 def _embedding_grad(slot: np.ndarray, n_rows: int, gx: np.ndarray) -> np.ndarray:
     """Per embedding row a batch reads, the sum of its gx rows; entry i of
     gx belongs to row slot[i]. bincount adds each row's terms in input
     order from 0.0, as np.add.at into a zeroed table does, so the bits are
-    the same."""
+    the same. Entry (i, j) of gx goes to bin slot[i] * d + j: the bins of
+    each row are gathered from one arange, which costs less than
+    broadcasting slot[:, None] * d + arange(d)."""
     d = gx.shape[1]
-    grad = np.bincount((slot[:, None] * d + np.arange(d)).reshape(-1),
-                       weights=gx.reshape(-1), minlength=n_rows * d)
+    bins = np.arange(n_rows * d).reshape(n_rows, d).take(slot, axis=0)
+    grad = np.bincount(bins.reshape(-1), weights=gx.reshape(-1), minlength=n_rows * d)
     return grad.reshape(n_rows, d)
 
 
@@ -328,26 +359,28 @@ def _batch_loss_grads(
     n, k = ids.shape
     d = e.shape[1]
 
-    x = e[ids.reshape(-1)].reshape(n, k * d)
-    z1 = x @ w1 + b1
+    x = e.take(ids.reshape(-1), axis=0).reshape(n, k * d)
+    z1 = x @ w1
+    z1 += b1
     h = np.maximum(z1, 0.0)
-    scores = h @ w2 + b2
+    scores = h @ w2
+    scores += b2
 
     logp = _log_softmax(scores)
-    picked = (np.arange(n), tags)
-    # the bits of -logp[picked].mean(), without its wrapper's cost
-    loss = float(-(logp[picked].sum() / n))
+    picked = _flat_picks(tags, logp.shape[1])
+    # the bits of -logp[arange(n), tags].mean(), without its wrapper's cost
+    loss = float(-(logp.take(picked).sum() / n))
 
     g = np.exp(logp)
-    g[picked] -= 1.0
+    g.reshape(-1)[picked] -= 1.0
     g /= n
 
     np.matmul(h.T, g, out=grads["W2"])
-    g.sum(axis=0, out=grads["b2"])
+    np.add.reduce(g, axis=0, out=grads["b2"])
     gh = g @ w2.T
-    gh[z1 <= 0.0] = 0.0
+    _zero_dead(gh, z1)
     np.matmul(x.T, gh, out=grads["W1"])
-    gh.sum(axis=0, out=grads["b1"])
+    np.add.reduce(gh, axis=0, out=grads["b1"])
     gx = (gh @ w1.T).reshape(n * k, d)
     return loss, _embedding_grad(slot, rows.size, gx)
 
@@ -445,15 +478,18 @@ def train(
                 loss, grad_rows = _batch_loss_grads(
                     params, epoch_ids[start:stop], epoch_tags[start:stop],
                     rows, slots[k * start:k * stop], grads)
+                # update (and re-mask) E's rows in one gather and one
+                # scatter, in place in grad_rows
+                grad_rows *= lr
+                new_rows = np.subtract(emb.values.take(rows, axis=0), grad_rows,
+                                       out=grad_rows)
                 if not full_pass and emb_masked:
-                    # update and re-mask E's rows in one gather and one
-                    # scatter, then check them
-                    mask_rows = emb.mask[rows]
-                    emb.values[rows] = kept = (emb.values[rows] - lr * grad_rows) * mask_rows
-                    checked.append((kept, mask_rows))
-                else:
-                    emb.values[rows] -= lr * grad_rows
-                dense -= lr * dense_grad
+                    mask_rows = emb.mask.take(rows, axis=0)
+                    new_rows *= mask_rows
+                    checked.append((new_rows, mask_rows))
+                emb.values[rows] = new_rows
+                dense_grad *= lr
+                dense -= dense_grad
             if full_pass:
                 apply_masks(tensors)
                 sparsity = measure_sparsity(tensors, strategy)
@@ -579,9 +615,9 @@ def save_model(directory: str | Path, model: TaggerModel) -> Path:
         "vocab_tokens": None,
     }
     # the bytes json.dump(indent=2, sort_keys=True) writes, but the token
-    # list (sorted last) goes through the C encoder, which cannot indent
+    # list (sorted last) is joined from the C string encoder's output
     text = json.dumps(sidecar, indent=2, sort_keys=True).removesuffix("null\n}")
-    listed = json.dumps(tokens, separators=(",\n    ", ": "))[1:-1]
+    listed = ",\n    ".join(map(json.encoder.encode_basestring_ascii, tokens))
     (directory / MODEL_SIDECAR).write_text(
         f"{text}[\n    {listed}\n  ]\n}}\n", encoding="utf-8")
     return directory

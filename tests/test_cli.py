@@ -638,6 +638,31 @@ def test_duplicated_results_record_exits_two(tmp_path, capsys):
         "('aa', 0, 'partial', 0, 'regular'), first at line 1\n")
 
 
+# one JSON value nested deeper than the interpreter's recursion limit
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+
+
+def test_results_line_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
+    # used to die with a RecursionError traceback and exit 1
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n" + DEEP_LINE + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA)
+    assert main(_report_argv(tmp_path, results, meta)) == 2
+    assert f"{results}:2: malformed results file" in capsys.readouterr().err
+
+
+def test_resume_from_a_line_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    results = Path(capsys.readouterr().out.strip())
+    n_lines = len(results.read_text().splitlines())
+    with open(results, "a", encoding="utf-8") as f:
+        f.write(DEEP_LINE + "\n")
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert f"{results}:{n_lines + 1}: malformed results line" in capsys.readouterr().err
+
+
 def test_report_builds_no_record_objects(tmp_path, capsys, monkeypatch):
     write_world(tmp_path)
     results = tmp_path / "results.jsonl"

@@ -6,7 +6,10 @@ np.add.at, the loss divides a sum where the reference takes a mean,
 batches are slices of one gather per epoch where the reference
 concatenates each batch's sentences, and each batch's embedding rows
 come from one plan per epoch where the reference calls np.unique per
-batch. All must give the same bytes.
+batch. The ReLU backward is a bitwise AND where the reference stores
+through a boolean mask, the picked tags are one flat index where the
+reference indexes with a tuple, and the log-softmax and the forward pass
+run in place. All must give the same bytes.
 """
 
 import math
@@ -26,7 +29,11 @@ from nerprune.tagger import (
     PAD_ID,
     TaggerConfig,
     _embedding_grad,
+    _flat_picks,
+    _log_softmax,
     _plan_rows,
+    _scores,
+    _zero_dead,
     build_vocab,
     encode_windows,
     init_model,
@@ -124,10 +131,79 @@ def test_sum_over_n_has_the_bytes_of_mean(x):
     assert np.float64(-(x.sum() / len(x))).tobytes() == np.float64(-x.mean()).tobytes()
 
 
+# every float the ReLU backward can meet, non-finite ones included
+relu_floats_st = st.one_of(floats_st, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def relu_cases(draw):
+    n = draw(st.integers(1, 40))
+    return (draw(hnp.arrays(np.float64, n, elements=relu_floats_st)),
+            draw(hnp.arrays(np.float64, n, elements=relu_floats_st)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(relu_cases())
+# a negative gradient at a dead unit: gh *= z1 > 0 would leave -0.0 there
+@example((np.array([-1.5, 2.0, np.nan, -np.inf]), np.array([-1.0, 0.0, -0.0, -2.0])))
+# NaN z1 is not <= 0, so its gradient stays, whatever it is
+@example((np.array([-1.5, np.nan, np.inf]), np.array([np.nan, np.nan, np.nan])))
+def test_relu_backward_has_the_bytes_of_the_mask_store(case):
+    gh, z1 = case
+    want = gh.copy()
+    want[z1 <= 0.0] = 0.0
+    got = gh.copy()
+    _zero_dead(got, z1)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def picked_tags(draw):
+    n, n_tags = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    return (draw(hnp.arrays(np.float64, (n, n_tags), elements=floats_st)),
+            draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_tags - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(picked_tags())
+def test_flat_picks_index_as_the_tuple_index(case):
+    a, tags = case
+    n, n_tags = a.shape
+    picked = (np.arange(n), tags)
+    flat = _flat_picks(tags, n_tags)
+    assert a.take(flat).tobytes() == a[picked].tobytes()
+    want, got = a.copy(), a.copy()
+    want[picked] -= 1.0
+    got.reshape(-1)[flat] -= 1.0
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)),
+                  elements=relu_floats_st))
+@example(np.array([[0.0, -0.0, -40.0], [-0.0, -0.0, -800.0]]))
+def test_in_place_log_softmax_has_the_bytes_of_the_shifted_form(scores):
+    with np.errstate(all="ignore"):
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        got = _log_softmax(scores.copy())
+    assert got.tobytes() == want.tobytes()
+
+
 GATHER_CONFIG = TaggerConfig(
     embed_dim=5, window=1, hidden_dim=7, learning_rate=0.5,
     epochs=4, batch_size=3, seed=2,
 )
+
+
+def test_forward_pass_has_the_bytes_of_the_unfused_form():
+    corpus = toy_corpus()
+    model = init_model(GATHER_CONFIG, build_vocab(corpus))
+    ids = encode_windows(model.vocab, GATHER_CONFIG.window, corpus).ids
+    p = {name: tensor.values for name, tensor in model.params.items()}
+    x = p["E"][ids.reshape(-1)].reshape(len(ids), -1)
+    want = np.maximum(x @ p["W1"] + p["b1"], 0.0) @ p["W2"] + p["b2"]
+    assert _scores(model.params, ids).tobytes() == want.tobytes()
 
 
 def _with_empties(slots):

@@ -23,6 +23,7 @@ from nerprune.tagger import (
     TaggerConfig,
     _max_abs_masked,
     build_vocab,
+    encode_windows,
     init_model,
     train,
 )
@@ -83,6 +84,27 @@ def test_c09_config_matches_the_dense_step(strategy):
         lambda: init_model(C09_CONFIG, vocab), data,
         PruneSchedule(200, 1000, 100, 0.98), strategy,
     )
+
+
+def test_default_dims_with_dead_hidden_units_match_the_dense_step():
+    """The default embed and hidden dims, at a learning rate high enough
+    that hidden units die: z1 <= 0 for every token, so through whole
+    batches their gradient is zeroed by the ReLU backward."""
+    trains, _, _ = synth.build_world()
+    data = [trains[lang] for lang in synth.LANGUAGES]
+    vocab = build_vocab(data)
+    config = TaggerConfig(learning_rate=1.5, epochs=2, batch_size=16, seed=7)
+    assert (config.embed_dim, config.hidden_dim, config.window) == (32, 64, 1)
+    schedule = PruneSchedule(20, 120, 20, 0.9)
+    assert_matches_oracle(lambda: init_model(config, vocab), data, schedule,
+                          PruneStrategy.INCL_EMBEDDINGS)
+
+    model, _ = train(init_model(config, vocab), data, schedule=schedule,
+                     strategy=PruneStrategy.INCL_EMBEDDINGS)
+    ids = encode_windows(vocab, config.window, data).ids
+    p = model.params
+    x = p["E"].values[ids].reshape(len(ids), -1)
+    assert ((x @ p["W1"].values + p["b1"].values) <= 0.0).all(axis=0).sum() >= 3
 
 
 def _zipf_corpus(rng, n_sentences=60, n_types=150):
