@@ -9,8 +9,6 @@ aggregation (analysis) and the command line front end (cli).
 
 from .analysis import (
     GroupDimension,
-    SeedStats,
-    aggregate_seeds,
     emit_report,
     group_stats,
     kendall_tau,

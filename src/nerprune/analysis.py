@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
 from operator import sub
@@ -78,15 +77,6 @@ def _stats(ids: np.ndarray, values: np.ndarray, size: int) -> list[np.ndarray]:
     return [n, mean, median, np.sqrt(np.bincount(ids, squares, size) / n)]
 
 
-@dataclass(frozen=True)
-class SeedStats:
-    """F1 aggregate across seeds: mean, population std, sample count."""
-
-    mean: float
-    std: float
-    n: int
-
-
 GroupKey = tuple[str, int, str, str]
 
 
@@ -99,14 +89,6 @@ def _seed_stats(records: RunTable | Iterable[RunRecord]):
     ids, key_ids = _ids(zip(records.language, records.sparsity, records.strategy,
                             records.split))
     return [ids, *_stats(key_ids, records.f1, len(ids))]
-
-
-def aggregate_seeds(records: RunTable | Iterable[RunRecord]) -> dict[GroupKey, SeedStats]:
-    """Aggregate F1 across seeds per (language, sparsity, strategy, split),
-    keyed in the order the keys first occur in records."""
-    ids, n, mean, _, std = _seed_stats(records)
-    return {key: SeedStats(*entry)
-            for key, entry in zip(ids, zip(mean.tolist(), std.tolist(), n.tolist()))}
 
 
 def _grouped(keys: Sequence[GroupKey], means: np.ndarray,

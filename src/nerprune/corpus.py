@@ -363,7 +363,11 @@ def load_language_metadata(
     Duplicate codes and non-numeric sizes are rejected with the offending
     line number.
     """
-    rows = list(csv.reader(io.StringIO(_text(source, name, MetadataError))))
+    reader = csv.reader(io.StringIO(_text(source, name, MetadataError)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        raise MetadataError(f"{name}:{reader.line_num}: {exc}") from None
     if not rows:
         raise MetadataError(f"{name}: empty metadata file")
     if tuple(h.strip() for h in rows[0]) != METADATA_HEADER:

@@ -16,9 +16,9 @@ benchmark that all models face identically.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
-import math
 import re
 import resource
 import shutil
@@ -54,7 +54,7 @@ from .evaluation import (
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
-from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, schedule_events
+from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, Role, schedule_events
 from .tagger import (
     Encoded,
     TaggerConfig,
@@ -82,8 +82,7 @@ DEFAULT_SCHEDULE_TABLE = (
 MODES = ("monolingual", "multilingual")
 HASH_PREFIX_LEN = 12
 TRACE_NAME = "trace.jsonl"
-# the tensors a strategy may prune, as a trace counts their masked weights
-PRUNABLE_TENSORS = ("E", "W1", "W2")
+LOCK_NAME = ".lock"
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -562,9 +561,9 @@ def execute_run(
     trained = time.perf_counter()
     # the last full pass measured the final masks
     achieved = history[-1].sparsity
-    prunable = {name: model.params[name].size
-                if model.params[name].role in strategy.prunable_roles else 0
-                for name in PRUNABLE_TENSORS}
+    # per tensor a strategy may prune, its weights that this one prunes
+    prunable = {t.name: t.size if t.role in strategy.prunable_roles else 0
+                for t in model.param_list if t.role is not Role.EXCLUDED}
     n_prunable = sum(prunable.values())
     if abs(achieved - spec.sparsity / 100) > 1 / n_prunable + 1e-12:
         raise PruningError(
@@ -593,8 +592,7 @@ def execute_run(
         lines.append({**record.to_json_dict(), **cell})
     timings = {"train_s": trained - started, "save_s": saved - trained,
                "predict_score_s": time.perf_counter() - saved}
-    steps_per_epoch = math.ceil((len(bundle.train.offsets) - 1) / config.tagger.batch_size)
-    _write_trace(staging / TRACE_NAME, history, steps_per_epoch,
+    _write_trace(staging / TRACE_NAME, history, len(history) // config.tagger.epochs,
                  schedule_events(schedule) if schedule else [], model, prunable, timings)
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
     staging.rename(checkpoint_dir)
@@ -615,7 +613,7 @@ def _write_trace(path, history, steps_per_epoch, events, model, prunable, timing
     trace += [{"kind": "event", "step": step, "target": target,
                "sparsity": history[max(step, 1) - 1].sparsity} for step, target in events]
     masked = {name: model.params[name].size - int(np.count_nonzero(model.params[name].mask))
-              for name in PRUNABLE_TENSORS}
+              for name in prunable}
     trace.append({"kind": "final", "steps": len(history), "masked": masked,
                   "prunable": prunable,
                   "max_abs_masked": max(h.max_abs_masked for h in history)})
@@ -719,54 +717,64 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     pending cell gets one bundle, built before its cells start and
     dropped when they finish. With workers > 1 a language set's runs
     execute on a thread pool, and each cell's outcome is appended in plan
-    order once it and the earlier cells of its set are done.
+    order once it and the earlier cells of its set are done. While one
+    run holds the output directory's lock, another on it raises
+    ConfigError before it reads or writes any file there.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     out_dir = config.output_path / config.config_hash[:HASH_PREFIX_LEN]
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot_path = out_dir / "config_snapshot.json"
-    snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
-    if snapshot_path.is_file():
+    # one writer per output directory: held until run returns, and dropped
+    # by the kernel when its holder dies, so a killed run never blocks its
+    # resume; nothing is written, so the cheapest open (binary, unbuffered)
+    with open(out_dir / LOCK_NAME, "ab", buffering=0) as lock:
         try:
-            existing = json.loads(snapshot_path.read_text(encoding="utf-8"))
-            existing_hash = existing["config_hash"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"{snapshot_path}: malformed config snapshot: {exc!r}"
-            ) from None
-        if existing_hash != config.config_hash:
-            raise ConfigError(
-                f"{snapshot_path}: directory belongs to a different config"
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{out_dir}: held by another nerprune run") from None
+        snapshot_path = out_dir / "config_snapshot.json"
+        snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
+        if snapshot_path.is_file():
+            try:
+                existing = json.loads(snapshot_path.read_text(encoding="utf-8"))
+                existing_hash = existing["config_hash"]
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise ConfigError(
+                    f"{snapshot_path}: malformed config snapshot: {exc!r}"
+                ) from None
+            if existing_hash != config.config_hash:
+                raise ConfigError(
+                    f"{snapshot_path}: directory belongs to a different config"
+                )
+        else:
+            snapshot_path.write_text(
+                json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
-    else:
-        snapshot_path.write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
-    results_path = out_dir / "results.jsonl"
-    (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
-    specs = plan(config)
-    done = _existing_run_ids(results_path, {
-        spec.run_id: len(spec.languages(config)) * (1 + len(config.scopes))
-        for spec in specs})
-    pending = [spec for spec in specs if spec.run_id not in done]
-    if not pending:
+        results_path = out_dir / "results.jsonl"
+        (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
+        specs = plan(config)
+        done = _existing_run_ids(results_path, {
+            spec.run_id: len(spec.languages(config)) * (1 + len(config.scopes))
+            for spec in specs})
+        pending = [spec for spec in specs if spec.run_id not in done]
+        if not pending:
+            return results_path
+
+        inputs = load_cell_inputs(config, config.languages)
+        write_perturbed(out_dir / "perturbed", inputs[2])
+        groups: dict[tuple[str, ...], list[RunSpec]] = {}
+        for spec in pending:
+            groups.setdefault(tuple(spec.languages(config)), []).append(spec)
+        with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            for languages, specs in groups.items():
+                for name, text in _language_set_outcomes(
+                        config, languages, specs, inputs, out_dir,
+                        pool.map if pool else map):
+                    with open(out_dir / name, "a", encoding="utf-8") as f:
+                        f.write(text)
+        if not results_path.is_file():
+            results_path.write_text("", encoding="utf-8")
         return results_path
-
-    inputs = load_cell_inputs(config, config.languages)
-    write_perturbed(out_dir / "perturbed", inputs[2])
-    groups: dict[tuple[str, ...], list[RunSpec]] = {}
-    for spec in pending:
-        groups.setdefault(tuple(spec.languages(config)), []).append(spec)
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        for languages, specs in groups.items():
-            for name, text in _language_set_outcomes(
-                    config, languages, specs, inputs, out_dir,
-                    pool.map if pool else map):
-                with open(out_dir / name, "a", encoding="utf-8") as f:
-                    f.write(text)
-    if not results_path.is_file():
-        results_path.write_text("", encoding="utf-8")
-    return results_path

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,13 +147,20 @@ def _target_count(sparsity: float, n: int) -> int:
     return int(np.floor(product))
 
 
-def _prunable(params: Sequence[ParamTensor],
-              strategy: PruneStrategy) -> list[ParamTensor]:
+def _masked_count(params: Sequence[ParamTensor],
+                  strategy: PruneStrategy) -> tuple[list[ParamTensor], int, int]:
+    """The tensors of params that strategy may prune, sorted by name, their
+    weight count and how many of those are masked. Duplicate names, or no
+    prunable weight at all, raise PruningError."""
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise PruningError(f"duplicate tensor names: {names}")
     roles = strategy.prunable_roles
-    return [p for p in params if p.role in roles]
+    tensors = sorted((p for p in params if p.role in roles), key=lambda p: p.name)
+    n = sum(t.size for t in tensors)
+    if n == 0:
+        raise PruningError(f"no prunable weights for {strategy.value}")
+    return tensors, n, n - sum(np.count_nonzero(t.mask) for t in tensors)
 
 
 # a pruning event ranks only the gathered live magnitudes when fewer than
@@ -177,11 +184,7 @@ def compute_masks(
     """
     if not 0.0 <= sparsity <= 1.0:
         raise PruningError(f"sparsity must be in [0, 1], got {sparsity}")
-    tensors = sorted(_prunable(params, strategy), key=lambda p: p.name)
-    n = sum(t.size for t in tensors)
-    if n == 0:
-        raise PruningError(f"no prunable weights for {strategy.value}")
-    masked = n - sum(np.count_nonzero(t.mask) for t in tensors)
+    tensors, n, masked = _masked_count(params, strategy)
     target = _target_count(sparsity, n)
     if target < masked:
         raise MonotonicityError(
@@ -238,11 +241,8 @@ def apply_masks(params: Sequence[ParamTensor]) -> Sequence[ParamTensor]:
 def measure_sparsity(params: Sequence[ParamTensor],
                      strategy: PruneStrategy) -> float:
     """Fraction of prunable weights currently masked."""
-    prunable = _prunable(params, strategy)
-    n = sum(p.size for p in prunable)
-    if n == 0:
-        raise PruningError(f"no prunable weights for {strategy.value}")
-    return (n - sum(np.count_nonzero(p.mask) for p in prunable)) / n
+    _, n, masked = _masked_count(params, strategy)
+    return masked / n
 
 
 MANIFEST_NAME = "manifest.json"
@@ -297,7 +297,7 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         entries = list(manifest.get("tensors", []))
-    except (ValueError, AttributeError, TypeError) as exc:
+    except (ValueError, AttributeError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{manifest_path}: {exc}") from None
     params = []
     for entry in entries:

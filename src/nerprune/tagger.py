@@ -250,17 +250,21 @@ def encode_sentence(
     return encode_windows(model.vocab, model.config.window, corpus)[:2]
 
 
-def _scores(params: dict[str, ParamTensor], ids: np.ndarray) -> np.ndarray:
-    """Forward pass on window ids, returns (n, n_tags) scores."""
+def _forward(params: dict[str, ParamTensor],
+             ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass on window ids (n, k): the gathered embeddings x (n,
+    k * embed_dim), the hidden activations h (n, hidden_dim) and the
+    scores (n, n_tags). The ReLU runs in place, so h <= 0.0 holds exactly
+    where its input did: np.maximum gives +-0.0 there and keeps NaN."""
     e = params["E"].values
     n, k = ids.shape
     x = e.take(ids.reshape(-1), axis=0).reshape(n, k * e.shape[1])
-    z1 = x @ params["W1"].values
-    z1 += params["b1"].values
-    h = np.maximum(z1, 0.0, out=z1)
+    h = x @ params["W1"].values
+    h += params["b1"].values
+    np.maximum(h, 0.0, out=h)
     scores = h @ params["W2"].values
     scores += params["b2"].values
-    return scores
+    return x, h, scores
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -353,19 +357,9 @@ def _batch_loss_grads(
     from _embedding_grad. The DENSE gradients are written into grads,
     arrays of their tensors' shapes.
     """
-    e = params["E"].values
-    w1, b1 = params["W1"].values, params["b1"].values
-    w2, b2 = params["W2"].values, params["b2"].values
+    w1, w2 = params["W1"].values, params["W2"].values
     n, k = ids.shape
-    d = e.shape[1]
-
-    x = e.take(ids.reshape(-1), axis=0).reshape(n, k * d)
-    z1 = x @ w1
-    z1 += b1
-    h = np.maximum(z1, 0.0)
-    scores = h @ w2
-    scores += b2
-
+    x, h, scores = _forward(params, ids)
     logp = _log_softmax(scores)
     picked = _flat_picks(tags, logp.shape[1])
     # the bits of -logp[arange(n), tags].mean(), without its wrapper's cost
@@ -378,10 +372,10 @@ def _batch_loss_grads(
     np.matmul(h.T, g, out=grads["W2"])
     np.add.reduce(g, axis=0, out=grads["b2"])
     gh = g @ w2.T
-    _zero_dead(gh, z1)
+    _zero_dead(gh, h)
     np.matmul(x.T, gh, out=grads["W1"])
     np.add.reduce(gh, axis=0, out=grads["b1"])
-    gx = (gh @ w1.T).reshape(n * k, d)
+    gx = (gh @ w1.T).reshape(n * k, -1)
     return loss, _embedding_grad(slot, rows.size, gx)
 
 
@@ -541,7 +535,7 @@ def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
     for begin in range(0, n_sentences, PREDICT_CHUNK):
         a = offsets[begin]
         b = offsets[min(begin + PREDICT_CHUNK, n_sentences)]
-        best[a:b] = _scores(model.params, ids[a:b]).argmax(axis=1)
+        best[a:b] = _forward(model.params, ids[a:b])[2].argmax(axis=1)
     return best
 
 
@@ -633,7 +627,7 @@ def load_model(directory: str | Path) -> TaggerModel:
         config = TaggerConfig(**sidecar["config"])
         tagset = tuple(sidecar["tagset"])
         vocab = {token: idx for idx, token in enumerate(sidecar["vocab_tokens"])}
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
         raise CheckpointError(
             f"{sidecar_path}: malformed model sidecar: {exc!r}"
         ) from None

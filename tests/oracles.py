@@ -21,6 +21,7 @@ import io
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from nerprune.corpus import (
 from nerprune.analysis import (
     ALL_GROUP,
     GroupDimension,
-    SeedStats,
     relative_delta,
     robustness_ratio,
 )
@@ -50,7 +50,7 @@ from nerprune.errors import (
 from nerprune.evaluation import STRATEGY_NAMES, RunRecord, ScoreReport
 from nerprune.perturb import ReplacementRecord
 from nerprune.pruning import _target_count, apply_masks, measure_sparsity, schedule_events
-from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _log_softmax, _scores
+from nerprune.tagger import PAD_ID, UNK_ID, TrainStep, _forward, _log_softmax
 
 
 def oracle_spans(tags):
@@ -301,7 +301,7 @@ def oracle_predict(model, corpus):
         if len(sentence) == 0:
             out.append([])
             continue
-        scores = _scores(model.params, oracle_encode_sentence(model, sentence)[0])
+        scores = _forward(model.params, oracle_encode_sentence(model, sentence)[0])[2]
         out.append([model.tagset[i] for i in scores.argmax(axis=1)])
     return out
 
@@ -434,13 +434,19 @@ def _oracle_stat(values, stat):
     raise ValueError(f"unknown stat {stat!r}")
 
 
+class _SeedStats(NamedTuple):
+    mean: float
+    std: float
+    n: int
+
+
 def _oracle_aggregate_seeds(records):
     groups = {}
     for r in records:
         groups.setdefault((r.language, r.sparsity, r.strategy, r.split), []).append(
             r.report.f1)
-    return {key: SeedStats(_oracle_stat(values, "mean"), _oracle_stat(values, "std"),
-                           len(values))
+    return {key: _SeedStats(_oracle_stat(values, "mean"), _oracle_stat(values, "std"),
+                            len(values))
             for key, values in groups.items()}
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from nerprune.analysis import (
     GroupDimension,
-    aggregate_seeds,
     emit_report,
     group_stats,
     kendall_tau,
@@ -53,15 +53,54 @@ def test_delta_and_ratio_conventions():
     assert robustness_ratio(0.3, 0.0) is None
 
 
+def per_language(records) -> dict[tuple, tuple[float, float, int]]:
+    """(mean_f1, std_f1, n_seeds) of each row of the per_language.csv that
+    emit_report writes for records, keyed (language, sparsity, strategy,
+    split)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_report(records, META, tmp)
+        with open(Path(tmp) / "per_language.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+    return {(row["language"], int(row["sparsity"]), row["strategy"], row["split"]):
+            (float(row["mean_f1"]), float(row["std_f1"]), int(row["n_seeds"]))
+            for row in rows}
+
+
 def test_seed_mean_averages_over_seeds_only():
     records = [
         record("aa", 50, 0.4, seed=0),
         record("aa", 50, 0.6, seed=1),
         record("aa", 70, 0.2, seed=0),
     ]
-    stats = aggregate_seeds(records)
-    assert stats[("aa", 50, "partial", "regular")].mean == pytest.approx(0.5)
-    assert stats[("aa", 70, "partial", "regular")].mean == pytest.approx(0.2)
+    stats = per_language(records)
+    assert stats[("aa", 50, "partial", "regular")][0] == 0.5
+    assert stats[("aa", 70, "partial", "regular")][0] == 0.2
+
+
+@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8))
+# population std 0.5, sample std 0.7071
+@example([0.0, 1.0])
+def test_per_language_std_is_the_population_std(f1s):
+    records = [record("aa", 50, f1, seed=seed) for seed, f1 in enumerate(f1s)]
+    mean, std, n = per_language(records)[("aa", 50, "partial", "regular")]
+    assert n == len(f1s)
+    # the table rounds to 4 places
+    assert mean == pytest.approx(statistics.fmean(f1s), abs=5.1e-5)
+    assert std == pytest.approx(statistics.pstdev(f1s), abs=5.1e-5)
+
+
+def test_per_language_rows_group_by_all_four_keys():
+    records = [
+        record("aa", 50, 0.5, seed=0),
+        record("aa", 50, 0.5, seed=1),
+        record("aa", 50, 0.5, strategy="incl_embeddings"),
+        record("aa", 70, 0.5),
+        record("bb", 50, 0.5),
+        record("aa", 50, 0.5, split="perturbed-in-language"),
+    ]
+    stats = per_language(records)
+    assert len(stats) == 5
+    assert stats[("aa", 50, "partial", "regular")][2] == 2
 
 
 def test_group_stats_by_each_dimension():

@@ -1,5 +1,9 @@
+import csv
+import fcntl
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +13,6 @@ import numpy as np
 import pytest
 
 import nerprune.experiment
-from nerprune.analysis import SeedStats
 from nerprune.cli import _COMMANDS, build_parser, main
 from nerprune.evaluation import RunRecord, ScoreReport, read_run_records
 from worlds import (
@@ -41,6 +44,30 @@ def test_help_text_is_stable(command, capsys, monkeypatch):
 
 def test_help_fixtures_are_the_commands():
     assert {path.stem for path in HELP_DIR.glob("*.txt")} == {"main", *_COMMANDS}
+
+
+def _readme_commands():
+    """Each line of the README's sh blocks that runs nerprune, with its
+    backslash continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("nerprune ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_the_readme_shows_every_command():
+    assert {line.split()[1] for line in README_COMMANDS} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_parses(line):
+    try:
+        build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"the README's command does not parse: {line}")
 
 
 def test_usage_errors_exit_one():
@@ -663,6 +690,80 @@ def test_resume_from_a_line_nested_past_the_recursion_limit_exits_two(tmp_path, 
     assert f"{results}:{n_lines + 1}: malformed results line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["experiment", "evaluate"])
+def test_config_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, command):
+    # used to die with a RecursionError traceback and exit 1
+    config = tmp_path / "config.json"
+    config.write_text(DEEP_LINE)
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(tmp_path / "ckpt"), "--language", "aa"]
+    assert main(argv) == 2
+    assert f"{config}: maximum recursion depth" in capsys.readouterr().err
+
+
+def test_snapshot_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    snapshot = Path(capsys.readouterr().out.strip()).parent / "config_snapshot.json"
+    snapshot.write_text(DEEP_LINE)
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert f"{snapshot}: malformed config snapshot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["model.json", "manifest.json"])
+def test_checkpoint_json_nested_past_the_recursion_limit_exits_two(
+        trained, tmp_path, capsys, name):
+    config, ckpt = trained
+    broken = tmp_path / "ckpt"
+    shutil.copytree(ckpt, broken)
+    (broken / name).write_text(DEEP_LINE)
+    assert main([
+        "evaluate", "--config", str(config), "--checkpoint", str(broken),
+        "--language", "aa",
+    ]) == 2
+    assert f"{broken / name}: " in capsys.readouterr().err
+
+
+def test_metadata_field_over_the_csv_limit_exits_two(tmp_path, capsys):
+    # used to die with a csv.Error traceback and exit 1
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA + "cc,Latin," + "F" * (csv.field_size_limit() + 1) + ",4,0.1\n")
+    assert main(_report_argv(tmp_path, results, meta)) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {meta}:4: field larger than field limit "
+        f"({csv.field_size_limit()})\n")
+
+
+def test_experiment_on_a_held_output_directory_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    results = Path(capsys.readouterr().out.strip())
+    out_dir = results.parent
+    # a cut-short grid with a failure on record: a resume would empty
+    # failures.jsonl and append the missing cell's lines
+    lines = results.read_text().splitlines(keepends=True)
+    results.write_text("".join(lines[:len(lines) // 2]))
+    (out_dir / "failures.jsonl").write_text('{"run_id": "x"}\n')
+
+    def files():
+        return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+    before = files()
+    with open(out_dir / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(["experiment", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"nerprune: error: {out_dir}: held by another nerprune run\n")
+        assert files() == before
+    # the lock's release lets the resume run
+    assert main(["experiment", "--config", str(config)]) == 0
+    assert results.read_text() == "".join(lines)
+
+
 def test_report_builds_no_record_objects(tmp_path, capsys, monkeypatch):
     write_world(tmp_path)
     results = tmp_path / "results.jsonl"
@@ -671,7 +772,7 @@ def test_report_builds_no_record_objects(tmp_path, capsys, monkeypatch):
         for lang, f1 in (("aa", 0.5), ("bb", 0.25)) for sparsity in (0, 50)
         for seed in (0, 1)))
     built = []
-    for cls in (RunRecord, ScoreReport, SeedStats):
+    for cls in (RunRecord, ScoreReport):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)

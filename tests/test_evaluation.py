@@ -1,5 +1,4 @@
 import json
-import statistics
 import tempfile
 from pathlib import Path
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
 from nerprune.corpus import TAG_IDS, TAGSET, decode_spans
-from nerprune.analysis import aggregate_seeds
 from nerprune.errors import AlignmentError, ConfigError, TagError
 from nerprune.evaluation import (
     SPARSITY_LEVELS,
@@ -302,31 +300,3 @@ def test_reader_matches_the_line_walk(lines, ends_with_newline, latin1_at):
             assert str(info.value) == str(exc)
         else:
             assert list(read_run_records(path)) == expected
-
-
-@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8))
-def test_aggregate_seeds_uses_population_std(f1s):
-    records = [
-        RunRecord("af", 50, "partial", seed, "regular", ScoreReport(0, 0, 0, f1, f1, f1))
-        for seed, f1 in enumerate(f1s)
-    ]
-    stats = aggregate_seeds(records)
-    entry = stats[("af", 50, "partial", "regular")]
-    assert entry.n == len(f1s)
-    assert entry.mean == pytest.approx(statistics.fmean(f1s))
-    assert entry.std == pytest.approx(statistics.pstdev(f1s), abs=1e-12)
-
-
-def test_aggregate_seeds_groups_by_all_four_keys():
-    report = ScoreReport(0, 0, 0, 0.5, 0.5, 0.5)
-    records = [
-        RunRecord("af", 50, "partial", 0, "regular", report),
-        RunRecord("af", 50, "partial", 1, "regular", report),
-        RunRecord("af", 50, "incl_embeddings", 0, "regular", report),
-        RunRecord("af", 70, "partial", 0, "regular", report),
-        RunRecord("sw", 50, "partial", 0, "regular", report),
-        RunRecord("af", 50, "partial", 0, "perturbed-in-language", report),
-    ]
-    stats = aggregate_seeds(records)
-    assert len(stats) == 5
-    assert stats[("af", 50, "partial", "regular")].n == 2

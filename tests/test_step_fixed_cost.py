@@ -9,7 +9,8 @@ come from one plan per epoch where the reference calls np.unique per
 batch. The ReLU backward is a bitwise AND where the reference stores
 through a boolean mask, the picked tags are one flat index where the
 reference indexes with a tuple, and the log-softmax and the forward pass
-run in place. All must give the same bytes.
+run in place, so the ReLU backward reads the activations where the
+reference reads their input. All must give the same bytes.
 """
 
 import math
@@ -30,9 +31,9 @@ from nerprune.tagger import (
     TaggerConfig,
     _embedding_grad,
     _flat_picks,
+    _forward,
     _log_softmax,
     _plan_rows,
-    _scores,
     _zero_dead,
     build_vocab,
     encode_windows,
@@ -157,6 +158,22 @@ def test_relu_backward_has_the_bytes_of_the_mask_store(case):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=400, deadline=None)
+@given(relu_cases())
+# np.maximum gives +-0.0 for -0.0 and a negative subnormal, keeps NaN and
+# passes a positive subnormal through
+@example((np.array([-1.5, 2.0, np.nan, 3.0, -np.inf]),
+          np.array([-0.0, -5e-324, np.nan, 5e-324, -np.inf])))
+def test_relu_backward_on_the_activations_has_the_bytes_of_the_mask_store(case):
+    """The step passes _zero_dead the ReLU's output, not its input."""
+    gh, z1 = case
+    want = gh.copy()
+    want[z1 <= 0.0] = 0.0
+    got = gh.copy()
+    _zero_dead(got, np.maximum(z1, 0.0))
+    assert got.tobytes() == want.tobytes()
+
+
 @st.composite
 def picked_tags(draw):
     n, n_tags = draw(st.integers(1, 30)), draw(st.integers(1, 12))
@@ -202,8 +219,10 @@ def test_forward_pass_has_the_bytes_of_the_unfused_form():
     ids = encode_windows(model.vocab, GATHER_CONFIG.window, corpus).ids
     p = {name: tensor.values for name, tensor in model.params.items()}
     x = p["E"][ids.reshape(-1)].reshape(len(ids), -1)
-    want = np.maximum(x @ p["W1"] + p["b1"], 0.0) @ p["W2"] + p["b2"]
-    assert _scores(model.params, ids).tobytes() == want.tobytes()
+    h = np.maximum(x @ p["W1"] + p["b1"], 0.0)
+    want = (x, h, h @ p["W2"] + p["b2"])
+    got = _forward(model.params, ids)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _with_empties(slots):
