@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, experiment, perturb, tagger
-from .corpus import count_mentions, load_language_metadata, parse_iob2
+from .corpus import count_mentions, entity_overlap, parse_iob2
 from .errors import ConfigError, NerpruneError
 from .evaluation import SPLIT_NAMES, STRATEGY_NAMES, read_run_records, score_corpus
 
@@ -158,8 +158,7 @@ def _cmd_validate(args) -> int:
 def _cmd_perturb(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
-    with open(args.meta, encoding="utf-8") as f:
-        meta = load_language_metadata(f, name=args.meta)
+    meta = experiment.load_metadata(args.meta)
     tests = {}
     for path in args.corpora:
         language = Path(path).name.split(".")[0]
@@ -229,7 +228,7 @@ def _cmd_evaluate(args) -> int:
         scope_name = args.split.removeprefix("perturbed-")
         if scope_name not in config.scopes:
             raise ConfigError(f"scope {scope_name!r} not in config scopes")
-        meta = experiment.load_metadata(config)
+        meta = experiment.load_metadata(config.metadata_file)
         tests = {l: experiment.load_split(root, l, "test") for l in config.languages}
         perturbed = experiment.build_perturbed(
             meta, tests, [args.language], [scope_name], config.perturbation_seed
@@ -251,14 +250,16 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_report(args) -> int:
     records = read_run_records(args.results)
-    with open(args.meta, encoding="utf-8") as f:
-        meta = load_language_metadata(f, name=args.meta)
+    meta = experiment.load_metadata(args.meta)
     overlaps = None
     if args.corpus_root:
+        # train/test entity overlap per language, skipping a language
+        # whose test split has no mentions
         languages = sorted(set(records.language))
-        overlaps = experiment.train_test_overlaps(
-            *experiment.load_corpora(args.corpus_root, languages)
-        )
+        trains = [experiment.load_split(args.corpus_root, l, "train") for l in languages]
+        tests = [experiment.load_split(args.corpus_root, l, "test") for l in languages]
+        overlaps = {l: value for l, train, test in zip(languages, trains, tests)
+                    if (value := entity_overlap(train, test)) is not None}
     written = analysis.emit_report(records, meta, args.out_dir, overlaps=overlaps)
     for path in written:
         print(path)

@@ -361,21 +361,22 @@ def load_language_metadata(
     The header must be exactly code,script,family,train_size,pretrain_pct,
     after one leading UTF-8 byte-order mark, if any, is dropped.
     Duplicate codes and non-numeric sizes are rejected with the offending
-    line number.
+    line number: the physical line a row ends on, as a quoted field may
+    hold a line break.
     """
     reader = csv.reader(io.StringIO(_text(source, name, MetadataError)))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
         raise MetadataError(f"{name}:{reader.line_num}: {exc}") from None
     if not rows:
         raise MetadataError(f"{name}: empty metadata file")
-    if tuple(h.strip() for h in rows[0]) != METADATA_HEADER:
+    if tuple(h.strip() for h in rows[0][1]) != METADATA_HEADER:
         raise MetadataError(
             f"{name}:1: header must be {','.join(METADATA_HEADER)}"
         )
     result: dict[str, LanguageMeta] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:

@@ -34,7 +34,6 @@ import numpy as np
 from .corpus import (
     Corpus,
     LanguageMeta,
-    entity_overlap,
     load_language_metadata,
     parse_iob2,
     serialize_iob2,
@@ -58,9 +57,7 @@ from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, Role, schedule
 from .tagger import (
     Encoded,
     TaggerConfig,
-    TrainArrays,
     build_vocab,
-    encode_train,
     encode_windows,
     init_model,
     predict_ids,
@@ -351,8 +348,8 @@ def plan(config: ExperimentConfig) -> list[RunSpec]:
     ]
 
 
-def load_metadata(config: ExperimentConfig) -> dict[str, LanguageMeta]:
-    path = config.metadata_file
+def load_metadata(path: str | Path) -> dict[str, LanguageMeta]:
+    """Parse the language metadata CSV at path."""
     try:
         with open(path, encoding="utf-8") as f:
             return load_language_metadata(f, name=str(path))
@@ -368,14 +365,6 @@ def load_split(root: str | Path, language: str, split: str) -> Corpus:
             return parse_iob2(f, language, split, name=str(path))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def load_corpora(
-    root: str | Path, languages: Sequence[str],
-) -> tuple[dict[str, Corpus], dict[str, Corpus]]:
-    trains = {l: load_split(root, l, "train") for l in languages}
-    tests = {l: load_split(root, l, "test") for l in languages}
-    return trains, tests
 
 
 def build_perturbed(
@@ -425,25 +414,12 @@ def load_cell_inputs(config: ExperimentConfig, languages: Sequence[str]) -> tupl
     it: the train splits of languages, the test splits of every config
     language (the perturbation pools draw on all of them) and the
     perturbed sets of languages."""
-    meta = load_metadata(config)
+    meta = load_metadata(config.metadata_file)
     root = config.corpus_root_path
     trains = {l: load_split(root, l, "train") for l in languages}
     tests = {l: load_split(root, l, "test") for l in config.languages}
     return trains, tests, build_perturbed(
         meta, tests, languages, config.scopes, config.perturbation_seed)
-
-
-def train_test_overlaps(
-    trains: Mapping[str, Corpus], tests: Mapping[str, Corpus]
-) -> dict[str, float]:
-    """Train/test entity overlap per language, skipping languages whose
-    test split has no mentions."""
-    overlaps = {}
-    for language, test in tests.items():
-        value = entity_overlap(trains[language], test)
-        if value is not None:
-            overlaps[language] = value
-    return overlaps
 
 
 @dataclass(frozen=True)
@@ -463,7 +439,7 @@ class Bundle:
     encoded with its vocab (train.vocab), and each split the cells are
     scored on, in result-line order."""
 
-    train: TrainArrays
+    train: Encoded
     splits: tuple[ScoredSplit, ...]
 
 
@@ -475,12 +451,11 @@ def build_bundle(
     perturbed: Mapping[tuple[str, str], tuple[Corpus, list]],
 ) -> Bundle:
     """Vocab, encoded training set and encoded splits with gold spans for
-    the cells that train on languages. A training set without sentences
-    is a ConfigError."""
+    the cells that train on languages."""
     train_corpora = [trains[l] for l in languages]
     vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
     window = config.tagger.window
-    train_arrays = encode_train(vocab, window, train_corpora)
+    train_set = encode_windows(vocab, window, train_corpora)
     splits = []
     for language in languages:
         named = [("regular", tests[language])] + [
@@ -490,7 +465,7 @@ def build_bundle(
         for name, corpus in named:
             encoded = encode_windows(vocab, window, corpus)
             splits.append(ScoredSplit(language, name, encoded, corpus.spans))
-    return Bundle(train_arrays, tuple(splits))
+    return Bundle(train_set, tuple(splits))
 
 
 def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:

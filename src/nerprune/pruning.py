@@ -147,14 +147,20 @@ def _target_count(sparsity: float, n: int) -> int:
     return int(np.floor(product))
 
 
+def _require_unique_names(params: Sequence[ParamTensor], error: type[Exception]) -> None:
+    """The rule for every tensor set: no name twice, else error listing
+    the names."""
+    names = [p.name for p in params]
+    if len(set(names)) != len(names):
+        raise error(f"duplicate tensor names: {names}")
+
+
 def _masked_count(params: Sequence[ParamTensor],
                   strategy: PruneStrategy) -> tuple[list[ParamTensor], int, int]:
     """The tensors of params that strategy may prune, sorted by name, their
     weight count and how many of those are masked. Duplicate names, or no
     prunable weight at all, raise PruningError."""
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise PruningError(f"duplicate tensor names: {names}")
+    _require_unique_names(params, PruningError)
     roles = strategy.prunable_roles
     tensors = sorted((p for p in params if p.role in roles), key=lambda p: p.name)
     n = sum(t.size for t in tensors)
@@ -257,9 +263,7 @@ def save_checkpoint(
     little-endian float64 values and byte-per-element mask files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise CheckpointError(f"duplicate tensor names: {names}")
+    _require_unique_names(params, CheckpointError)
     achieved = {}
     for strategy in PruneStrategy:
         try:
@@ -289,7 +293,8 @@ def save_checkpoint(
 
 def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
     """Read a checkpoint directory back; returns (tensors, manifest).
-    Values must be finite and exactly 0 (either sign) under a zero mask."""
+    Tensor names must be unique, and values finite and exactly 0 (either
+    sign) under a zero mask."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -340,4 +345,5 @@ def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
             params.append(ParamTensor(name, values, role, mask))
         except ValueError as exc:  # a mask entry that is not 0 or 1
             raise CheckpointError(str(exc)) from None
+    _require_unique_names(params, CheckpointError)
     return params, manifest

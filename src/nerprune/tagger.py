@@ -118,16 +118,6 @@ class TrainStep:
     max_abs_masked: float
 
 
-def _columns(data: Corpus | Sequence[Corpus]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The tokens, tag ids (int64) and offsets of data laid end to end."""
-    corpora = [data] if isinstance(data, Corpus) else data
-    empty = np.zeros(0, dtype=np.int64)
-    lengths = np.concatenate([empty, *(np.diff(c.offsets) for c in corpora)])
-    return (list(chain.from_iterable(c.tokens for c in corpora)),
-            np.concatenate([empty, *(c.tag_ids for c in corpora)]),
-            np.concatenate(([0], np.cumsum(lengths))))
-
-
 def build_vocab(
     data: Corpus | Sequence[Corpus], min_count: int = 1
 ) -> dict[str, int]:
@@ -161,16 +151,22 @@ def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int,
     }
 
 
+def _check_vocab(vocab: Mapping[str, int]) -> None:
+    """The rule for every vocab: <unk> is 0, <pad> is 1 and the ids are
+    the contiguous range from 0; a ConfigError names the broken part."""
+    if vocab.get(UNK_TOKEN) != UNK_ID or vocab.get(PAD_TOKEN) != PAD_ID:
+        raise ConfigError("vocab must map <unk> to 0 and <pad> to 1")
+    if sorted(vocab.values()) != list(range(len(vocab))):
+        raise ConfigError("vocab ids must be a contiguous range from 0")
+
+
 def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     """Initialize weights uniformly in [-0.1, 0.1], biases at zero.
 
     Draw order is fixed (E, then W1, then W2) so a seed pins the exact
     parameter values.
     """
-    if vocab.get(UNK_TOKEN) != UNK_ID or vocab.get(PAD_TOKEN) != PAD_ID:
-        raise ConfigError("vocab must map <unk> to 0 and <pad> to 1")
-    if sorted(vocab.values()) != list(range(len(vocab))):
-        raise ConfigError("vocab ids must be a contiguous range from 0")
+    _check_vocab(vocab)
     rng = np.random.default_rng(config.seed)
     shapes = _param_shapes(config, len(vocab))
     params = {
@@ -186,11 +182,14 @@ def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
 class Encoded(NamedTuple):
     """Sentences laid end to end: window token ids (N, 2w+1), gold tag
     ids (N,) and offsets (sentences + 1,); sentence i owns rows
-    offsets[i]:offsets[i + 1]."""
+    offsets[i]:offsets[i + 1]. vocab and window are those the ids were
+    encoded with, so that train can check them."""
 
     ids: np.ndarray
     tags: np.ndarray
     offsets: np.ndarray
+    vocab: Mapping[str, int]
+    window: int
 
 
 def encode_windows(
@@ -203,9 +202,13 @@ def encode_windows(
     a token's own sentence to <pad>.
     """
     w = window
-    tokens, tags, offsets = _columns(data)
-    lengths = np.diff(offsets)
-    n = len(tokens)
+    corpora = [data] if isinstance(data, Corpus) else data
+    empty = np.zeros(0, dtype=np.int64)
+    lengths = np.concatenate([empty, *(np.diff(c.offsets) for c in corpora)])
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    tags = np.concatenate([empty, *(c.tag_ids for c in corpora)])
+    n = int(offsets[-1])
+    tokens = chain.from_iterable(c.tokens for c in corpora)
     flat = np.fromiter(map(vocab.get, tokens, repeat(UNK_ID)), dtype=np.int64, count=n)
     position = np.arange(n) - np.repeat(offsets[:-1], lengths)
     length = np.repeat(lengths, lengths)
@@ -215,31 +218,7 @@ def encode_windows(
         source = position + (j - w)
         inside = (source >= 0) & (source < length)
         ids[:, j] = np.where(inside, padded[j:j + n], PAD_ID)
-    return Encoded(ids, tags, offsets)
-
-
-@dataclass(frozen=True)
-class TrainArrays:
-    """A training set encoded once for every model with one vocab and
-    window, flat as encode_windows lays it out (ids, tags, offsets), so
-    that train can gather each epoch's batches in one pass."""
-
-    vocab: Mapping[str, int]
-    window: int
-    ids: np.ndarray
-    tags: np.ndarray
-    offsets: np.ndarray
-
-
-def encode_train(
-    vocab: Mapping[str, int], window: int, data: Corpus | Sequence[Corpus]
-) -> TrainArrays:
-    """Encode training data for train; data without sentences is a
-    ConfigError."""
-    encoded = encode_windows(vocab, window, data)
-    if len(encoded.offsets) == 1:
-        raise ConfigError("training data has no sentences")
-    return TrainArrays(vocab, window, *encoded)
+    return Encoded(ids, tags, offsets, vocab, window)
 
 
 def encode_sentence(
@@ -381,7 +360,7 @@ def _batch_loss_grads(
 
 def train(
     model: TaggerModel,
-    train_data: Corpus | Sequence[Corpus] | TrainArrays,
+    train_data: Corpus | Sequence[Corpus] | Encoded,
     schedule: PruneSchedule | None = None,
     strategy: PruneStrategy = PruneStrategy.PARTIAL,
     ramp: str = "cubic",
@@ -394,8 +373,9 @@ def train(
     exactly zero. A schedule whose end_step exceeds the total number of
     updates is rejected up front. Training stops with DivergenceError at
     the first step whose loss is not finite or that leaves NaN in a
-    masked weight. train_data may come encoded by encode_train with the
-    model's vocab and window, so models that share them encode it once.
+    masked weight. Training data without sentences is a ConfigError.
+    train_data may come encoded by encode_windows with the model's vocab
+    and window, so models that share them encode it once.
 
     A step's cost scales with the batch, not the vocabulary: it updates,
     re-masks and re-checks only the embedding rows its batch reads (with
@@ -413,10 +393,12 @@ def train(
     with no masked weight anywhere it is skipped.
     """
     config = model.config
-    if not isinstance(train_data, TrainArrays):
-        train_data = encode_train(model.vocab, config.window, train_data)
+    if not isinstance(train_data, Encoded):
+        train_data = encode_windows(model.vocab, config.window, train_data)
     elif train_data.window != config.window or train_data.vocab != model.vocab:
         raise ConfigError("training arrays were encoded with another vocab or window")
+    if len(train_data.offsets) == 1:
+        raise ConfigError("training data has no sentences")
     offsets = train_data.offsets
     n_sentences = len(offsets) - 1
     n_batches = math.ceil(n_sentences / config.batch_size)
@@ -633,9 +615,10 @@ def load_model(directory: str | Path) -> TaggerModel:
         ) from None
     if tagset != TAGSET:
         raise CheckpointError(f"{sidecar_path}: unsupported tagset {tagset}")
-    if vocab.get(UNK_TOKEN) != UNK_ID or vocab.get(PAD_TOKEN) != PAD_ID:
-        raise CheckpointError(
-            f"{sidecar_path}: vocab must map <unk> to 0 and <pad> to 1")
+    try:
+        _check_vocab(vocab)
+    except ConfigError as exc:
+        raise CheckpointError(f"{sidecar_path}: {exc}") from None
     params_list, _ = load_checkpoint(directory)
     params = {p.name: p for p in params_list}
     shapes = _param_shapes(config, len(vocab))

@@ -416,6 +416,40 @@ def _sidecar_unk_not_first(ckpt):
     _set_sidecar(ckpt, vocab_tokens=["x", "<unk>", "<pad>"])
 
 
+def _sidecar_repeated_token(ckpt):
+    # used to blame E's shape, naming no file
+    tokens = json.loads((ckpt / "model.json").read_text())["vocab_tokens"]
+    _set_sidecar(ckpt, vocab_tokens=[*tokens, tokens[2]])
+
+
+def _edit_manifest(ckpt, edit):
+    """Applies edit to the manifest's list of tensor entries."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest["tensors"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _e_listed_twice(ckpt):
+    # used to exit 0: the model kept one of the two
+    _edit_manifest(ckpt, lambda tensors: tensors.append(tensors[0]))
+
+
+def _name_climbs_out(ckpt):
+    _edit_manifest(ckpt, lambda tensors: tensors[0].update(name="../E"))
+
+
+def _unknown_role(ckpt):
+    _edit_manifest(ckpt, lambda tensors: tensors[0].update(role="sparse"))
+
+
+def _b2_unlisted(ckpt):
+    _edit_manifest(ckpt, lambda tensors: tensors.pop())
+
+
+def _short_mask_file(ckpt):
+    (ckpt / "b2.mask.bin").write_bytes(b"\x01" * 6)
+
+
 def _set_value(ckpt, name, pick, value):
     """Sets the first entry whose mask passes pick to value."""
     values = np.fromfile(ckpt / f"{name}.values.bin", dtype="<f8")
@@ -452,6 +486,12 @@ def _masked_weight_in_w1(ckpt):
      "ConfigError(\"learning_rate must be a finite positive number, got 'x'\")"),
     (_sidecar_tagset_o, "model.json: unsupported tagset ('O',)"),
     (_sidecar_unk_not_first, "model.json: vocab must map <unk> to 0 and <pad> to 1"),
+    (_sidecar_repeated_token, "model.json: vocab ids must be a contiguous range from 0"),
+    (_e_listed_twice, "duplicate tensor names: ['E', 'W1', 'b1', 'W2', 'b2', 'E']"),
+    (_name_climbs_out, "unsafe tensor name '../E'"),
+    (_unknown_role, "E: unknown role 'sparse'"),
+    (_b2_unlisted, "checkpoint tensors ['E', 'W1', 'W2', 'b1'] do not match"),
+    (_short_mask_file, "b2: mask file holds 6 bytes, expected 7"),
 ])
 def test_evaluate_broken_checkpoint_exits_two(trained, tmp_path, capsys,
                                               corrupt, message):
@@ -532,9 +572,19 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
     ("languages", ["aa", "a/a"], "languages entry must be non-empty letters"),
     ("languages", ["aa", ""], "languages entry must be non-empty letters"),
     ("languages", ["aa", "a.b"], "languages entry must be non-empty letters"),
+    ("paths", "corpus", "paths must be an object"),
+    ("tagger", [4, 6], "tagger: "),
+    ("schedule_table", [[4, 2, 10, 2]], "schedule_table: "),
+    # values of their type, but out of range
+    ("seeds", [0, -1], "seeds must be non-negative"),
+    ("perturbation_seed", -1, "perturbation_seed must be non-negative"),
+    ("schedule_table", {"0": [2, 10, 2]}, "schedule_table sizes must be unique, positive"),
+    ("schedule_table", {"-4": [2, 10, 2]}, "schedule_table sizes must be unique, positive"),
 ], ids=["float-level", "float-perturbation-seed", "string-seeds", "bool-seed",
         "string-languages", "float-schedule-start", "four-schedule-entries",
-        "array-corpus-root", "slash-language", "empty-language", "dotted-language"])
+        "array-corpus-root", "slash-language", "empty-language", "dotted-language",
+        "string-paths", "array-tagger", "array-schedule-table", "negative-seed",
+        "negative-perturbation-seed", "zero-schedule-size", "negative-schedule-size"])
 def test_grid_value_that_is_not_of_its_type_exits_two(tmp_path, capsys, key,
                                                       value, message):
     config = write_world(tmp_path)
@@ -543,6 +593,21 @@ def test_grid_value_that_is_not_of_its_type_exits_two(tmp_path, capsys, key,
     config.write_text(json.dumps(data))
     assert main(["experiment", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {config}: config must be a JSON object\n")
+
+
+def test_experiment_with_no_workers_exits_two(tmp_path, capsys):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config), "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "nerprune: error: workers must be >= 1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -591,6 +656,22 @@ def test_experiment_report_pipeline(tmp_path, capsys):
     by_family = (report_dir / "by_family.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in by_family
             if ",0,partial,regular," in row] == ["Fam1", "all"]
+
+
+def test_report_overlap_skips_a_mention_free_test_split(tmp_path, capsys):
+    write_world(tmp_path)
+    (tmp_path / "corpus" / "cc").mkdir()
+    (tmp_path / "corpus" / "cc" / "train.iob2").write_text("x\tO\n")
+    (tmp_path / "corpus" / "cc" / "test.iob2").write_text("y\tO\n")
+    meta = tmp_path / "languages.csv"
+    meta.write_text(METADATA + "cc,Latin,Fam1,4,0.1\n")
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(_record(language=l) + "\n" for l in ("cc", "bb", "aa")))
+    assert main([*_report_argv(tmp_path, results, meta),
+                 "--corpus-root", str(tmp_path / "corpus")]) == 0
+    # every test mention of aa and bb occurs in its train split
+    assert (tmp_path / "report" / "overlap_f1.csv").read_text().splitlines() == [
+        "language,entity_overlap,dense_f1", "aa,1.0000,1.0000", "bb,1.0000,1.0000"]
 
 
 def test_report_rejects_missing_results_file(tmp_path, capsys):
@@ -735,6 +816,27 @@ def test_metadata_field_over_the_csv_limit_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"nerprune: error: {meta}:4: field larger than field limit "
         f"({csv.field_size_limit()})\n")
+
+
+# each names the file, and a bad row its physical line; a quoted field
+# may hold a line break, which used to shift every later number back by one
+@pytest.mark.parametrize("text, message", [
+    (None, ": [Errno 2] No such file or directory"),
+    ("", ": empty metadata file"),
+    (METADATA + "cc,Latin,Fam1,4\n", ":4: expected 5 fields, got 4"),
+    (METADATA + "cc,Latin,Fam1,4,lots\n", ":4: pretrain_pct must be a number, got 'lots'"),
+    ("code,script,family,train_size,pretrain_pct\n"
+     'aa,Latin,"Fam\n1",4,0.1\nbb,Latin,Fam1,4,0.1\naa,Latin,Fam1,4,0.1\n',
+     ":5: duplicate language code 'aa'"),
+], ids=["missing", "empty", "four-fields", "text-pretrain-pct", "after-a-quoted-break"])
+def test_bad_metadata_file_exits_two(tmp_path, capsys, text, message):
+    results = tmp_path / "results.jsonl"
+    results.write_text(_record() + "\n")
+    meta = tmp_path / "languages.csv"
+    if text is not None:
+        meta.write_text(text)
+    assert main(_report_argv(tmp_path, results, meta)) == 2
+    assert capsys.readouterr().err.startswith(f"nerprune: error: {meta}{message}")
 
 
 def test_experiment_on_a_held_output_directory_exits_two(tmp_path, capsys):

@@ -28,12 +28,10 @@ from nerprune.experiment import (
     config_from_dict,
     config_from_file,
     execute_run,
-    load_corpora,
     load_metadata,
     load_split,
     plan,
     run,
-    train_test_overlaps,
 )
 from nerprune.pruning import PruneSchedule, schedule_events
 from nerprune.tagger import TaggerConfig, load_model, predict
@@ -221,7 +219,7 @@ def test_rerun_is_idempotent(world, monkeypatch):
     perturbed_dir = results.parent / "perturbed"
     perturbed = {p.name: p.read_bytes() for p in perturbed_dir.iterdir()}
     calls = []
-    for name in ("load_metadata", "load_corpora", "build_perturbed", "write_perturbed"):
+    for name in ("load_metadata", "load_split", "build_perturbed", "write_perturbed"):
         def counted(*args, _name=name, _original=getattr(experiment, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
@@ -458,23 +456,12 @@ def test_serial_grid_writes_each_cell_before_the_next_trains(world, monkeypatch)
     assert on_disk == [0, 2, 4, 6]
 
 
-def test_overlap_helper_skips_mention_free_test_sets(world):
-    from conftest import corpus_of, sent
-
-    trains, tests = load_corpora(world.corpus_root_path, world.languages)
-    trains = {**trains, "cc": corpus_of([sent(["x"], ["O"], "cc")], "cc", "train")}
-    tests = {**tests, "cc": corpus_of([sent(["y"], ["O"], "cc")], "cc", "test")}
-    overlaps = train_test_overlaps(trains, tests)
-    assert set(overlaps) == {"aa", "bb"}
-    assert 0.0 <= overlaps["aa"] <= 1.0
-
-
 def test_subset_of_perturbed_sets_matches_the_full_build(tmp_path):
     config = config_from_file(write_world(
         tmp_path, extra={"scopes": ["in-language", "in-script", "in-family"]}
     ))
-    meta = load_metadata(config)
-    _, tests = load_corpora(config.corpus_root_path, config.languages)
+    meta = load_metadata(config.metadata_file)
+    tests = {l: load_split(config.corpus_root_path, l, "test") for l in config.languages}
     seed = config.perturbation_seed
     full = build_perturbed(meta, tests, config.languages, config.scopes, seed)
     assert len(full) == 2 * 3
@@ -547,9 +534,10 @@ def test_one_bundle_per_language_set_and_one_training_per_cell(
 
 def test_cells_score_like_predict_and_score_corpus(tmp_path):
     config = config_from_file(write_world(tmp_path, mode="multilingual"))
-    trains, tests = load_corpora(config.corpus_root_path, config.languages)
-    perturbed = build_perturbed(load_metadata(config), tests, config.languages,
-                                config.scopes, config.perturbation_seed)
+    trains, tests = ({l: load_split(config.corpus_root_path, l, split)
+                      for l in config.languages} for split in ("train", "test"))
+    perturbed = build_perturbed(load_metadata(config.metadata_file), tests,
+                                config.languages, config.scopes, config.perturbation_seed)
     bundle = build_bundle(config, config.languages, trains, tests, perturbed)
     for split in bundle.splits:
         assert np.array_equal(

@@ -18,7 +18,6 @@ from nerprune.tagger import (
     TaggerConfig,
     build_vocab,
     encode_sentence,
-    encode_train,
     encode_windows,
     grad_check,
     init_model,
@@ -134,7 +133,7 @@ sentence_st = st.lists(st.tuples(token_st, st.sampled_from(TAGSET)), max_size=5)
 def test_encode_windows_matches_the_per_sentence_loop(window, sentences):
     config = TaggerConfig(embed_dim=2, window=window, hidden_dim=2)
     model = init_model(config, {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3, "acme": 4})
-    ids, tags, offsets = encode_windows(model.vocab, window, corpus_of(sentences))
+    ids, tags, offsets = encode_windows(model.vocab, window, corpus_of(sentences))[:3]
     expected = [oracle_encode_sentence(model, s) for s in sentences]
     assert offsets.tolist() == np.cumsum([0] + [len(s) for s in sentences]).tolist()
     assert ids.dtype == tags.dtype == np.int64
@@ -204,6 +203,8 @@ def test_train_rejects_empty_data_and_oversized_schedule():
     model = init_model(SMALL, {"<unk>": 0, "<pad>": 1})
     with pytest.raises(ConfigError, match="no sentences"):
         train(model, corpus_of([], split="train"))
+    with pytest.raises(ConfigError, match="no sentences"):
+        train(model, encode_windows(model.vocab, SMALL.window, corpus_of([], split="train")))
     corpus = toy_corpus()
     model = init_model(SMALL, build_vocab(corpus))
     too_long = PruneSchedule(0, 10_000, 100, 0.5)
@@ -214,7 +215,7 @@ def test_train_rejects_empty_data_and_oversized_schedule():
 def test_pre_encoded_training_set_trains_the_same_model():
     corpus = toy_corpus()
     vocab = build_vocab(corpus)
-    arrays = encode_train(vocab, SMALL.window, corpus)
+    arrays = encode_windows(vocab, SMALL.window, corpus)
     schedule = PruneSchedule(10, 60, 10, 0.5)
     models = []
     for data in (corpus, arrays, arrays):
@@ -234,9 +235,9 @@ def test_pre_encoded_training_set_must_match_vocab_and_window():
     vocab = build_vocab(corpus)
     model = init_model(SMALL, vocab)
     with pytest.raises(ConfigError, match="another vocab or window"):
-        train(model, encode_train(vocab, SMALL.window + 1, corpus))
+        train(model, encode_windows(vocab, SMALL.window + 1, corpus))
     with pytest.raises(ConfigError, match="another vocab or window"):
-        train(model, encode_train({**vocab, "extra": len(vocab)}, SMALL.window, corpus))
+        train(model, encode_windows({**vocab, "extra": len(vocab)}, SMALL.window, corpus))
 
 
 def test_scheduled_pruning_reaches_target_and_masks_stick():
