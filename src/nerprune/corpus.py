@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import MetadataError, ParseError, TagError
+from .errors import MetadataError, NerpruneError, ParseError, TagError
 
 ENTITY_TYPES = ("PER", "LOC", "ORG")
 TAGSET = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-ORG", "I-ORG")
@@ -139,7 +141,7 @@ class Corpus:
                 for t, etype in enumerate(ENTITY_TYPES)}
 
 
-def _text(source: str | TextIO, name: str, error: type[ParseError | MetadataError]) -> str:
+def _text(source: str | TextIO, name: str, error: type[NerpruneError]) -> str:
     """source's text less one leading byte-order mark (U+FEFF), with each
     line end (\\n, \\r\\n or \\r, as a text file splits lines) as \\n."""
     try:
@@ -147,6 +149,21 @@ def _text(source: str | TextIO, name: str, error: type[ParseError | MetadataErro
     except UnicodeDecodeError as exc:
         raise error(f"{name}: not UTF-8 text: {exc.reason}") from None
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json_object(path: str | Path, what: str, error: type[NerpruneError]) -> dict:
+    """The JSON object in the UTF-8 file at path, read as _text reads it.
+    A fault of the file, its text or its JSON, or a value other than an
+    object, raises error with a message that names path, and never
+    quotes the file's content."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            value = json.loads(_text(f, str(path), error))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return value
 
 
 def parse_iob2(

@@ -36,6 +36,7 @@ from .corpus import (
     LanguageMeta,
     load_language_metadata,
     parse_iob2,
+    read_json_object,
     serialize_iob2,
 )
 from .errors import (
@@ -295,20 +296,8 @@ def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentCon
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(data, base_dir=path.parent)
+    return config_from_dict(read_json_object(path, "config", ConfigError),
+                            base_dir=Path(path).parent)
 
 
 @dataclass(frozen=True)
@@ -473,9 +462,10 @@ def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
     checkpoint_dir and then delete it whole. The nearest of it and its
     parents that exists must be a directory, so that staging cannot fail
     only after training. It must hold neither the working directory nor
-    any path the config reads or writes. Outside the config's output
-    directory, whose checkpoints a grid run replaces whatever they hold,
-    it must also be absent, empty or a checkpoint."""
+    any path the config reads or writes. Unless it is a slot of the
+    grid's own <output>/<hash>/checkpoints, whose every entry a grid run
+    replaces whatever it holds, it must also be absent, empty or a
+    checkpoint."""
     nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"{nearest}: not a directory")
@@ -492,7 +482,8 @@ def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
             raise ConfigError(
                 f"{checkpoint_dir}: holds {name} {path}, so it cannot be "
                 "replaced by a checkpoint")
-    if (config.output_path not in checkpoint_dir.parents
+    slots = config.output_path / config.config_hash[:HASH_PREFIX_LEN] / "checkpoints"
+    if (checkpoint_dir.parent != slots
             and checkpoint_dir.is_dir() and any(checkpoint_dir.iterdir())
             and not (checkpoint_dir / MANIFEST_NAME).is_file()):
         raise ConfigError(
@@ -686,7 +677,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
     """Execute every pending grid cell; returns the results.jsonl path.
 
     Completed run ids found in an existing results file are skipped, so
-    rerunning a finished experiment writes nothing new and reads no
+    rerunning a finished experiment writes no file and reads no
     metadata or corpus. Failures are recorded per run in failures.jsonl
     and do not stop the rest of the grid. Each language set with a
     pending cell gets one bundle, built before its cells start and
@@ -709,26 +700,19 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         except BlockingIOError:
             raise ConfigError(f"{out_dir}: held by another nerprune run") from None
         snapshot_path = out_dir / "config_snapshot.json"
-        snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
         if snapshot_path.is_file():
-            try:
-                existing = json.loads(snapshot_path.read_text(encoding="utf-8"))
-                existing_hash = existing["config_hash"]
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ConfigError(
-                    f"{snapshot_path}: malformed config snapshot: {exc!r}"
-                ) from None
-            if existing_hash != config.config_hash:
+            existing = read_json_object(snapshot_path, "config snapshot", ConfigError)
+            if existing.get("config_hash") != config.config_hash:
                 raise ConfigError(
                     f"{snapshot_path}: directory belongs to a different config"
                 )
         else:
+            snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
             snapshot_path.write_text(
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
 
         results_path = out_dir / "results.jsonl"
-        (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
         specs = plan(config)
         done = _existing_run_ids(results_path, {
             spec.run_id: len(spec.languages(config)) * (1 + len(config.scopes))
@@ -737,6 +721,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         if not pending:
             return results_path
 
+        (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
         inputs = load_cell_inputs(config, config.languages)
         write_perturbed(out_dir / "perturbed", inputs[2])
         groups: dict[tuple[str, ...], list[RunSpec]] = {}

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import read_json_object
 from .errors import CheckpointError, MonotonicityError, PruningError, ScheduleError
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
@@ -254,30 +255,19 @@ def measure_sparsity(params: Sequence[ParamTensor],
 MANIFEST_NAME = "manifest.json"
 
 
-def save_checkpoint(
-    directory: str | Path,
-    params: Sequence[ParamTensor],
-    extra: dict | None = None,
-) -> Path:
-    """Write tensors to a directory: a JSON manifest plus, per tensor,
-    little-endian float64 values and byte-per-element mask files."""
+def save_checkpoint(directory: str | Path, params: Sequence[ParamTensor]) -> Path:
+    """Write tensors to a directory: a JSON manifest of the format version
+    and each tensor's name, shape and role, plus, per tensor, little-endian
+    float64 values and byte-per-element mask files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     _require_unique_names(params, CheckpointError)
-    achieved = {}
-    for strategy in PruneStrategy:
-        try:
-            achieved[strategy.value] = measure_sparsity(params, strategy)
-        except PruningError:
-            achieved[strategy.value] = None
     manifest = {
         "format_version": 1,
         "tensors": [
             {"name": p.name, "shape": list(p.shape), "role": p.role.value}
             for p in params
         ],
-        "achieved_sparsity": achieved,
-        "extra": extra or {},
     }
     for tensor in params:
         # written from the arrays' own buffers, without a bytes copy
@@ -293,19 +283,21 @@ def save_checkpoint(
 
 def load_checkpoint(directory: str | Path) -> tuple[list[ParamTensor], dict]:
     """Read a checkpoint directory back; returns (tensors, manifest).
-    Tensor names must be unique, and values finite and exactly 0 (either
-    sign) under a zero mask."""
+    The manifest must be of format version 1 and list its tensors in an
+    array. Tensor names must be unique, and values finite and exactly 0
+    (either sign) under a zero mask."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise CheckpointError(f"{manifest_path}: no manifest")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        entries = list(manifest.get("tensors", []))
-    except (ValueError, AttributeError, TypeError, RecursionError) as exc:
-        raise CheckpointError(f"{manifest_path}: {exc}") from None
+    manifest = read_json_object(manifest_path, "manifest", CheckpointError)
+    version = manifest.get("format_version")
+    if type(version) is not int or version != 1:
+        raise CheckpointError(f"{manifest_path}: unsupported format_version {version!r}")
+    if not isinstance(manifest.get("tensors"), list):
+        raise CheckpointError(f"{manifest_path}: tensors must be a JSON array")
     params = []
-    for entry in entries:
+    for entry in manifest["tensors"]:
         try:
             name, role, shape = entry["name"], entry["role"], tuple(entry["shape"])
             if not all(type(d) is int and d >= 0 for d in shape):

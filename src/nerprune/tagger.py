@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TAGSET, Corpus, Sentence
+from .corpus import TAGSET, Corpus, Sentence, read_json_object
 from .errors import CheckpointError, ConfigError, DivergenceError, ScheduleError
 from .pruning import (
     ParamTensor,
@@ -583,7 +583,7 @@ def grad_check(
 def save_model(directory: str | Path, model: TaggerModel) -> Path:
     """Checkpoint plus a JSON sidecar with config, tagset and vocab."""
     directory = Path(directory)
-    save_checkpoint(directory, model.param_list, extra={"kind": "window_tagger"})
+    save_checkpoint(directory, model.param_list)
     tokens = sorted(model.vocab, key=model.vocab.__getitem__)
     sidecar = {
         "config": asdict(model.config),
@@ -604,15 +604,18 @@ def load_model(directory: str | Path) -> TaggerModel:
     sidecar_path = directory / MODEL_SIDECAR
     if not sidecar_path.is_file():
         raise CheckpointError(f"{sidecar_path}: no model sidecar")
+    sidecar = read_json_object(sidecar_path, "model sidecar", CheckpointError)
+    tokens = sidecar.get("vocab_tokens")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{sidecar_path}: vocab_tokens must be a list of strings")
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = TaggerConfig(**sidecar["config"])
         tagset = tuple(sidecar["tagset"])
-        vocab = {token: idx for idx, token in enumerate(sidecar["vocab_tokens"])}
-    except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(
             f"{sidecar_path}: malformed model sidecar: {exc!r}"
         ) from None
+    vocab = {token: idx for idx, token in enumerate(tokens)}
     if tagset != TAGSET:
         raise CheckpointError(f"{sidecar_path}: unsupported tagset {tagset}")
     try:

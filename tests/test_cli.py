@@ -330,6 +330,20 @@ def test_train_never_replaces_a_directory_with_its_inputs(
         assert _tree(tmp_path) == before
 
 
+# each used to replace the finished grid's files with one checkpoint's
+# and exit 0, so the next experiment retrained the whole grid
+@pytest.mark.parametrize("below", ["", "checkpoints"])
+def test_train_never_replaces_a_grid_directory(tmp_path, capsys, below):
+    config = write_world(tmp_path)
+    assert main(["experiment", "--config", str(config)]) == 0
+    grid = Path(capsys.readouterr().out.strip()).parent
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(config), "--language", "aa",
+                 "--sparsity", "50", "--seed", "0", "--out", str(grid / below)]) == 2
+    assert "without manifest.json is not a checkpoint to replace" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A world and a checkpoint trained on it, made once for the module."""
@@ -382,6 +396,16 @@ def _manifest_not_an_object(ckpt):
     (ckpt / "manifest.json").write_text("[]")
 
 
+def _sidecar_not_an_object(ckpt):
+    (ckpt / "model.json").write_text("[]")
+
+
+def _format_version_two(ckpt):
+    # used to exit 0: any version loaded as version 1
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_text(json.dumps({**manifest, "format_version": 2}))
+
+
 def _set_sidecar(ckpt, config=(), **fields):
     """Updates the sidecar's config with config and the sidecar with fields."""
     sidecar = json.loads((ckpt / "model.json").read_text())
@@ -414,6 +438,14 @@ def _sidecar_tagset_o(ckpt):
 
 def _sidecar_unk_not_first(ckpt):
     _set_sidecar(ckpt, vocab_tokens=["x", "<unk>", "<pad>"])
+
+
+def _set_last_token(value):
+    def corrupt(ckpt):
+        # used to exit 0: the entry became a vocab key
+        tokens = json.loads((ckpt / "model.json").read_text())["vocab_tokens"]
+        _set_sidecar(ckpt, vocab_tokens=[*tokens[:-1], value])
+    return corrupt
 
 
 def _sidecar_repeated_token(ckpt):
@@ -471,12 +503,16 @@ def _masked_weight_in_w1(ckpt):
     (_drop_values_file, "W1.values.bin"),
     (_nan_in_w2, "W2: values hold NaN or infinity"),
     (_masked_weight_in_w1, "W1: a weight under a zero mask is not 0"),
-    (_garble_sidecar, "malformed model sidecar"),
+    (_garble_sidecar, "model.json: Expecting property name enclosed in double quotes"),
     (_drop_tensor_name, "malformed tensor entry"),
     (_non_integer_shape, "malformed tensor entry"),
     (_negative_shape, "dims must be non-negative integers"),
     (_boolean_dim, "dims must be non-negative integers"),
-    (_manifest_not_an_object, "manifest.json"),
+    (_manifest_not_an_object, "manifest.json: manifest must be a JSON object"),
+    (_sidecar_not_an_object, "model.json: model sidecar must be a JSON object"),
+    (_format_version_two, "manifest.json: unsupported format_version 2"),
+    (_set_last_token(5), "model.json: vocab_tokens must be a list of strings"),
+    (_set_last_token(None), "model.json: vocab_tokens must be a list of strings"),
     (_sidecar_window_two, "W1 shape (12, 6) does not match the (20, 6)"),
     (_sidecar_hidden_dim_seven, "W1 shape (12, 6) does not match the (12, 7)"),
     # a config that fails TaggerConfig's checks used to print without the path
@@ -509,10 +545,14 @@ def test_evaluate_broken_checkpoint_exits_two(trained, tmp_path, capsys,
 def test_experiment_with_malformed_snapshot_exits_two(tmp_path, capsys):
     config = write_world(tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0
-    results = Path(capsys.readouterr().out.strip())
-    (results.parent / "config_snapshot.json").write_text('{"config_hash": ')
-    assert main(["experiment", "--config", str(config)]) == 2
-    assert "config_snapshot.json: malformed" in capsys.readouterr().err
+    snapshot = Path(capsys.readouterr().out.strip()).parent / "config_snapshot.json"
+    for text, message in [
+        ('{"config_hash": ', "Expecting value: line 1 column 17 (char 16)"),
+        ("[]", "config snapshot must be a JSON object"),
+    ]:
+        snapshot.write_text(text)
+        assert main(["experiment", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"nerprune: error: {snapshot}: {message}\n"
 
 
 def test_train_parses_the_cells_train_split_only(tmp_path, monkeypatch):
@@ -789,7 +829,7 @@ def test_snapshot_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
     snapshot = Path(capsys.readouterr().out.strip()).parent / "config_snapshot.json"
     snapshot.write_text(DEEP_LINE)
     assert main(["experiment", "--config", str(config)]) == 2
-    assert f"{snapshot}: malformed config snapshot" in capsys.readouterr().err
+    assert f"{snapshot}: maximum recursion depth" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["model.json", "manifest.json"])
@@ -967,11 +1007,14 @@ def test_blocked_output_path_exits_two(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-# each used to die with a UnicodeDecodeError traceback and exit 1
+# each used to die with a UnicodeDecodeError traceback and exit 1, or,
+# for the JSON files read back, to exit 2 with another message: the
+# config snapshot's and model.json's quoted the whole file
 @pytest.mark.parametrize("command, bad", [
     ("validate", "corpus"), ("perturb", "corpus"), ("perturb", "meta"),
     ("report", "meta"), ("experiment", "config"),
     ("experiment", "world-corpus"), ("experiment", "meta"), ("report", "results"),
+    ("experiment", "snapshot"), ("evaluate", "manifest"), ("evaluate", "sidecar"),
 ])
 def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     config = write_world(tmp_path)
@@ -980,58 +1023,95 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     meta = tmp_path / "languages.csv"
     results = tmp_path / "results.jsonl"
     results.write_text(_record() + "\n")
-    target = {"corpus": corpus, "meta": meta, "config": config, "results": results,
-              "world-corpus": tmp_path / "corpus" / "aa" / "test.iob2"}[bad]
-    # a lone Latin-1 byte, as in "caf\xe9"
-    target.write_bytes(target.read_bytes().replace(b"a", b"\xe9", 1))
+    ckpt = tmp_path / "ckpt"
     argv = {
         "validate": ["validate", str(corpus), "--language", "aa"],
         "perturb": ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
                     "--meta", str(meta), "--out-dir", str(tmp_path / "p")],
         "report": _report_argv(tmp_path, results, meta),
         "experiment": ["experiment", "--config", str(config)],
+        "evaluate": ["evaluate", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--language", "aa"],
     }[command]
+    if bad == "snapshot":
+        assert main(argv) == 0
+    elif command == "evaluate":
+        assert main(["train", "--config", str(config), "--language", "aa",
+                     "--sparsity", "50", "--seed", "0", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    target = {"corpus": corpus, "meta": meta, "config": config, "results": results,
+              "world-corpus": tmp_path / "corpus" / "aa" / "test.iob2",
+              "manifest": ckpt / "manifest.json", "sidecar": ckpt / "model.json",
+              "snapshot": next(tmp_path.glob("out/*/config_snapshot.json"), None)}[bad]
+    # a lone Latin-1 byte, as in "caf\xe9"
+    target.write_bytes(target.read_bytes().replace(b"a", b"\xe9", 1))
+    try:
+        target.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        reason = exc.reason
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"nerprune: error: {target}: not UTF-8 text" in err
-    assert "Traceback" not in err
+    # the file is named, and none of its content is quoted
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {target}: not UTF-8 text: {reason}\n")
 
 
-def _run_in_world(root, argv, capsys, mark=None):
+def _run_in_world(root, argv, capsys, mark=None, first=None):
     """Exit code, stdout and output files of argv run in a fresh world
-    under root, after a UTF-8 byte-order mark is written before the file
-    mark names. Traces drop their timing line, which varies by run."""
+    under root, after the command first, if any, has run there and a
+    UTF-8 byte-order mark is written before the file that the glob mark
+    names. Traces drop their timing line, which varies by run, and the
+    marked file is read back less its mark."""
     write_world(root)
     (root / "aa.iob2").write_text(AA_TEST_FILE)
-    if mark is not None:
-        (root / mark).write_bytes(b"\xef\xbb\xbf" + (root / mark).read_bytes())
+    if first is not None:
+        assert main([arg.format(root=root) for arg in first]) == 0
+        capsys.readouterr()
+    marked = next(root.glob(mark)) if mark is not None else None
+    if marked is not None:
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
     code = main([arg.format(root=root) for arg in argv])
     files = {}
     for path in sorted((root / "out").rglob("*")):
         if path.name == "trace.jsonl":
             files[path.relative_to(root)] = trace_without_timing(path)
         elif path.is_file():
-            files[path.relative_to(root)] = path.read_bytes()
+            data = path.read_bytes()
+            files[path.relative_to(root)] = (
+                data.removeprefix(b"\xef\xbb\xbf") if path == marked else data)
     return code, capsys.readouterr().out.replace(str(root), "<root>"), files
 
 
+_EXPERIMENT = ["experiment", "--config", "{root}/config.json"]
+
+
 # the mark used to become part of the first token, or to fail the
-# metadata header or the config's JSON
+# metadata header or the JSON of the config, the config snapshot (on a
+# resume), the manifest or the model sidecar
 @pytest.mark.parametrize("command, mark", [
     ("validate", "aa.iob2"), ("perturb", "aa.iob2"), ("perturb", "languages.csv"),
     ("experiment", "config.json"), ("experiment", "corpus/aa/test.iob2"),
     ("experiment", "corpus/aa/train.iob2"), ("experiment", "languages.csv"),
+    ("resume", "out/*/config_snapshot.json"), ("evaluate", "ckpt/manifest.json"),
+    ("evaluate", "ckpt/model.json"),
 ])
 def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, command, mark):
     argv = {
         "validate": ["validate", "{root}/aa.iob2", "--language", "aa"],
         "perturb": ["perturb", "{root}/aa.iob2", "--scope", "in-language", "--seed", "1",
                     "--meta", "{root}/languages.csv", "--out-dir", "{root}/out"],
-        "experiment": ["experiment", "--config", "{root}/config.json"],
+        "experiment": _EXPERIMENT,
+        "resume": _EXPERIMENT,
+        "evaluate": ["evaluate", "--config", "{root}/config.json",
+                     "--checkpoint", "{root}/ckpt", "--language", "aa"],
     }[command]
-    plain = _run_in_world(tmp_path / "plain", argv, capsys)
+    first = {
+        "resume": _EXPERIMENT,
+        "evaluate": ["train", "--config", "{root}/config.json", "--language", "aa",
+                     "--sparsity", "50", "--seed", "0", "--out", "{root}/ckpt"],
+    }.get(command)
+    plain = _run_in_world(tmp_path / "plain", argv, capsys, first=first)
     assert plain[0] == 0
-    assert _run_in_world(tmp_path / "marked", argv, capsys, mark) == plain
+    assert _run_in_world(tmp_path / "marked", argv, capsys, mark, first) == plain
 
 
 def test_module_runs_as_a_process_from_the_source_tree(tmp_path):

@@ -218,6 +218,10 @@ def test_rerun_is_idempotent(world, monkeypatch):
     before = results.read_bytes()
     perturbed_dir = results.parent / "perturbed"
     perturbed = {p.name: p.read_bytes() for p in perturbed_dir.iterdir()}
+    # a write stamps the file with the current time
+    files = [p for p in results.parent.rglob("*") if p.is_file()]
+    for path in files:
+        os.utime(path, ns=(0, 0))
     calls = []
     for name in ("load_metadata", "load_split", "build_perturbed", "write_perturbed"):
         def counted(*args, _name=name, _original=getattr(experiment, name), **kwargs):
@@ -226,9 +230,11 @@ def test_rerun_is_idempotent(world, monkeypatch):
         monkeypatch.setattr(experiment, name, counted)
     assert run(world) == results
     assert results.read_bytes() == before
-    # nothing is pending, so nothing is prepared
+    # nothing is pending, so nothing is prepared and no file is written;
+    # failures.jsonl used to be emptied all the same
     assert calls == []
     assert {p.name: p.read_bytes() for p in perturbed_dir.iterdir()} == perturbed
+    assert {p: p.stat().st_mtime_ns for p in files} == dict.fromkeys(files, 0)
 
 
 def test_results_written_before_the_trace_resume_without_rerunning(world, monkeypatch):

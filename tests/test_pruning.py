@@ -270,13 +270,11 @@ def test_checkpoint_round_trip(tmp_path):
     params = tensor_set(np.random.default_rng(3))
     compute_masks(params, 0.7, PruneStrategy.PARTIAL)
     apply_masks(params)
-    save_checkpoint(tmp_path / "ckpt", params, extra={"step": 42})
+    save_checkpoint(tmp_path / "ckpt", params)
     loaded, manifest = load_checkpoint(tmp_path / "ckpt")
-    assert manifest["extra"] == {"step": 42}
-    assert manifest["format_version"] == 1
-    assert manifest["achieved_sparsity"]["partial"] == pytest.approx(
-        measure_sparsity(params, PruneStrategy.PARTIAL)
-    )
+    # only what load_checkpoint reads
+    assert manifest == {"format_version": 1, "tensors": [
+        {"name": p.name, "shape": list(p.shape), "role": p.role.value} for p in params]}
     assert [p.name for p in loaded] == [p.name for p in params]
     for src, dst in zip(params, loaded):
         assert dst.role is src.role
