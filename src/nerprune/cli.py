@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("corpus", help="path to a corpus file in IOB2 format")
-    p.add_argument("--language", default="und",
-                   help="language code recorded for the corpus (default: und)")
-    p.add_argument("--strip-prefix", action="store_true",
-                   help="strip a leading '<language>:' prefix from each token")
 
     p = sub.add_parser(
         "perturb", help="write entity-perturbed copies of test corpora",
@@ -137,13 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    if not args.language:
-        raise ConfigError("--language must be non-empty")
     with open(args.corpus, encoding="utf-8") as f:
-        corpus = parse_iob2(
-            f, args.language, split="test",
-            strip_prefix=args.strip_prefix, name=args.corpus,
-        )
+        corpus = parse_iob2(f, "und", name=args.corpus)
     mentions = count_mentions(corpus)
     summary = {
         "sentences": len(corpus),

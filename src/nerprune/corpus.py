@@ -170,26 +170,22 @@ def parse_iob2(
     source: str | TextIO,
     language: str,
     split: str = "test",
-    strip_prefix: bool = False,
     name: str = "<iob2>",
 ) -> Corpus:
     """Parse token/tag lines into a Corpus.
 
     Lines end at \\n, \\r\\n or \\r, as a text file splits them. A line
     holds one token and one tag separated by a tab, or by a single space
-    when no tab is present. Whitespace-only lines end sentences. When
-    strip_prefix is set, a leading "<language>:" on the token is removed
-    (the raw export format prefixes tokens this way). One leading UTF-8
-    byte-order mark is dropped.
+    when no tab is present. Whitespace-only lines end sentences. Tokens
+    are read as written. One leading UTF-8 byte-order mark is dropped.
 
-    The text is split and checked in bulk. Text that fails a check, or is
-    parsed with strip_prefix, is walked line by line instead, which raises
-    ParseError or TagError with the 1-based number of the first bad line.
+    The text is split and checked in bulk. Text that fails a check is
+    walked line by line instead, which raises ParseError or TagError with
+    the 1-based number of the first bad line.
     """
     text = _text(source, name, ParseError)
-    prefix = f"{language}:" if strip_prefix else ""
-    columns = None if prefix else _bulk_columns(text, "\t" if "\t" in text else " ")
-    columns = columns or _bulk_columns(_walk(text.split("\n"), prefix, name), "\t")
+    columns = _bulk_columns(text, "\t" if "\t" in text else " ")
+    columns = columns or _bulk_columns(_walk(text.split("\n"), name), "\t")
     return Corpus.from_columns(*columns, language, split)
 
 
@@ -214,7 +210,7 @@ def _bulk_columns(text: str, sep: str) -> tuple | None:
     return tuple(fields[0::2]), tag_ids, np.unique(np.concatenate(([0], ends, [n])))
 
 
-def _walk(lines: list[str], prefix: str, name: str) -> str:
+def _walk(lines: list[str], name: str) -> str:
     """lines checked one by one, raising on the first malformed one, and
     rewritten as token<TAB>tag lines and empty lines."""
     out = []
@@ -226,7 +222,7 @@ def _walk(lines: list[str], prefix: str, name: str) -> str:
         if len(fields) != 2:
             raise ParseError(f"{name}:{lineno}: expected TOKEN<sep>TAG, "
                              f"got {len(fields)} fields: {line!r}")
-        token, tag = fields[0].removeprefix(prefix), fields[1]
+        token, tag = fields
         if not token:
             raise ParseError(f"{name}:{lineno}: empty token")
         if tag not in VALID_TAGS:

@@ -56,6 +56,7 @@ from .evaluation import (
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
 from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, Role, schedule_events
 from .tagger import (
+    MODEL_SIDECAR,
     Encoded,
     TaggerConfig,
     build_vocab,
@@ -273,6 +274,9 @@ def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentCon
             schedule_table = tuple(sorted(
                 (int(size), _tuple(row)) for size, row in schedule_raw.items()
             ))
+            for key in schedule_raw:  # not coerced: "+100" or "0100" is no size
+                if str(int(key)) != key:
+                    raise ValueError(f"size {key!r} is not a plain decimal integer")
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"schedule_table: {exc}") from None
     try:
@@ -461,34 +465,27 @@ def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
     """Raise ConfigError unless execute_run may stage a checkpoint beside
     checkpoint_dir and then delete it whole. The nearest of it and its
     parents that exists must be a directory, so that staging cannot fail
-    only after training. It must hold neither the working directory nor
-    any path the config reads or writes. Unless it is a slot of the
-    grid's own <output>/<hash>/checkpoints, whose every entry a grid run
-    replaces whatever it holds, it must also be absent, empty or a
-    checkpoint."""
+    only after training. Unless it is a slot of the grid's own
+    <output>/<hash>/checkpoints, whose every entry a grid run replaces
+    whatever it holds, it must be absent, empty, or hold MANIFEST_NAME and
+    nothing but files a checkpoint holds, so that only checkpoint
+    files are ever deleted."""
     nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"{nearest}: not a directory")
-    kept = [
-        ("the working directory", Path.cwd()),
-        ("the config file's directory", Path(config.base_dir).resolve()),
-        ("metadata", config.metadata_file),
-        ("output", config.output_path),
-    ]
-    kept += [("a corpus directory", config.corpus_root_path / language)
-             for language in config.languages]
-    for name, path in kept:
-        if path == checkpoint_dir or checkpoint_dir in path.parents:
-            raise ConfigError(
-                f"{checkpoint_dir}: holds {name} {path}, so it cannot be "
-                "replaced by a checkpoint")
     slots = config.output_path / config.config_hash[:HASH_PREFIX_LEN] / "checkpoints"
-    if (checkpoint_dir.parent != slots
-            and checkpoint_dir.is_dir() and any(checkpoint_dir.iterdir())
-            and not (checkpoint_dir / MANIFEST_NAME).is_file()):
+    if checkpoint_dir.parent == slots or nearest != checkpoint_dir:  # a slot, or absent
+        return
+    regular = {p.name: p.is_file() for p in checkpoint_dir.iterdir()}
+    if regular and not regular.get(MANIFEST_NAME):
         raise ConfigError(
             f"{checkpoint_dir}: a non-empty directory without "
             f"{MANIFEST_NAME} is not a checkpoint to replace")
+    foreign = sorted(name for name, is_file in regular.items() if not is_file or (
+        name not in (MANIFEST_NAME, MODEL_SIDECAR, TRACE_NAME) and not name.endswith(".bin")))
+    if foreign:
+        raise ConfigError(f"{checkpoint_dir}: holds {foreign[0]}, which no checkpoint "
+                          "holds, so it is not a checkpoint to replace")
 
 
 def execute_run(
@@ -641,8 +638,8 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
     appends its lines in one write, so a kill or a full disk can cut only
     the last run short, inside a line or at a line boundary: the file is
     truncated just past the last line that completes a run, and the cut
-    run reruns. A malformed complete line, or a line past its run's
-    count, is a ConfigError."""
+    run reruns. A malformed complete line, a line of a run the plan does
+    not hold, or a line past its run's count, is a ConfigError."""
     if not results_path.is_file():
         return set()
     data = results_path.read_bytes()
@@ -660,13 +657,17 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
                 raise ConfigError(
                     f"{results_path}:{number}: malformed results line: {exc!r}"
                 ) from None
+            count = line_counts.get(run_id)
+            if count is None:
+                raise ConfigError(f"{results_path}:{number}: run {run_id} is not "
+                                  "in this config's plan")
             seen[run_id] = seen.get(run_id, 0) + 1
-            if seen[run_id] == line_counts.get(run_id):
+            if seen[run_id] == count:
                 done.add(run_id)
                 end = offset
             elif run_id in done:
                 raise ConfigError(f"{results_path}:{number}: run {run_id} has more "
-                                  f"than its {line_counts[run_id]} lines")
+                                  f"than its {count} lines")
     if end < len(data):
         with open(results_path, "r+b") as f:
             f.truncate(end)

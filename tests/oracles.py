@@ -336,12 +336,11 @@ def oracle_perturb_corpus(corpus, pool, seed):
     return Corpus(tuple(sentences), corpus.language, corpus.split), records
 
 
-def oracle_parse_iob2(text, language, strip_prefix=False, name="<iob2>"):
+def oracle_parse_iob2(text, language, name="<iob2>"):
     """Sentences of an IOB2 text by the line-by-line walk: lines as a
     text file splits them (at \\n, \\r\\n and \\r), less one leading
     byte-order mark; whitespace-only lines end sentences; the first
     malformed line raises with its 1-based number."""
-    prefix = f"{language}:"
     sentences, tokens, tags = [], [], []
 
     def flush():
@@ -365,8 +364,6 @@ def oracle_parse_iob2(text, language, strip_prefix=False, name="<iob2>"):
                 f"got {len(fields)} fields: {line!r}"
             )
         token, tag = fields
-        if strip_prefix and token.startswith(prefix):
-            token = token[len(prefix):]
         if not token:
             raise ParseError(f"{name}:{lineno}: empty token")
         if tag not in VALID_TAGS:

@@ -83,7 +83,7 @@ def test_usage_errors_exit_one():
 def test_validate_prints_counts(tmp_path, capsys):
     path = tmp_path / "aa.iob2"
     path.write_text(AA_TEST_FILE)
-    assert main(["validate", str(path), "--language", "aa"]) == 0
+    assert main(["validate", str(path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary == {
         "sentences": 2,
@@ -98,20 +98,6 @@ def test_validate_rejects_malformed_input_with_exit_two(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bad.iob2:1" in err
-
-
-def test_validate_rejects_an_empty_language_with_exit_two(tmp_path, capsys):
-    path = tmp_path / "aa.iob2"
-    path.write_text(AA_TEST_FILE)
-    assert main(["validate", str(path), "--language", ""]) == 2
-    assert "--language must be non-empty" in capsys.readouterr().err
-
-
-def test_validate_strip_prefix(tmp_path, capsys):
-    path = tmp_path / "aa.iob2"
-    path.write_text("aa:ada\tB-PER\n")
-    assert main(["validate", str(path), "--language", "aa", "--strip-prefix"]) == 0
-    assert json.loads(capsys.readouterr().out)["tokens"] == 1
 
 
 def test_perturb_writes_corpora_and_logs(tmp_path, capsys):
@@ -264,14 +250,27 @@ def _notes_file(out):
     return out
 
 
+# a web app's layout: its manifest.json used to pass for a checkpoint's,
+# and train replaced the whole directory with one
+def _app_directory(out):
+    (out / "src").mkdir(parents=True)
+    (out / "manifest.json").write_text('{"name": "app"}')
+    (out / "index.html").write_text("<!doctype html>")
+    (out / "src" / "app.js").write_text("not a checkpoint")
+    return out / "src" / "app.js"
+
+
 @pytest.mark.parametrize("occupy, message", [
     (_notes_directory, "without manifest.json"),
     (_notes_file, "not a directory"),
+    (_app_directory, "holds index.html, which no checkpoint holds, so it is not a "
+                     "checkpoint to replace"),
 ])
 def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy, message):
     config = write_world(tmp_path)
     out = tmp_path / "notes"
     kept = occupy(out)
+    before = _tree(tmp_path)
     assert main([
         "train", "--config", str(config), "--language", "aa",
         "--sparsity", "50", "--seed", "0", "--out", str(out),
@@ -279,6 +278,7 @@ def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy,
     assert message in capsys.readouterr().err
     assert kept.read_text() == "not a checkpoint"
     assert not list(tmp_path.glob(".*.partial"))
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("below", ["ck", "sub/ck"])
@@ -305,15 +305,21 @@ def _tree(root):
             for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("out, cwd, message", [
-    (".", "world", "holds the working directory"),
-    (".", "elsewhere", "holds the config file's directory"),
-    ("corpus", "elsewhere", "holds a corpus directory"),
-    ("corpus/aa", "elsewhere", "holds a corpus directory"),
-    ("..", "world", "holds the working directory"),
-])
+# each holds an input, so an entry no checkpoint holds: the first in
+# sorted order is named
+@pytest.mark.parametrize("out, cwd, entry", [
+    (".", "world", "config.json"),
+    (".", "elsewhere", "config.json"),
+    ("corpus", "elsewhere", "aa"),
+    ("corpus/aa", "elsewhere", "test.iob2"),
+    ("..", "world", "elsewhere"),
+], ids=[".-world-holds the working directory",
+        ".-elsewhere-holds the config file's directory",
+        "corpus-elsewhere-holds a corpus directory",
+        "corpus/aa-elsewhere-holds a corpus directory",
+        "..-world-holds the working directory"])
 def test_train_never_replaces_a_directory_with_its_inputs(
-        tmp_path, monkeypatch, capsys, out, cwd, message):
+        tmp_path, monkeypatch, capsys, out, cwd, entry):
     world = tmp_path / "world"
     world.mkdir()
     config = write_world(world)
@@ -326,7 +332,8 @@ def test_train_never_replaces_a_directory_with_its_inputs(
             "--sparsity", "50", "--seed", "0", "--out", str(world / out)]
     for _ in range(2):
         assert main(argv) == 2
-        assert message in capsys.readouterr().err
+        assert (f"holds {entry}, which no checkpoint holds, so it is not a "
+                "checkpoint to replace") in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
 
@@ -337,10 +344,19 @@ def test_train_never_replaces_a_grid_directory(tmp_path, capsys, below):
     config = write_world(tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0
     grid = Path(capsys.readouterr().out.strip()).parent
+    argv = ["train", "--config", str(config), "--language", "aa",
+            "--sparsity", "50", "--seed", "0", "--out", str(grid / below)]
     before = _tree(tmp_path)
-    assert main(["train", "--config", str(config), "--language", "aa",
-                 "--sparsity", "50", "--seed", "0", "--out", str(grid / below)]) == 2
+    assert main(argv) == 2
     assert "without manifest.json is not a checkpoint to replace" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+    # so did it when a stray manifest.json stood there
+    (grid / below / "manifest.json").write_text("{}")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    first = {"": ".lock", "checkpoints": "mono-aa-s0-partial-seed0"}[below]
+    assert (f"holds {first}, which no checkpoint holds, so it is not a checkpoint "
+            "to replace") in capsys.readouterr().err
     assert _tree(tmp_path) == before
 
 
@@ -597,7 +613,8 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
 
 # each value used to be converted into a valid one: 50.7 ran as 50, "ab"
 # as languages a and b, a fourth schedule entry was dropped, ["corpus"]
-# named a directory "['corpus']"
+# named a directory "['corpus']", and each schedule key ran as size 4
+# under the config hash of another spelling
 @pytest.mark.parametrize("key, value, message", [
     ("sparsity_levels", [0, 50.7], "sparsity_levels entry must be an integer"),
     ("perturbation_seed", 7.9, "perturbation_seed must be an integer"),
@@ -615,6 +632,9 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
     ("paths", "corpus", "paths must be an object"),
     ("tagger", [4, 6], "tagger: "),
     ("schedule_table", [[4, 2, 10, 2]], "schedule_table: "),
+    *(("schedule_table", {key: [2, 10, 2]},
+       f"schedule_table: size {key!r} is not a plain decimal integer")
+      for key in ["+4", " 4", "0_4", "04", "\u0664"]),
     # values of their type, but out of range
     ("seeds", [0, -1], "seeds must be non-negative"),
     ("perturbation_seed", -1, "perturbation_seed must be non-negative"),
@@ -623,7 +643,9 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
 ], ids=["float-level", "float-perturbation-seed", "string-seeds", "bool-seed",
         "string-languages", "float-schedule-start", "four-schedule-entries",
         "array-corpus-root", "slash-language", "empty-language", "dotted-language",
-        "string-paths", "array-tagger", "array-schedule-table", "negative-seed",
+        "string-paths", "array-tagger", "array-schedule-table", "signed-schedule-size",
+        "spaced-schedule-size", "underscored-schedule-size", "zero-padded-schedule-size",
+        "arabic-indic-schedule-size", "negative-seed",
         "negative-perturbation-seed", "zero-schedule-size", "negative-schedule-size"])
 def test_grid_value_that_is_not_of_its_type_exits_two(tmp_path, capsys, key,
                                                       value, message):
@@ -1025,7 +1047,7 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     results.write_text(_record() + "\n")
     ckpt = tmp_path / "ckpt"
     argv = {
-        "validate": ["validate", str(corpus), "--language", "aa"],
+        "validate": ["validate", str(corpus)],
         "perturb": ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
                     "--meta", str(meta), "--out-dir", str(tmp_path / "p")],
         "report": _report_argv(tmp_path, results, meta),
@@ -1096,7 +1118,7 @@ _EXPERIMENT = ["experiment", "--config", "{root}/config.json"]
 ])
 def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, command, mark):
     argv = {
-        "validate": ["validate", "{root}/aa.iob2", "--language", "aa"],
+        "validate": ["validate", "{root}/aa.iob2"],
         "perturb": ["perturb", "{root}/aa.iob2", "--scope", "in-language", "--seed", "1",
                     "--meta", "{root}/languages.csv", "--out-dir", "{root}/out"],
         "experiment": _EXPERIMENT,

@@ -92,14 +92,6 @@ def test_parse_accepts_file_objects():
     assert len(corpus) == 1
 
 
-def test_parse_strips_language_prefix_on_request():
-    text = "en:John\tB-PER\nen:Smith\tI-PER\n"
-    plain = parse_iob2(text, "en")
-    stripped = parse_iob2(text, "en", strip_prefix=True)
-    assert plain.sentences[0].tokens == ("en:John", "en:Smith")
-    assert stripped.sentences[0].tokens == ("John", "Smith")
-
-
 @pytest.mark.parametrize("text", [
     "ada\tB-PER\nsaw\tO\n\nlima\tB-LOC\n", "\n\nada\tB-PER\n", "", "\n",
 ])
@@ -124,11 +116,6 @@ def test_parse_reports_line_numbers():
         parse_iob2("a\tO\nb\tO\na b c\n", "en", name="corpus.iob2")
     with pytest.raises(TagError, match=r"<iob2>:2.*B-GPE"):
         parse_iob2("a\tO\nb\tB-GPE\n", "en")
-
-
-def test_parse_rejects_token_that_is_only_a_prefix():
-    with pytest.raises(ParseError, match="empty token"):
-        parse_iob2("en:\tO\n", "en", strip_prefix=True)
 
 
 def test_lone_carriage_return_ends_a_line_as_in_a_file(tmp_path):
@@ -182,27 +169,26 @@ def iob2_text_st(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
-def _parse_outcome(parse, text, strip_prefix):
+def _parse_outcome(parse, text):
     """Each sentence's tokens and tags under parse(text), or the type and
     message of what it raised."""
     try:
-        sentences = parse(text, "xx", strip_prefix=strip_prefix, name="t.iob2")
+        sentences = parse(text, "xx", name="t.iob2")
     except Exception as exc:
         return type(exc), str(exc)
     return ([s.tokens for s in sentences], [s.tags for s in sentences])
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=iob2_text_st(), strip_prefix=st.booleans())
+@given(text=iob2_text_st())
 # two tabs in all, but foo has none and the next line two: line 1 raises
-@example(text="foo\nO\tO\tO\n", strip_prefix=False)
-@example(text="xx:\tO\n", strip_prefix=True)
-@example(text="a b\tO\n  \nc O\r\n\x0b\rd\tB-PER", strip_prefix=False)
-def test_parse_matches_the_line_walk(text, strip_prefix):
-    want = _parse_outcome(oracle_parse_iob2, text, strip_prefix)
-    assert _parse_outcome(parse_iob2, text, strip_prefix) == want
+@example(text="foo\nO\tO\tO\n")
+@example(text="a b\tO\n  \nc O\r\n\x0b\rd\tB-PER")
+def test_parse_matches_the_line_walk(text):
+    want = _parse_outcome(oracle_parse_iob2, text)
+    assert _parse_outcome(parse_iob2, text) == want
     if isinstance(want[0], list):
-        corpus = parse_iob2(text, "xx", strip_prefix=strip_prefix)
+        corpus = parse_iob2(text, "xx")
         tokens, tags = want
         assert corpus.tokens == tuple(chain.from_iterable(tokens))
         assert corpus.tag_ids.tolist() == [TAG_IDS[t] for t in chain.from_iterable(tags)]

@@ -356,6 +356,27 @@ def test_run_with_more_lines_than_its_count_is_a_config_error(world, monkeypatch
     assert results.read_text() == "".join(cell + cell)
 
 
+# a line of a run the plan does not hold used to be cut without a word
+# when it came last, and kept when a whole run followed it
+@pytest.mark.parametrize("last", [True, False])
+def test_run_not_in_the_plan_is_a_config_error(world, monkeypatch, capsys, last):
+    results = run(world)
+    lines = results.read_text().splitlines(keepends=True)
+    stranger = "mono-cc-s50-partial-seed0"
+    line = json.dumps({**json.loads(lines[0]), "run_id": stranger}) + "\n"
+    edited = "".join(lines + [line] if last else [line] + lines)
+    results.write_text(edited)
+    calls = []
+    _count_calls(monkeypatch, "train", calls)
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 2
+    number = len(lines) + 1 if last else 1
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {results}:{number}: run {stranger} is not in this "
+        "config's plan\n")
+    assert calls == []
+    assert results.read_text() == edited
+
+
 def test_failures_are_recorded_and_do_not_stop_the_grid(tmp_path):
     config = config_from_file(
         write_world(tmp_path, schedule=(2, 1000, 2))
