@@ -188,15 +188,18 @@ def _cmd_train(args) -> int:
             f"sparsity {args.sparsity} not in config levels "
             f"{list(config.sparsity_levels)}"
         )
+    out = Path(args.out).resolve()
+    for what, path in (("config", Path(args.config)), ("metadata", config.metadata_file)):
+        if path.resolve().parent == out:  # the replace rule would pass it by its name
+            raise ConfigError(f"{out}: holds {path.name}, which no checkpoint holds, so it "
+                              f"is not a checkpoint to replace: it is the {what} file")
     spec = experiment.RunSpec(
         config.mode, language, args.sparsity, args.strategy, args.seed
     )
     languages = spec.languages(config)
     inputs = experiment.load_cell_inputs(config, languages)
     bundle = experiment.build_bundle(config, languages, *inputs)
-    lines = experiment.execute_run(
-        spec, config, bundle, checkpoint_dir=Path(args.out)
-    )
+    lines = experiment.execute_run(spec, config, bundle, checkpoint_dir=out)
     regular = [l for l in lines if l["split"] == "regular"]
     print(json.dumps({
         "run_id": spec.run_id,
@@ -209,16 +212,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = experiment.config_from_file(args.config)
-    if args.language not in config.languages:
-        raise ConfigError(f"language {args.language!r} not in config languages")
+    if (args.language, args.split) not in experiment.scored_splits(config, config.languages):
+        raise ConfigError(f"the config scores no {args.split} split of {args.language!r}")
     model = tagger.load_model(args.checkpoint)
     root = config.corpus_root_path
     if args.split == "regular":
         corpus = experiment.load_split(root, args.language, "test")
     else:
         scope_name = args.split.removeprefix("perturbed-")
-        if scope_name not in config.scopes:
-            raise ConfigError(f"scope {scope_name!r} not in config scopes")
         meta = experiment.load_metadata(config.metadata_file)
         tests = {l: experiment.load_split(root, l, "test") for l in config.languages}
         perturbed = experiment.build_perturbed(

@@ -74,20 +74,26 @@ class ScoreReport:
         return cls(tp, fp, fn, precision, recall, f1, dict(per_type))
 
 
-def score_ids(gold_spans: np.ndarray, tag_ids: np.ndarray,
-              offsets: np.ndarray) -> ScoreReport:
+def score_ids(gold_spans: np.ndarray, tag_ids: np.ndarray, offsets: np.ndarray,
+              starts: np.ndarray | None = None) -> list[ScoreReport]:
     """Score predicted tag ids against gold span keys of decode_span_ids
-    over the same positions and offsets."""
+    over the same positions and offsets: one report per group of
+    sentences starts[g]:starts[g + 1], or one of all the sentences when
+    starts is None."""
     t = len(ENTITY_TYPES)
+    firsts = offsets[:1] if starts is None else offsets[starts[:-1]]
     predicted = decode_span_ids(tag_ids, offsets)
     hits = np.intersect1d(gold_spans, predicted, assume_unique=True)
-    tp = np.bincount(hits % t, minlength=t)
-    fp = np.bincount(predicted % t, minlength=t) - tp
-    fn = np.bincount(gold_spans % t, minlength=t) - tp
-    return ScoreReport.from_counts({
-        etype: (int(tp[i]), int(fp[i]), int(fn[i]))
-        for i, etype in enumerate(ENTITY_TYPES)
-    })
+    def counts(keys):
+        # a key // ((N + 1) * T) is its span's start; of groups that share a
+        # first position, all but the last are empty
+        group = np.searchsorted(firsts, keys // ((tag_ids.size + 1) * t), side="right") - 1
+        return np.bincount(group * t + keys % t, minlength=len(firsts) * t).reshape(-1, t)
+    tp = counts(hits)
+    fp = counts(predicted) - tp
+    fn = counts(gold_spans) - tp
+    return [ScoreReport.from_counts(dict(zip(ENTITY_TYPES, zip(*rows))))
+            for rows in zip(tp.tolist(), fp.tolist(), fn.tolist())]
 
 
 def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreReport:
@@ -114,7 +120,7 @@ def score_corpus(gold: Corpus, predicted: Sequence[Sequence[str]]) -> ScoreRepor
             for tag in tags:
                 if tag not in TAG_IDS:
                     raise TagError(f"sentence {idx}: unknown predicted tag {tag!r}")
-    return score_ids(gold.spans, np.array(pred_ids, dtype=np.int64), gold.offsets)
+    return score_ids(gold.spans, np.array(pred_ids, dtype=np.int64), gold.offsets)[0]
 
 
 # (key, accepted types, what the TypeError calls them) of every field a

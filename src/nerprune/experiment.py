@@ -34,6 +34,7 @@ import numpy as np
 from .corpus import (
     Corpus,
     LanguageMeta,
+    decode_span_ids,
     load_language_metadata,
     parse_iob2,
     read_json_object,
@@ -415,25 +416,26 @@ def load_cell_inputs(config: ExperimentConfig, languages: Sequence[str]) -> tupl
         meta, tests, languages, config.scopes, config.perturbation_seed)
 
 
-@dataclass(frozen=True)
-class ScoredSplit:
-    """A test split encoded with one vocab and window, and its gold
-    spans as decode_span_ids keys."""
-
-    language: str
-    name: str
-    encoded: Encoded
-    gold_spans: np.ndarray
+def scored_splits(config: ExperimentConfig, languages: Sequence[str]) -> list[tuple[str, str]]:
+    """The (language, split name) pairs a cell that trains on languages
+    owes result lines for, in their order: per language, regular, then
+    perturbed-<scope> for each config scope."""
+    return [(language, name) for language in languages
+            for name in ("regular", *(f"perturbed-{scope}" for scope in config.scopes))]
 
 
 @dataclass(frozen=True)
 class Bundle:
-    """What every cell of one language set shares: the training set
-    encoded with its vocab (train.vocab), and each split the cells are
-    scored on, in result-line order."""
+    """What every cell of one language set shares: the training set encoded
+    with its vocab (train.vocab), and the scored_splits pairs laid end to end
+    as one test set with its gold spans as decode_span_ids keys, split g
+    (pairs[g]) owning test's sentences starts[g]:starts[g + 1]."""
 
     train: Encoded
-    splits: tuple[ScoredSplit, ...]
+    test: Encoded
+    pairs: tuple[tuple[str, str], ...]
+    starts: np.ndarray
+    gold_spans: np.ndarray
 
 
 def build_bundle(
@@ -443,22 +445,19 @@ def build_bundle(
     tests: Mapping[str, Corpus],
     perturbed: Mapping[tuple[str, str], tuple[Corpus, list]],
 ) -> Bundle:
-    """Vocab, encoded training set and encoded splits with gold spans for
-    the cells that train on languages."""
+    """Vocab, encoded training set and encoded test set with gold spans
+    for the cells that train on languages."""
     train_corpora = [trains[l] for l in languages]
     vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
     window = config.tagger.window
     train_set = encode_windows(vocab, window, train_corpora)
-    splits = []
-    for language in languages:
-        named = [("regular", tests[language])] + [
-            (f"perturbed-{scope_name}", perturbed[(language, scope_name)][0])
-            for scope_name in config.scopes
-        ]
-        for name, corpus in named:
-            encoded = encode_windows(vocab, window, corpus)
-            splits.append(ScoredSplit(language, name, encoded, corpus.spans))
-    return Bundle(train_set, tuple(splits))
+    pairs = scored_splits(config, languages)
+    corpora = [tests[language] if name == "regular"
+               else perturbed[(language, name.removeprefix("perturbed-"))][0]
+               for language, name in pairs]
+    test = encode_windows(vocab, window, corpora)
+    return Bundle(train_set, test, tuple(pairs), np.cumsum([0, *map(len, corpora)]),
+                  decode_span_ids(test.tags, test.offsets))
 
 
 def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
@@ -541,18 +540,11 @@ def execute_run(
         "schedule": list(schedule_row) if schedule_row else None,
         "achieved_sparsity": achieved,
     }
-    lines = []
-    for split in bundle.splits:
-        predicted = predict_ids(model, split.encoded)
-        record = RunRecord(
-            language=split.language,
-            sparsity=spec.sparsity,
-            strategy=spec.strategy,
-            seed=spec.seed,
-            split=split.name,
-            report=score_ids(split.gold_spans, predicted, split.encoded.offsets),
-        )
-        lines.append({**record.to_json_dict(), **cell})
+    reports = score_ids(bundle.gold_spans, predict_ids(model, bundle.test),
+                        bundle.test.offsets, bundle.starts)
+    lines = [{**RunRecord(language, spec.sparsity, spec.strategy, spec.seed, split,
+                          report).to_json_dict(), **cell}
+             for (language, split), report in zip(bundle.pairs, reports)]
     timings = {"train_s": trained - started, "save_s": saved - trained,
                "predict_score_s": time.perf_counter() - saved}
     _write_trace(staging / TRACE_NAME, history, len(history) // config.tagger.epochs,
@@ -716,7 +708,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         results_path = out_dir / "results.jsonl"
         specs = plan(config)
         done = _existing_run_ids(results_path, {
-            spec.run_id: len(spec.languages(config)) * (1 + len(config.scopes))
+            spec.run_id: len(scored_splits(config, spec.languages(config)))
             for spec in specs})
         pending = [spec for spec in specs if spec.run_id not in done]
         if not pending:

@@ -213,6 +213,18 @@ def test_train_then_evaluate_round_trip(tmp_path, capsys):
     assert perturbed["split"] == "perturbed-in-language"
 
 
+# the world's config scores languages aa and bb, regular and in-language;
+# the split is checked before the checkpoint is read
+@pytest.mark.parametrize("language, split", [
+    ("cc", "regular"), ("aa", "perturbed-in-script")])
+def test_evaluate_refuses_a_split_the_config_does_not_score(tmp_path, capsys, language, split):
+    config = write_world(tmp_path)
+    assert main(["evaluate", "--config", str(config), "--checkpoint", str(tmp_path / "none"),
+                 "--language", language, "--split", split]) == 2
+    assert (f"the config scores no {split} split of {language!r}"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_two(tmp_path, capsys):
     config = write_world(tmp_path, extra={"tagger": DIVERGING_TAGGER})
@@ -335,6 +347,33 @@ def test_train_never_replaces_a_directory_with_its_inputs(
         assert (f"holds {entry}, which no checkpoint holds, so it is not a "
                 "checkpoint to replace") in capsys.readouterr().err
         assert _tree(tmp_path) == before
+
+
+# each input is named like a checkpoint file, so it passes the replace rule
+# and used to be deleted by a run that exited 0
+@pytest.mark.parametrize("config_name, meta_name", [
+    ("config.bin", None), ("manifest.json", None), (None, "languages.bin"),
+], ids=["a config named config.bin", "a config named manifest.json",
+        "a metadata file named languages.bin"])
+def test_train_never_replaces_a_directory_with_its_config_or_metadata(
+        tmp_path, capsys, config_name, meta_name):
+    data = json.loads(write_world(tmp_path).read_text())
+    data["paths"] = {key: str(tmp_path / path) for key, path in data["paths"].items()}
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    (ck / "manifest.json").write_text("{}")
+    if meta_name:
+        data["paths"]["metadata"] = str(ck / meta_name)
+        (tmp_path / "languages.csv").rename(ck / meta_name)
+    config = ck / config_name if config_name else tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    before = _tree(tmp_path)
+    assert main(["train", "--config", str(config), "--language", "aa", "--sparsity", "50",
+                 "--seed", "0", "--out", str(ck)]) == 2
+    what = "config" if config_name else "metadata"
+    assert (f"{ck}: holds {config_name or meta_name}, which no checkpoint holds, so it is "
+            f"not a checkpoint to replace: it is the {what} file") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 # each used to replace the finished grid's files with one checkpoint's

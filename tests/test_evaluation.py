@@ -134,8 +134,8 @@ ACROSS_BOUNDARY = [["O", "I-PER"], ["I-PER", "O"]]
 
 
 def _bundle_report(gold, pred_rows):
-    """Score as a grid cell does: gold spans from the split's bundle,
-    predictions as tag ids."""
+    """Score as a grid cell does: gold spans from the bundle's one test
+    set, predictions as tag ids."""
     train = corpus_of([sent(["w"], ["O"])], split="train")
     config = ExperimentConfig(
         mode="monolingual", languages=("xx",), sparsity_levels=(0,), seeds=(0,),
@@ -143,9 +143,10 @@ def _bundle_report(gold, pred_rows):
         output_dir="o", scopes=(),
     )
     bundle = build_bundle(config, ["xx"], {"xx": train}, {"xx": gold}, {})
-    (split,) = bundle.splits
+    assert bundle.pairs == (("xx", "regular"),)
     predicted = np.array([TAG_IDS[t] for row in pred_rows for t in row], dtype=np.int64)
-    return score_ids(split.gold_spans, predicted, split.encoded.offsets)
+    (report,) = score_ids(bundle.gold_spans, predicted, bundle.test.offsets, bundle.starts)
+    return report
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,6 +160,27 @@ def test_array_scoring_matches_the_per_sentence_oracle(rows):
     expected = oracle_score_corpus(gold, pred_rows)
     assert score_corpus(gold, pred_rows) == expected
     assert _bundle_report(gold, pred_rows) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(aligned_rows(), max_size=4))
+@example([(ACROSS_BOUNDARY, ACROSS_BOUNDARY), ([], []),
+          (ACROSS_BOUNDARY, [["I-PER", "I-PER"], ["I-PER", "I-PER"]]), ([], [])])
+@example([([], []), ([["B-LOC"], []], [["B-LOC"], []])])
+def test_grouped_scoring_matches_each_corpus_alone(groups):
+    """Corpora laid end to end, each one group of starts: each report is
+    the corpus's own, as score_corpus and the per-sentence oracle give it."""
+    golds = [corpus_of([sent(["w"] * len(row), row) for row in gold_rows])
+             for gold_rows, _ in groups]
+    whole = corpus_of([s for gold in golds for s in gold])
+    predicted = np.array([TAG_IDS[t] for _, pred_rows in groups for row in pred_rows
+                          for t in row], dtype=np.int64)
+    starts = np.cumsum([0, *map(len, golds)])
+    reports = score_ids(whole.spans, predicted, whole.offsets, starts)
+    assert reports == [score_corpus(gold, pred_rows)
+                       for gold, (_, pred_rows) in zip(golds, groups)]
+    assert reports == [oracle_score_corpus(gold, pred_rows)
+                       for gold, (_, pred_rows) in zip(golds, groups)]
 
 
 def test_spans_never_cross_a_sentence_boundary():

@@ -566,9 +566,8 @@ def test_cells_score_like_predict_and_score_corpus(tmp_path):
     perturbed = build_perturbed(load_metadata(config.metadata_file), tests,
                                 config.languages, config.scopes, config.perturbation_seed)
     bundle = build_bundle(config, config.languages, trains, tests, perturbed)
-    for split in bundle.splits:
-        assert np.array_equal(
-            split.gold_spans, decode_span_ids(split.encoded.tags, split.encoded.offsets))
+    assert np.array_equal(
+        bundle.gold_spans, decode_span_ids(bundle.test.tags, bundle.test.offsets))
     spec = plan(config)[-1]
     lines = execute_run(spec, config, bundle, checkpoint_dir=tmp_path / "ckpt")
     model = load_model(tmp_path / "ckpt")
@@ -582,6 +581,26 @@ def test_cells_score_like_predict_and_score_corpus(tmp_path):
         report = score_corpus(corpus, predict(model, corpus))
         assert [line[k] for k in ("tp", "fp", "fn", "precision", "recall", "f1")] == [
             report.tp, report.fp, report.fn, report.precision, report.recall, report.f1]
+
+
+def test_an_empty_test_split_scores_zero_and_leaves_the_others_alone(tmp_path):
+    def lines(root, empty_test):
+        config = config_from_file(write_world(root, mode="multilingual"))
+        if empty_test:
+            (root / "corpus" / "aa" / "test.iob2").write_text("")
+        results = run(config)
+        assert (results.parent / "failures.jsonl").read_text() == ""
+        return [json.loads(l) for l in results.read_text().splitlines()]
+
+    full, empty = lines(tmp_path / "full", False), lines(tmp_path / "empty", True)
+    assert [(l["run_id"], l["language"], l["split"]) for l in empty] == [
+        (l["run_id"], l["language"], l["split"]) for l in full]
+    for before, after in zip(full, empty):
+        if after["language"] == "aa":
+            assert [after[k] for k in ("tp", "fp", "fn", "precision", "recall", "f1")] == [
+                0, 0, 0, 0.0, 0.0, 0.0]
+        else:  # aa's empty splits come first and shift no span of bb's
+            assert after == before
 
 
 def test_language_set_without_training_sentences_fails_its_cells(tmp_path):
