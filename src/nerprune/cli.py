@@ -162,7 +162,7 @@ def _cmd_perturb(args) -> int:
     perturbed = experiment.build_perturbed(
         meta, tests, list(tests), [args.scope], args.seed
     )
-    experiment.write_perturbed(Path(args.out_dir), perturbed)
+    experiment.write_perturbed(Path(args.out_dir), perturbed, inputs=[*args.corpora, args.meta])
     for (language, _), (_, records) in perturbed.items():
         print(f"{language}: {sum(1 for r in records if r.replaced)} "
               f"of {len(records)} mentions replaced")
@@ -171,35 +171,24 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_train(args) -> int:
     config = experiment.config_from_file(args.config)
-    if config.mode == "monolingual":
-        if not args.language:
-            raise ConfigError("--language is required in monolingual mode")
-        if args.language not in config.languages:
-            raise ConfigError(
-                f"language {args.language!r} not in config languages"
-            )
-        language = args.language
-    else:
-        if args.language:
-            raise ConfigError("--language does not apply in multilingual mode")
-        language = None
-    if args.sparsity != 0 and args.sparsity not in config.sparsity_levels:
-        raise ConfigError(
-            f"sparsity {args.sparsity} not in config levels "
-            f"{list(config.sparsity_levels)}"
-        )
-    out = Path(args.out).resolve()
-    for what, path in (("config", Path(args.config)), ("metadata", config.metadata_file)):
-        if path.resolve().parent == out:  # the replace rule would pass it by its name
-            raise ConfigError(f"{out}: holds {path.name}, which no checkpoint holds, so it "
-                              f"is not a checkpoint to replace: it is the {what} file")
+    if config.mode == "monolingual" and not args.language:
+        raise ConfigError("--language is required in monolingual mode")
+    if config.mode == "multilingual" and args.language:
+        raise ConfigError("--language does not apply in multilingual mode")
     spec = experiment.RunSpec(
-        config.mode, language, args.sparsity, args.strategy, args.seed
+        config.mode, args.language or None, args.sparsity, args.strategy, args.seed
     )
+    if spec not in experiment.plan(config):
+        raise ConfigError(f"the config plans no cell {spec.run_id}")
     languages = spec.languages(config)
     inputs = experiment.load_cell_inputs(config, languages)
     bundle = experiment.build_bundle(config, languages, *inputs)
-    lines = experiment.execute_run(spec, config, bundle, checkpoint_dir=out)
+    try:
+        lines = experiment.execute_run(spec, config, bundle, checkpoint_dir=Path(args.out))
+    except (NerpruneError, OSError):
+        raise
+    except Exception as exc:  # a fault of the program: the cell fails, as in the grid
+        raise NerpruneError(f"{spec.run_id} failed: {exc!r}") from exc
     regular = [l for l in lines if l["split"] == "regular"]
     print(json.dumps({
         "run_id": spec.run_id,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import re
 import resource
@@ -55,9 +56,8 @@ from .evaluation import (
     score_ids,
 )
 from .perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus, write_replacement_log
-from .pruning import MANIFEST_NAME, PruneSchedule, PruneStrategy, Role, schedule_events
+from .pruning import PruneSchedule, PruneStrategy, Role, schedule_events
 from .tagger import (
-    MODEL_SIDECAR,
     Encoded,
     TaggerConfig,
     build_vocab,
@@ -392,10 +392,19 @@ def build_perturbed(
 
 
 def write_perturbed(
-    out_dir: Path, perturbed: Mapping[tuple[str, str], tuple[Corpus, list]]
+    out_dir: Path, perturbed: Mapping[tuple[str, str], tuple[Corpus, list]],
+    inputs: Sequence[str | Path] = (),
 ) -> None:
     """Write each set of build_perturbed as <language>.<scope>.iob2 with
-    its replacement log <language>.<scope>.log.jsonl."""
+    its replacement log <language>.<scope>.log.jsonl. An output that is
+    the same file as one of inputs (by path, symlink or hard link) is a
+    ConfigError, raised before any file is written."""
+    for language, scope_name in perturbed:
+        for suffix in ("iob2", "log.jsonl"):
+            output = out_dir / f"{language}.{scope_name}.{suffix}"
+            for path in inputs:
+                if output.exists() and output.samefile(path):
+                    raise ConfigError(f"{path}: an input, which an output would overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
     for (language, scope_name), (corpus, records) in sorted(perturbed.items()):
         stem = f"{language}.{scope_name}"
@@ -460,31 +469,15 @@ def build_bundle(
                   decode_span_ids(test.tags, test.offsets))
 
 
-def _check_replaceable(checkpoint_dir: Path, config: ExperimentConfig) -> None:
-    """Raise ConfigError unless execute_run may stage a checkpoint beside
-    checkpoint_dir and then delete it whole. The nearest of it and its
-    parents that exists must be a directory, so that staging cannot fail
-    only after training. Unless it is a slot of the grid's own
-    <output>/<hash>/checkpoints, whose every entry a grid run replaces
-    whatever it holds, it must be absent, empty, or hold MANIFEST_NAME and
-    nothing but files a checkpoint holds, so that only checkpoint
-    files are ever deleted."""
-    nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"{nearest}: not a directory")
-    slots = config.output_path / config.config_hash[:HASH_PREFIX_LEN] / "checkpoints"
-    if checkpoint_dir.parent == slots or nearest != checkpoint_dir:  # a slot, or absent
-        return
-    regular = {p.name: p.is_file() for p in checkpoint_dir.iterdir()}
-    if regular and not regular.get(MANIFEST_NAME):
-        raise ConfigError(
-            f"{checkpoint_dir}: a non-empty directory without "
-            f"{MANIFEST_NAME} is not a checkpoint to replace")
-    foreign = sorted(name for name, is_file in regular.items() if not is_file or (
-        name not in (MANIFEST_NAME, MODEL_SIDECAR, TRACE_NAME) and not name.endswith(".bin")))
-    if foreign:
-        raise ConfigError(f"{checkpoint_dir}: holds {foreign[0]}, which no checkpoint "
-                          "holds, so it is not a checkpoint to replace")
+def _make_staging(target: Path) -> Path:
+    """Make and return a new directory beside target: the first of
+    .<name>.partial, .<name>.partial1, ... that does not exist yet."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    for number in itertools.count():
+        staging = target.with_name(f".{target.name}.partial{number or ''}")
+        with contextlib.suppress(FileExistsError):
+            staging.mkdir()
+            return staging
 
 
 def execute_run(
@@ -498,17 +491,22 @@ def execute_run(
     split it owes.
 
     Returns the result line dicts. The nominal sparsity must be achieved
-    within 1/N of the prunable weight count or the run fails. The
-    checkpoint is written to .<name>.partial beside checkpoint_dir and,
-    once the cell is scored, renamed over whatever stands there, so an
-    earlier attempt leaves none of its files in it. Before any training,
-    a checkpoint_dir that is not safe to delete (see _check_replaceable)
-    is a ConfigError.
+    within 1/N of the prunable weight count or the run fails. Before any
+    training, the nearest of checkpoint_dir and its parents that exists
+    must be a directory, and checkpoint_dir must be absent or empty, or
+    the call raises ConfigError. Once the cell is scored, the checkpoint
+    is written to a directory this call makes beside checkpoint_dir (see
+    _make_staging) and renamed onto it; a failure in between removes that
+    directory. No file that stood before the call is deleted or
+    overwritten.
     """
     checkpoint_dir = Path(checkpoint_dir).resolve()
-    _check_replaceable(checkpoint_dir, config)
-    staging = checkpoint_dir.with_name(f".{checkpoint_dir.name}.partial")
-    shutil.rmtree(staging, ignore_errors=True)
+    nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{nearest}: not a directory")
+    if nearest == checkpoint_dir and any(checkpoint_dir.iterdir()):
+        raise ConfigError(f"{checkpoint_dir}: not empty; a checkpoint is written only to "
+                          "an absent or empty directory")
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
     if spec.sparsity == 0:
@@ -532,25 +530,29 @@ def execute_run(
             f"{spec.run_id}: achieved sparsity {achieved:.6f} misses "
             f"nominal {spec.sparsity / 100:.2f}"
         )
-    save_model(staging, model)
-    saved = time.perf_counter()
+    reports = score_ids(bundle.gold_spans, predict_ids(model, bundle.test),
+                        bundle.test.offsets, bundle.starts)
+    scored = time.perf_counter()
     cell = {
         "run_id": spec.run_id,
         "config_hash": config.config_hash,
         "schedule": list(schedule_row) if schedule_row else None,
         "achieved_sparsity": achieved,
     }
-    reports = score_ids(bundle.gold_spans, predict_ids(model, bundle.test),
-                        bundle.test.offsets, bundle.starts)
     lines = [{**RunRecord(language, spec.sparsity, spec.strategy, spec.seed, split,
                           report).to_json_dict(), **cell}
              for (language, split), report in zip(bundle.pairs, reports)]
-    timings = {"train_s": trained - started, "save_s": saved - trained,
-               "predict_score_s": time.perf_counter() - saved}
-    _write_trace(staging / TRACE_NAME, history, len(history) // config.tagger.epochs,
-                 schedule_events(schedule) if schedule else [], model, prunable, timings)
-    shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    staging.rename(checkpoint_dir)
+    staging = _make_staging(checkpoint_dir)
+    try:
+        save_model(staging, model)
+        timings = {"train_s": trained - started, "predict_score_s": scored - trained,
+                   "save_s": time.perf_counter() - scored}
+        _write_trace(staging / TRACE_NAME, history, len(history) // config.tagger.epochs,
+                     schedule_events(schedule) if schedule else [], model, prunable, timings)
+        staging.rename(checkpoint_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     return lines
 
 
@@ -589,9 +591,14 @@ def _failure(spec: RunSpec, exc: Exception) -> tuple[str, str]:
 def _cell_outcome(spec: RunSpec, config: ExperimentConfig, bundle: Bundle,
                   out_dir: Path) -> tuple[str, str]:
     """Run one cell; returns the file name under out_dir and the text to
-    append to it: the cell's result lines, or its failure record."""
+    append to it: the cell's result lines, or its failure record. What an
+    earlier attempt left in the cell's checkpoint slot or its staging
+    directory is removed first, so that execute_run finds the slot absent."""
+    slot = out_dir / "checkpoints" / spec.run_id
+    for stale in (slot, slot.with_name(f".{spec.run_id}.partial")):
+        shutil.rmtree(stale, ignore_errors=True)
     try:
-        lines = execute_run(spec, config, bundle, out_dir / "checkpoints" / spec.run_id)
+        lines = execute_run(spec, config, bundle, slot)
     except Exception as exc:  # a bug or MemoryError fails its cell only
         return _failure(spec, exc)
     return "results.jsonl", "".join(json.dumps(l, sort_keys=True) + "\n" for l in lines)

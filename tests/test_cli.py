@@ -121,6 +121,31 @@ def test_perturb_writes_corpora_and_logs(tmp_path, capsys):
     assert (out / "aa.in-language.iob2").read_text() == first
 
 
+# the corpus is the scope's output name; the metadata file is its log's;
+# the output name links to the corpus; the working directory is the
+# output directory, as in `--out-dir .`
+@pytest.mark.parametrize("corpus_name, meta_name, link", [
+    ("aa.in-language.iob2", "languages.csv", None),
+    ("aa.iob2", "aa.in-language.log.jsonl", None),
+    ("aa.iob2", "languages.csv", "symlink_to"),
+    ("aa.iob2", "languages.csv", "hardlink_to"),
+], ids=["the corpus", "the metadata", "a symlink to the corpus", "a hard link to the corpus"])
+def test_perturb_never_overwrites_an_input(
+        tmp_path, monkeypatch, capsys, corpus_name, meta_name, link):
+    (tmp_path / corpus_name).write_text(AA_TEST_FILE)
+    (tmp_path / meta_name).write_text(METADATA)
+    if link:
+        getattr(tmp_path / "aa.in-language.iob2", link)(tmp_path / corpus_name)
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert main(["perturb", corpus_name, "--scope", "in-language", "--seed", "5",
+                 "--meta", meta_name, "--out-dir", "."]) == 2
+    overwritten = corpus_name if link or corpus_name != "aa.iob2" else meta_name
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {overwritten}: an input, which an output would overwrite\n")
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("names, extra, message", [
     (["aa.iob2"], ["--seed", "-1"], "seed must be non-negative"),
     (["aa.x.iob2", "aa.y.iob2"], ["--seed", "5"], "aa.y.iob2: a second input"),
@@ -237,18 +262,84 @@ def test_diverged_training_exits_two(tmp_path, capsys):
     assert not ckpt.exists()
 
 
-def test_train_replaces_a_checkpoint_directory_whole(tmp_path, capsys):
+TRAIN_AA = ["train", "--language", "aa", "--sparsity", "50", "--seed", "0"]
+
+
+def _train_is_refused(tmp_path, capsys, config, out, message="not empty"):
+    """train into out exits 2 with out's message and leaves every file
+    under tmp_path as it was."""
+    before = _tree(tmp_path)
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(out)]) == 2
+    assert f"{Path(out).resolve()}: {message}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_train_never_replaces_a_checkpoint(tmp_path, capsys):
     config = write_world(tmp_path)
-    argv = ["train", "--config", str(config), "--language", "aa",
-            "--sparsity", "50", "--seed", "0", "--out"]
-    fresh = tmp_path / "fresh"
-    assert main(argv + [str(fresh)]) == 0
     ckpt = tmp_path / "ckpt"
-    assert main(argv + [str(ckpt)]) == 0
-    (ckpt / "stray.bin").write_bytes(b"left by an earlier attempt")
-    assert main(argv + [str(ckpt)]) == 0
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    _train_is_refused(tmp_path, capsys, config, ckpt)
+    assert (ckpt / "manifest.json").is_file()
+
+
+def test_train_accepts_an_empty_out(tmp_path):
+    config = write_world(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    fresh = tmp_path / "fresh"
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(ckpt)]) == 0
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(fresh)]) == 0
     assert sorted(p.name for p in ckpt.iterdir()) == sorted(p.name for p in fresh.iterdir())
-    assert not list(tmp_path.glob(".*.partial"))
+    assert (ckpt / "W1.values.bin").read_bytes() == (fresh / "W1.values.bin").read_bytes()
+    assert not list(tmp_path.glob(".*.partial*"))
+
+
+# the staging directory is made by train itself, beside the user's own
+def test_train_leaves_a_partial_directory_it_did_not_make(tmp_path):
+    config = write_world(tmp_path)
+    own = tmp_path / ".ckpt.partial"
+    own.mkdir()
+    (own / "notes.txt").write_text("the user's own")
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ckpt")]) == 0
+    assert (tmp_path / "ckpt" / "manifest.json").is_file()
+    assert _tree(own) == {"notes.txt": b"the user's own"}
+    assert sorted(p.name for p in tmp_path.glob(".*")) == [".ckpt.partial"]
+
+
+# the staging directory holds the saved checkpoint when the trace fails
+def test_train_that_fails_after_staging_leaves_no_staging(tmp_path, monkeypatch, capsys):
+    config = write_world(tmp_path)
+
+    def failing(path, *args):
+        assert (path.parent / "manifest.json").is_file()
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(nerprune.experiment, "_write_trace", failing)
+    before = _tree(tmp_path)
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ck")]) == 2
+    assert ("mono-aa-s50-partial-seed0 failed: RuntimeError('injected')"
+            in capsys.readouterr().err)
+    assert _tree(tmp_path) == before
+
+
+# a file that appears in --out while the cell trains is neither replaced
+# nor deleted: the rename onto a non-empty directory fails
+def test_train_never_renames_onto_a_directory_filled_meanwhile(tmp_path, monkeypatch, capsys):
+    config = write_world(tmp_path)
+    out = tmp_path / "ck"
+    original = nerprune.experiment._write_trace
+
+    def filling(*args):
+        original(*args)
+        out.mkdir()
+        (out / "notes.txt").write_text("written meanwhile")
+
+    monkeypatch.setattr(nerprune.experiment, "_write_trace", filling)
+    assert main([*TRAIN_AA, "--config", str(config), "--out", str(out)]) == 2
+    assert "nerprune: error: " in capsys.readouterr().err
+    assert _tree(out) == {"notes.txt": b"written meanwhile"}
+    assert not list(tmp_path.glob(".*.partial*"))
 
 
 def _notes_directory(out):
@@ -272,25 +363,20 @@ def _app_directory(out):
     return out / "src" / "app.js"
 
 
+# the ids name each layout by what the earlier replace rule said of it
 @pytest.mark.parametrize("occupy, message", [
-    (_notes_directory, "without manifest.json"),
+    (_notes_directory, "not empty"),
     (_notes_file, "not a directory"),
-    (_app_directory, "holds index.html, which no checkpoint holds, so it is not a "
-                     "checkpoint to replace"),
-])
+    (_app_directory, "not empty"),
+], ids=["_notes_directory-without manifest.json", "_notes_file-not a directory",
+        "_app_directory-holds index.html, which no checkpoint holds, so it is not a "
+        "checkpoint to replace"])
 def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy, message):
     config = write_world(tmp_path)
     out = tmp_path / "notes"
     kept = occupy(out)
-    before = _tree(tmp_path)
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "50", "--seed", "0", "--out", str(out),
-    ]) == 2
-    assert message in capsys.readouterr().err
+    _train_is_refused(tmp_path, capsys, config, out, message)
     assert kept.read_text() == "not a checkpoint"
-    assert not list(tmp_path.glob(".*.partial"))
-    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("below", ["ck", "sub/ck"])
@@ -317,21 +403,20 @@ def _tree(root):
             for p in root.rglob("*")}
 
 
-# each holds an input, so an entry no checkpoint holds: the first in
-# sorted order is named
-@pytest.mark.parametrize("out, cwd, entry", [
-    (".", "world", "config.json"),
-    (".", "elsewhere", "config.json"),
-    ("corpus", "elsewhere", "aa"),
-    ("corpus/aa", "elsewhere", "test.iob2"),
-    ("..", "world", "elsewhere"),
+# each holds an input
+@pytest.mark.parametrize("out, cwd", [
+    (".", "world"),
+    (".", "elsewhere"),
+    ("corpus", "elsewhere"),
+    ("corpus/aa", "elsewhere"),
+    ("..", "world"),
 ], ids=[".-world-holds the working directory",
         ".-elsewhere-holds the config file's directory",
         "corpus-elsewhere-holds a corpus directory",
         "corpus/aa-elsewhere-holds a corpus directory",
         "..-world-holds the working directory"])
 def test_train_never_replaces_a_directory_with_its_inputs(
-        tmp_path, monkeypatch, capsys, out, cwd, entry):
+        tmp_path, monkeypatch, capsys, out, cwd):
     world = tmp_path / "world"
     world.mkdir()
     config = write_world(world)
@@ -339,22 +424,16 @@ def test_train_never_replaces_a_directory_with_its_inputs(
     (world / out / "manifest.json").write_text("{}")
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / cwd)
-    before = _tree(tmp_path)
-    argv = ["train", "--config", str(config), "--language", "aa",
-            "--sparsity", "50", "--seed", "0", "--out", str(world / out)]
     for _ in range(2):
-        assert main(argv) == 2
-        assert (f"holds {entry}, which no checkpoint holds, so it is not a "
-                "checkpoint to replace") in capsys.readouterr().err
-        assert _tree(tmp_path) == before
+        _train_is_refused(tmp_path, capsys, config, world / out)
 
 
-# each input is named like a checkpoint file, so it passes the replace rule
-# and used to be deleted by a run that exited 0
+# each input is named like a checkpoint file, and each used to be deleted
+# by a run that exited 0
 @pytest.mark.parametrize("config_name, meta_name", [
-    ("config.bin", None), ("manifest.json", None), (None, "languages.bin"),
+    ("config.bin", None), ("manifest.json", None), (None, "languages.bin"), ("link", None),
 ], ids=["a config named config.bin", "a config named manifest.json",
-        "a metadata file named languages.bin"])
+        "a metadata file named languages.bin", "a config linked from ck/config.bin"])
 def test_train_never_replaces_a_directory_with_its_config_or_metadata(
         tmp_path, capsys, config_name, meta_name):
     data = json.loads(write_world(tmp_path).read_text())
@@ -365,38 +444,29 @@ def test_train_never_replaces_a_directory_with_its_config_or_metadata(
     if meta_name:
         data["paths"]["metadata"] = str(ck / meta_name)
         (tmp_path / "languages.csv").rename(ck / meta_name)
-    config = ck / config_name if config_name else tmp_path / "config.json"
+    if config_name == "link":
+        config = ck / "config.bin"
+        config.symlink_to(Path("..", "config.json"))
+    else:
+        config = ck / config_name if config_name else tmp_path / "config.json"
     config.write_text(json.dumps(data))
-    before = _tree(tmp_path)
-    assert main(["train", "--config", str(config), "--language", "aa", "--sparsity", "50",
-                 "--seed", "0", "--out", str(ck)]) == 2
-    what = "config" if config_name else "metadata"
-    assert (f"{ck}: holds {config_name or meta_name}, which no checkpoint holds, so it is "
-            f"not a checkpoint to replace: it is the {what} file") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _train_is_refused(tmp_path, capsys, config, ck)
+    assert config.is_file()
+    assert config.is_symlink() == (config_name == "link")
 
 
 # each used to replace the finished grid's files with one checkpoint's
-# and exit 0, so the next experiment retrained the whole grid
-@pytest.mark.parametrize("below", ["", "checkpoints"])
+# and exit 0, so the next experiment retrained the whole grid; a slot
+# is the grid's own to clear, not train's
+@pytest.mark.parametrize("below", ["", "checkpoints", "checkpoints/mono-aa-s50-partial-seed0"])
 def test_train_never_replaces_a_grid_directory(tmp_path, capsys, below):
     config = write_world(tmp_path)
     assert main(["experiment", "--config", str(config)]) == 0
     grid = Path(capsys.readouterr().out.strip()).parent
-    argv = ["train", "--config", str(config), "--language", "aa",
-            "--sparsity", "50", "--seed", "0", "--out", str(grid / below)]
-    before = _tree(tmp_path)
-    assert main(argv) == 2
-    assert "without manifest.json is not a checkpoint to replace" in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _train_is_refused(tmp_path, capsys, config, grid / below)
     # so did it when a stray manifest.json stood there
     (grid / below / "manifest.json").write_text("{}")
-    before = _tree(tmp_path)
-    assert main(argv) == 2
-    first = {"": ".lock", "checkpoints": "mono-aa-s0-partial-seed0"}[below]
-    assert (f"holds {first}, which no checkpoint holds, so it is not a checkpoint "
-            "to replace") in capsys.readouterr().err
-    assert _tree(tmp_path) == before
+    _train_is_refused(tmp_path, capsys, config, grid / below)
 
 
 @pytest.fixture(scope="module")
@@ -723,11 +793,12 @@ def test_train_validates_language_against_mode(tmp_path, capsys):
         "train", "--config", str(config), "--language", "zz",
         "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
     ]) == 2
+    assert "the config plans no cell mono-zz-s0-partial-seed0" in capsys.readouterr().err
     assert main([
         "train", "--config", str(config), "--language", "aa",
         "--sparsity", "70", "--seed", "0", "--out", str(tmp_path / "c"),
     ]) == 2
-    assert "not in config levels" in capsys.readouterr().err
+    assert "the config plans no cell mono-aa-s70-partial-seed0" in capsys.readouterr().err
 
     multi = write_world(tmp_path / "multi", mode="multilingual")
     assert main([
@@ -735,6 +806,25 @@ def test_train_validates_language_against_mode(tmp_path, capsys):
         "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
     ]) == 2
     assert "does not apply" in capsys.readouterr().err
+
+
+# the world plans seed 0, strategy partial and levels 0 and 50 (or 50
+# alone); corpus and metadata are gone, so the cell is refused unread
+@pytest.mark.parametrize("levels, flags, run_id", [
+    ((0, 50), ["--seed", "1"], "mono-aa-s50-partial-seed1"),
+    ((0, 50), ["--strategy", "incl_embeddings"], "mono-aa-s50-incl_embeddings-seed0"),
+    ((50,), ["--sparsity", "0"], "mono-aa-s0-partial-seed0"),
+], ids=["a seed outside seeds", "a strategy outside strategies", "sparsity 0, not a level"])
+def test_train_refuses_a_cell_the_config_does_not_plan(
+        tmp_path, capsys, levels, flags, run_id):
+    config = write_world(tmp_path, sparsity_levels=levels)
+    shutil.rmtree(tmp_path / "corpus")
+    (tmp_path / "languages.csv").unlink()
+    argv = [*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ck")]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: the config plans no cell {run_id}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_experiment_report_pipeline(tmp_path, capsys):

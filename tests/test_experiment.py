@@ -657,6 +657,40 @@ def test_checkpoint_replaces_a_stale_directory(world):
         s.run_id for s in plan(world))
 
 
+# the staging directory holds the saved checkpoint when the trace fails
+def test_cell_that_fails_after_staging_leaves_no_staging(world, monkeypatch):
+    original = experiment._write_trace
+    calls = []
+
+    def flaky(path, *args):
+        calls.append(path)
+        if len(calls) == 3:  # the plan's third cell
+            assert (path.parent / "manifest.json").is_file()
+            raise RuntimeError("injected")
+        return original(path, *args)
+
+    failing = plan(world)[2].run_id
+    monkeypatch.setattr(experiment, "_write_trace", flaky)
+    results = run(world)
+    (failure,) = _failures(results)
+    assert "in flaky" in failure.pop("traceback")
+    assert failure == {"run_id": failing, "error": "RuntimeError", "message": "injected"}
+    checkpoints = results.parent / "checkpoints"
+    assert sorted(p.name for p in checkpoints.iterdir()) == sorted(
+        s.run_id for s in plan(world) if s.run_id != failing)
+
+
+# what a kill between staging and renaming leaves is cleared on resume
+def test_grid_clears_a_stale_staging_directory(world):
+    checkpoints = world.output_path / world.config_hash[:12] / "checkpoints"
+    stale = checkpoints / ".mono-aa-s50-partial-seed0.partial"
+    stale.mkdir(parents=True)
+    (stale / "W1.values.bin").write_bytes(b"left by a killed attempt")
+    run(world)
+    assert sorted(p.name for p in checkpoints.iterdir()) == sorted(
+        s.run_id for s in plan(world))
+
+
 # Runs the grid of the config file argv[1] and SIGKILLs itself at a fixed
 # point of the third cell: right after its checkpoint is renamed into
 # place ("renamed"), or after writing the first argv[3] characters of its
