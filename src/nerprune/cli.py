@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, experiment, perturb, tagger
 from .corpus import count_mentions, entity_overlap, parse_iob2
 from .errors import ConfigError, NerpruneError
-from .evaluation import SPLIT_NAMES, STRATEGY_NAMES, read_run_records, score_corpus
+from .evaluation import SPLIT_NAMES, read_run_records, score_corpus
 
 PROG = "nerprune"
 
@@ -70,25 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="language metadata CSV (code,script,family,...)")
     p.add_argument("--out-dir", required=True,
                    help="directory for perturbed corpora and logs")
-
-    p = sub.add_parser(
-        "train", help="train a single grid cell from an experiment config",
-        description=(
-            "Train one (language, sparsity, strategy, seed) cell of the "
-            "grid described by an experiment config and save the model "
-            "checkpoint."
-        ),
-    )
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--language",
-                   help="language to train on (required in monolingual mode)")
-    p.add_argument("--sparsity", required=True, type=int,
-                   help="target sparsity percent, 0 trains dense")
-    p.add_argument("--strategy", default="partial",
-                   choices=STRATEGY_NAMES,
-                   help="pruning strategy (default: partial)")
-    p.add_argument("--seed", required=True, type=int, help="training seed")
-    p.add_argument("--out", required=True, help="checkpoint output directory")
 
     p = sub.add_parser(
         "evaluate", help="score a saved checkpoint on a test split",
@@ -169,36 +150,6 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = experiment.config_from_file(args.config)
-    if config.mode == "monolingual" and not args.language:
-        raise ConfigError("--language is required in monolingual mode")
-    if config.mode == "multilingual" and args.language:
-        raise ConfigError("--language does not apply in multilingual mode")
-    spec = experiment.RunSpec(
-        config.mode, args.language or None, args.sparsity, args.strategy, args.seed
-    )
-    if spec not in experiment.plan(config):
-        raise ConfigError(f"the config plans no cell {spec.run_id}")
-    languages = spec.languages(config)
-    inputs = experiment.load_cell_inputs(config, languages)
-    bundle = experiment.build_bundle(config, languages, *inputs)
-    try:
-        lines = experiment.execute_run(spec, config, bundle, checkpoint_dir=Path(args.out))
-    except (NerpruneError, OSError):
-        raise
-    except Exception as exc:  # a fault of the program: the cell fails, as in the grid
-        raise NerpruneError(f"{spec.run_id} failed: {exc!r}") from exc
-    regular = [l for l in lines if l["split"] == "regular"]
-    print(json.dumps({
-        "run_id": spec.run_id,
-        "checkpoint": args.out,
-        "achieved_sparsity": lines[0]["achieved_sparsity"],
-        "regular_f1": {l["language"]: l["f1"] for l in regular},
-    }, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_evaluate(args) -> int:
     config = experiment.config_from_file(args.config)
     if (args.language, args.split) not in experiment.scored_splits(config, config.languages):
@@ -250,7 +201,6 @@ def _cmd_report(args) -> int:
 _COMMANDS = {
     "validate": _cmd_validate,
     "perturb": _cmd_perturb,
-    "train": _cmd_train,
     "evaluate": _cmd_evaluate,
     "experiment": _cmd_experiment,
     "report": _cmd_report,

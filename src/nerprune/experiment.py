@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
-import itertools
 import json
 import re
 import resource
@@ -412,17 +411,16 @@ def write_perturbed(
         write_replacement_log(records, out_dir / f"{stem}.log.jsonl")
 
 
-def load_cell_inputs(config: ExperimentConfig, languages: Sequence[str]) -> tuple:
-    """What the cells that train on languages read, as build_bundle takes
-    it: the train splits of languages, the test splits of every config
-    language (the perturbation pools draw on all of them) and the
-    perturbed sets of languages."""
+def load_cell_inputs(config: ExperimentConfig) -> tuple:
+    """What the grid's cells read, as build_bundle takes it: the train
+    and test splits of every config language and the perturbed set of
+    each config language and scope."""
     meta = load_metadata(config.metadata_file)
     root = config.corpus_root_path
-    trains = {l: load_split(root, l, "train") for l in languages}
+    trains = {l: load_split(root, l, "train") for l in config.languages}
     tests = {l: load_split(root, l, "test") for l in config.languages}
     return trains, tests, build_perturbed(
-        meta, tests, languages, config.scopes, config.perturbation_seed)
+        meta, tests, config.languages, config.scopes, config.perturbation_seed)
 
 
 def scored_splits(config: ExperimentConfig, languages: Sequence[str]) -> list[tuple[str, str]]:
@@ -469,17 +467,6 @@ def build_bundle(
                   decode_span_ids(test.tags, test.offsets))
 
 
-def _make_staging(target: Path) -> Path:
-    """Make and return a new directory beside target: the first of
-    .<name>.partial, .<name>.partial1, ... that does not exist yet."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    for number in itertools.count():
-        staging = target.with_name(f".{target.name}.partial{number or ''}")
-        with contextlib.suppress(FileExistsError):
-            staging.mkdir()
-            return staging
-
-
 def execute_run(
     spec: RunSpec,
     config: ExperimentConfig,
@@ -493,10 +480,10 @@ def execute_run(
     Returns the result line dicts. The nominal sparsity must be achieved
     within 1/N of the prunable weight count or the run fails. Before any
     training, the nearest of checkpoint_dir and its parents that exists
-    must be a directory, and checkpoint_dir must be absent or empty, or
-    the call raises ConfigError. Once the cell is scored, the checkpoint
-    is written to a directory this call makes beside checkpoint_dir (see
-    _make_staging) and renamed onto it; a failure in between removes that
+    must be a directory, or the call raises ConfigError. Once the cell is
+    scored, the checkpoint is written to .<name>.partial beside
+    checkpoint_dir, which this call makes and which must not exist yet,
+    and renamed onto checkpoint_dir; a failure in between removes that
     directory. No file that stood before the call is deleted or
     overwritten.
     """
@@ -504,9 +491,6 @@ def execute_run(
     nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"{nearest}: not a directory")
-    if nearest == checkpoint_dir and any(checkpoint_dir.iterdir()):
-        raise ConfigError(f"{checkpoint_dir}: not empty; a checkpoint is written only to "
-                          "an absent or empty directory")
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
     if spec.sparsity == 0:
@@ -542,7 +526,9 @@ def execute_run(
     lines = [{**RunRecord(language, spec.sparsity, spec.strategy, spec.seed, split,
                           report).to_json_dict(), **cell}
              for (language, split), report in zip(bundle.pairs, reports)]
-    staging = _make_staging(checkpoint_dir)
+    staging = checkpoint_dir.with_name(f".{checkpoint_dir.name}.partial")
+    checkpoint_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging.mkdir()
     try:
         save_model(staging, model)
         timings = {"train_s": trained - started, "predict_score_s": scored - trained,
@@ -707,10 +693,14 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
                     f"{snapshot_path}: directory belongs to a different config"
                 )
         else:
+            # written whole under another name first, so that a kill
+            # mid-write leaves no torn snapshot to block the resume
             snapshot = {"config_hash": config.config_hash, "config": config.canonical_dict()}
-            snapshot_path.write_text(
+            staging = out_dir / ".config_snapshot.json.partial"
+            staging.write_text(
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
+            staging.replace(snapshot_path)
 
         results_path = out_dir / "results.jsonl"
         specs = plan(config)
@@ -722,7 +712,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
             return results_path
 
         (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
-        inputs = load_cell_inputs(config, config.languages)
+        inputs = load_cell_inputs(config)
         write_perturbed(out_dir / "perturbed", inputs[2])
         groups: dict[tuple[str, ...], list[RunSpec]] = {}
         for spec in pending:

@@ -16,7 +16,7 @@ import nerprune.experiment
 from nerprune.cli import _COMMANDS, build_parser, main
 from nerprune.evaluation import RunRecord, ScoreReport, read_run_records
 from worlds import (
-    AA_TEST, BB_TEST, DIVERGING_TAGGER, METADATA, trace_without_timing, write_world,
+    AA_TEST, BB_TEST, METADATA, trace_without_timing, write_world,
 )
 
 HELP_DIR = Path(__file__).parent / "data" / "cli_help"
@@ -207,35 +207,38 @@ def test_perturb_matches_the_grids_perturbed_sets(tmp_path, capsys):
         assert (out / name).read_bytes() == (grid_dir / name).read_bytes()
 
 
-def test_train_then_evaluate_round_trip(tmp_path, capsys):
-    config = write_world(tmp_path)
-    ckpt = tmp_path / "ckpt"
-    argv = [
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "50", "--seed", "0", "--out", str(ckpt),
-    ]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["run_id"] == "mono-aa-s50-partial-seed0"
-    assert payload["achieved_sparsity"] == 0.5
-    assert "aa" in payload["regular_f1"]
-    assert (ckpt / "manifest.json").is_file()
+SCORES = ("tp", "fp", "fn", "precision", "recall", "f1")
+AA_CELL = "mono-aa-s50-partial-seed0"
 
-    assert main([
-        "evaluate", "--config", str(config), "--checkpoint", str(ckpt),
-        "--language", "aa", "--split", "regular",
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["language"] == "aa"
-    assert set(report["per_type"]) == {"PER", "LOC", "ORG"}
-    assert report["f1"] == payload["regular_f1"]["aa"]
 
-    assert main([
-        "evaluate", "--config", str(config), "--checkpoint", str(ckpt),
-        "--language", "aa", "--split", "perturbed-in-language",
-    ]) == 0
-    perturbed = json.loads(capsys.readouterr().out)
-    assert perturbed["split"] == "perturbed-in-language"
+def _aa_slot(config):
+    """The checkpoint slot of AA_CELL in the grid of the config file config."""
+    grid = nerprune.experiment.config_from_file(config)
+    return grid.output_path / grid.config_hash[:12] / "checkpoints" / AA_CELL
+
+
+# at 200 epochs the world's tagger finds entities; at 10 it finds none,
+# and every score would be 0 on both sides
+def test_evaluate_reproduces_the_grid(tmp_path, capsys):
+    config = write_world(tmp_path, extra={"tagger": {
+        "embed_dim": 4, "hidden_dim": 6, "learning_rate": 0.3, "epochs": 200, "batch_size": 2,
+    }})
+    assert main(["experiment", "--config", str(config)]) == 0
+    results = Path(capsys.readouterr().out.strip())
+    lines = [json.loads(l) for l in results.read_text().splitlines()]
+    assert len(lines) == 8
+    assert {l["achieved_sparsity"] for l in lines if l["sparsity"] == 50} == {0.5}
+    for line in lines:
+        assert line["tp"] > 0
+        assert main([
+            "evaluate", "--config", str(config),
+            "--checkpoint", str(results.parent / "checkpoints" / line["run_id"]),
+            "--language", line["language"], "--split", line["split"],
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["language"], report["split"]) == (line["language"], line["split"])
+        assert set(report["per_type"]) == {"PER", "LOC", "ORG"}
+        assert [report[k] for k in SCORES] == [line[k] for k in SCORES]
 
 
 # the world's config scores languages aa and bb, regular and in-language;
@@ -250,235 +253,19 @@ def test_evaluate_refuses_a_split_the_config_does_not_score(tmp_path, capsys, la
             in capsys.readouterr().err)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_training_exits_two(tmp_path, capsys):
-    config = write_world(tmp_path, extra={"tagger": DIVERGING_TAGGER})
-    ckpt = tmp_path / "ckpt"
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "50", "--seed", "0", "--out", str(ckpt),
-    ]) == 2
-    assert "diverged at step" in capsys.readouterr().err
-    assert not ckpt.exists()
-
-
-TRAIN_AA = ["train", "--language", "aa", "--sparsity", "50", "--seed", "0"]
-
-
-def _train_is_refused(tmp_path, capsys, config, out, message="not empty"):
-    """train into out exits 2 with out's message and leaves every file
-    under tmp_path as it was."""
-    before = _tree(tmp_path)
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(out)]) == 2
-    assert f"{Path(out).resolve()}: {message}" in capsys.readouterr().err
-    assert _tree(tmp_path) == before
-
-
-def test_train_never_replaces_a_checkpoint(tmp_path, capsys):
-    config = write_world(tmp_path)
-    ckpt = tmp_path / "ckpt"
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(ckpt)]) == 0
-    capsys.readouterr()
-    _train_is_refused(tmp_path, capsys, config, ckpt)
-    assert (ckpt / "manifest.json").is_file()
-
-
-def test_train_accepts_an_empty_out(tmp_path):
-    config = write_world(tmp_path)
-    ckpt = tmp_path / "ckpt"
-    ckpt.mkdir()
-    fresh = tmp_path / "fresh"
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(ckpt)]) == 0
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(fresh)]) == 0
-    assert sorted(p.name for p in ckpt.iterdir()) == sorted(p.name for p in fresh.iterdir())
-    assert (ckpt / "W1.values.bin").read_bytes() == (fresh / "W1.values.bin").read_bytes()
-    assert not list(tmp_path.glob(".*.partial*"))
-
-
-# the staging directory is made by train itself, beside the user's own
-def test_train_leaves_a_partial_directory_it_did_not_make(tmp_path):
-    config = write_world(tmp_path)
-    own = tmp_path / ".ckpt.partial"
-    own.mkdir()
-    (own / "notes.txt").write_text("the user's own")
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ckpt")]) == 0
-    assert (tmp_path / "ckpt" / "manifest.json").is_file()
-    assert _tree(own) == {"notes.txt": b"the user's own"}
-    assert sorted(p.name for p in tmp_path.glob(".*")) == [".ckpt.partial"]
-
-
-# the staging directory holds the saved checkpoint when the trace fails
-def test_train_that_fails_after_staging_leaves_no_staging(tmp_path, monkeypatch, capsys):
-    config = write_world(tmp_path)
-
-    def failing(path, *args):
-        assert (path.parent / "manifest.json").is_file()
-        raise RuntimeError("injected")
-
-    monkeypatch.setattr(nerprune.experiment, "_write_trace", failing)
-    before = _tree(tmp_path)
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ck")]) == 2
-    assert ("mono-aa-s50-partial-seed0 failed: RuntimeError('injected')"
-            in capsys.readouterr().err)
-    assert _tree(tmp_path) == before
-
-
-# a file that appears in --out while the cell trains is neither replaced
-# nor deleted: the rename onto a non-empty directory fails
-def test_train_never_renames_onto_a_directory_filled_meanwhile(tmp_path, monkeypatch, capsys):
-    config = write_world(tmp_path)
-    out = tmp_path / "ck"
-    original = nerprune.experiment._write_trace
-
-    def filling(*args):
-        original(*args)
-        out.mkdir()
-        (out / "notes.txt").write_text("written meanwhile")
-
-    monkeypatch.setattr(nerprune.experiment, "_write_trace", filling)
-    assert main([*TRAIN_AA, "--config", str(config), "--out", str(out)]) == 2
-    assert "nerprune: error: " in capsys.readouterr().err
-    assert _tree(out) == {"notes.txt": b"written meanwhile"}
-    assert not list(tmp_path.glob(".*.partial*"))
-
-
-def _notes_directory(out):
-    out.mkdir()
-    (out / "notes.txt").write_text("not a checkpoint")
-    return out / "notes.txt"
-
-
-def _notes_file(out):
-    out.write_text("not a checkpoint")
-    return out
-
-
-# a web app's layout: its manifest.json used to pass for a checkpoint's,
-# and train replaced the whole directory with one
-def _app_directory(out):
-    (out / "src").mkdir(parents=True)
-    (out / "manifest.json").write_text('{"name": "app"}')
-    (out / "index.html").write_text("<!doctype html>")
-    (out / "src" / "app.js").write_text("not a checkpoint")
-    return out / "src" / "app.js"
-
-
-# the ids name each layout by what the earlier replace rule said of it
-@pytest.mark.parametrize("occupy, message", [
-    (_notes_directory, "not empty"),
-    (_notes_file, "not a directory"),
-    (_app_directory, "not empty"),
-], ids=["_notes_directory-without manifest.json", "_notes_file-not a directory",
-        "_app_directory-holds index.html, which no checkpoint holds, so it is not a "
-        "checkpoint to replace"])
-def test_train_refuses_an_out_that_is_not_a_checkpoint(tmp_path, capsys, occupy, message):
-    config = write_world(tmp_path)
-    out = tmp_path / "notes"
-    kept = occupy(out)
-    _train_is_refused(tmp_path, capsys, config, out, message)
-    assert kept.read_text() == "not a checkpoint"
-
-
-@pytest.mark.parametrize("below", ["ck", "sub/ck"])
-def test_train_under_a_regular_file_fails_before_training(
-        tmp_path, monkeypatch, capsys, below):
-    config = write_world(tmp_path)
-    blocked = tmp_path / "blocked"
-    blocked.write_text("a regular file")
-    calls = []
-    monkeypatch.setattr(nerprune.experiment, "train",
-                        lambda *args, **kwargs: calls.append(args))
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "50", "--seed", "0", "--out", str(blocked / below),
-    ]) == 2
-    assert calls == []
-    assert f"{blocked}: not a directory" in capsys.readouterr().err
-    assert blocked.read_text() == "a regular file"
-    assert not list(tmp_path.rglob("*.partial"))
-
-
 def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
             for p in root.rglob("*")}
 
 
-# each holds an input
-@pytest.mark.parametrize("out, cwd", [
-    (".", "world"),
-    (".", "elsewhere"),
-    ("corpus", "elsewhere"),
-    ("corpus/aa", "elsewhere"),
-    ("..", "world"),
-], ids=[".-world-holds the working directory",
-        ".-elsewhere-holds the config file's directory",
-        "corpus-elsewhere-holds a corpus directory",
-        "corpus/aa-elsewhere-holds a corpus directory",
-        "..-world-holds the working directory"])
-def test_train_never_replaces_a_directory_with_its_inputs(
-        tmp_path, monkeypatch, capsys, out, cwd):
-    world = tmp_path / "world"
-    world.mkdir()
-    config = write_world(world)
-    # as a checkpoint saved straight into the directory would have left it
-    (world / out / "manifest.json").write_text("{}")
-    (tmp_path / "elsewhere").mkdir()
-    monkeypatch.chdir(tmp_path / cwd)
-    for _ in range(2):
-        _train_is_refused(tmp_path, capsys, config, world / out)
-
-
-# each input is named like a checkpoint file, and each used to be deleted
-# by a run that exited 0
-@pytest.mark.parametrize("config_name, meta_name", [
-    ("config.bin", None), ("manifest.json", None), (None, "languages.bin"), ("link", None),
-], ids=["a config named config.bin", "a config named manifest.json",
-        "a metadata file named languages.bin", "a config linked from ck/config.bin"])
-def test_train_never_replaces_a_directory_with_its_config_or_metadata(
-        tmp_path, capsys, config_name, meta_name):
-    data = json.loads(write_world(tmp_path).read_text())
-    data["paths"] = {key: str(tmp_path / path) for key, path in data["paths"].items()}
-    ck = tmp_path / "ck"
-    ck.mkdir()
-    (ck / "manifest.json").write_text("{}")
-    if meta_name:
-        data["paths"]["metadata"] = str(ck / meta_name)
-        (tmp_path / "languages.csv").rename(ck / meta_name)
-    if config_name == "link":
-        config = ck / "config.bin"
-        config.symlink_to(Path("..", "config.json"))
-    else:
-        config = ck / config_name if config_name else tmp_path / "config.json"
-    config.write_text(json.dumps(data))
-    _train_is_refused(tmp_path, capsys, config, ck)
-    assert config.is_file()
-    assert config.is_symlink() == (config_name == "link")
-
-
-# each used to replace the finished grid's files with one checkpoint's
-# and exit 0, so the next experiment retrained the whole grid; a slot
-# is the grid's own to clear, not train's
-@pytest.mark.parametrize("below", ["", "checkpoints", "checkpoints/mono-aa-s50-partial-seed0"])
-def test_train_never_replaces_a_grid_directory(tmp_path, capsys, below):
-    config = write_world(tmp_path)
-    assert main(["experiment", "--config", str(config)]) == 0
-    grid = Path(capsys.readouterr().out.strip()).parent
-    _train_is_refused(tmp_path, capsys, config, grid / below)
-    # so did it when a stray manifest.json stood there
-    (grid / below / "manifest.json").write_text("{}")
-    _train_is_refused(tmp_path, capsys, config, grid / below)
-
-
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A world and a checkpoint trained on it, made once for the module."""
+    """A world and the checkpoint of its grid's cell AA_CELL, made once
+    for the module."""
     root = tmp_path_factory.mktemp("trained")
-    config = write_world(root)
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "50", "--seed", "0", "--out", str(root / "ckpt"),
-    ]) == 0
-    return config, root / "ckpt"
+    config = write_world(root, sparsity_levels=(50,))
+    assert main(["experiment", "--config", str(config)]) == 0
+    return config, _aa_slot(config)
 
 
 def _drop_values_file(ckpt):
@@ -680,23 +467,6 @@ def test_experiment_with_malformed_snapshot_exits_two(tmp_path, capsys):
         assert capsys.readouterr().err == f"nerprune: error: {snapshot}: {message}\n"
 
 
-def test_train_parses_the_cells_train_split_only(tmp_path, monkeypatch):
-    config = write_world(tmp_path)
-    calls = []
-    load_split = nerprune.experiment.load_split
-
-    def recording(root, language, split):
-        calls.append(f"{language}/{split}")
-        return load_split(root, language, split)
-
-    monkeypatch.setattr(nerprune.experiment, "load_split", recording)
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
-    ]) == 0
-    assert sorted(calls) == ["aa/test", "aa/train", "bb/test"]
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.3", 10**400])
 def test_bad_learning_rate_exits_two(tmp_path, capsys, value):
     config = write_world(tmp_path)
@@ -780,51 +550,6 @@ def test_experiment_with_no_workers_exits_two(tmp_path, capsys):
     assert main(["experiment", "--config", str(config), "--workers", "0"]) == 2
     assert capsys.readouterr().err == "nerprune: error: workers must be >= 1\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_train_validates_language_against_mode(tmp_path, capsys):
-    config = write_world(tmp_path)
-    assert main([
-        "train", "--config", str(config),
-        "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
-    ]) == 2
-    assert "--language is required" in capsys.readouterr().err
-    assert main([
-        "train", "--config", str(config), "--language", "zz",
-        "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
-    ]) == 2
-    assert "the config plans no cell mono-zz-s0-partial-seed0" in capsys.readouterr().err
-    assert main([
-        "train", "--config", str(config), "--language", "aa",
-        "--sparsity", "70", "--seed", "0", "--out", str(tmp_path / "c"),
-    ]) == 2
-    assert "the config plans no cell mono-aa-s70-partial-seed0" in capsys.readouterr().err
-
-    multi = write_world(tmp_path / "multi", mode="multilingual")
-    assert main([
-        "train", "--config", str(multi), "--language", "aa",
-        "--sparsity", "0", "--seed", "0", "--out", str(tmp_path / "c"),
-    ]) == 2
-    assert "does not apply" in capsys.readouterr().err
-
-
-# the world plans seed 0, strategy partial and levels 0 and 50 (or 50
-# alone); corpus and metadata are gone, so the cell is refused unread
-@pytest.mark.parametrize("levels, flags, run_id", [
-    ((0, 50), ["--seed", "1"], "mono-aa-s50-partial-seed1"),
-    ((0, 50), ["--strategy", "incl_embeddings"], "mono-aa-s50-incl_embeddings-seed0"),
-    ((50,), ["--sparsity", "0"], "mono-aa-s0-partial-seed0"),
-], ids=["a seed outside seeds", "a strategy outside strategies", "sparsity 0, not a level"])
-def test_train_refuses_a_cell_the_config_does_not_plan(
-        tmp_path, capsys, levels, flags, run_id):
-    config = write_world(tmp_path, sparsity_levels=levels)
-    shutil.rmtree(tmp_path / "corpus")
-    (tmp_path / "languages.csv").unlink()
-    argv = [*TRAIN_AA, "--config", str(config), "--out", str(tmp_path / "ck")]
-    assert main(argv + flags) == 2
-    assert capsys.readouterr().err == (
-        f"nerprune: error: the config plans no cell {run_id}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_experiment_report_pipeline(tmp_path, capsys):
@@ -1127,7 +852,7 @@ def test_report_with_missing_corpus_exits_two(tmp_path, capsys):
 
 # each output path runs through a regular file named "blocked"; each
 # command used to die with a NotADirectoryError or FileExistsError traceback
-@pytest.mark.parametrize("command", ["experiment", "report", "perturb", "train"])
+@pytest.mark.parametrize("command", ["experiment", "report", "perturb"])
 def test_blocked_output_path_exits_two(tmp_path, capsys, command):
     blocked = tmp_path / "blocked"
     blocked.write_text("")
@@ -1142,15 +867,11 @@ def test_blocked_output_path_exits_two(tmp_path, capsys, command):
         results.write_text(_record() + "\n")
         argv = ["report", "--results", str(results), "--meta", str(meta),
                 "--out-dir", str(blocked)]
-    elif command == "perturb":
+    else:
         corpus = tmp_path / "aa.iob2"
         corpus.write_text(AA_TEST_FILE)
         argv = ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
                 "--meta", str(meta), "--out-dir", str(blocked)]
-    else:
-        config = write_world(tmp_path)
-        argv = ["train", "--config", str(config), "--language", "aa",
-                "--sparsity", "0", "--seed", "0", "--out", str(blocked / "ck")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "nerprune: error: " in err
@@ -1174,7 +895,7 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
     meta = tmp_path / "languages.csv"
     results = tmp_path / "results.jsonl"
     results.write_text(_record() + "\n")
-    ckpt = tmp_path / "ckpt"
+    ckpt = _aa_slot(config)
     argv = {
         "validate": ["validate", str(corpus)],
         "perturb": ["perturb", str(corpus), "--scope", "in-language", "--seed", "1",
@@ -1184,11 +905,8 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, command, bad):
         "evaluate": ["evaluate", "--config", str(config), "--checkpoint", str(ckpt),
                      "--language", "aa"],
     }[command]
-    if bad == "snapshot":
-        assert main(argv) == 0
-    elif command == "evaluate":
-        assert main(["train", "--config", str(config), "--language", "aa",
-                     "--sparsity", "50", "--seed", "0", "--out", str(ckpt)]) == 0
+    if bad == "snapshot" or command == "evaluate":
+        assert main(["experiment", "--config", str(config)]) == 0
     capsys.readouterr()
     target = {"corpus": corpus, "meta": meta, "config": config, "results": results,
               "world-corpus": tmp_path / "corpus" / "aa" / "test.iob2",
@@ -1210,17 +928,18 @@ def _run_in_world(root, argv, capsys, mark=None, first=None):
     """Exit code, stdout and output files of argv run in a fresh world
     under root, after the command first, if any, has run there and a
     UTF-8 byte-order mark is written before the file that the glob mark
-    names. Traces drop their timing line, which varies by run, and the
-    marked file is read back less its mark."""
-    write_world(root)
+    names. In argv and first, {root} is root and {slot} the checkpoint
+    slot of AA_CELL. Traces drop their timing line, which varies by run,
+    and the marked file is read back less its mark."""
+    slot = _aa_slot(write_world(root))
     (root / "aa.iob2").write_text(AA_TEST_FILE)
     if first is not None:
-        assert main([arg.format(root=root) for arg in first]) == 0
+        assert main([arg.format(root=root, slot=slot) for arg in first]) == 0
         capsys.readouterr()
     marked = next(root.glob(mark)) if mark is not None else None
     if marked is not None:
         marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
-    code = main([arg.format(root=root) for arg in argv])
+    code = main([arg.format(root=root, slot=slot) for arg in argv])
     files = {}
     for path in sorted((root / "out").rglob("*")):
         if path.name == "trace.jsonl":
@@ -1237,13 +956,15 @@ _EXPERIMENT = ["experiment", "--config", "{root}/config.json"]
 
 # the mark used to become part of the first token, or to fail the
 # metadata header or the JSON of the config, the config snapshot (on a
-# resume), the manifest or the model sidecar
+# resume), the manifest or the model sidecar; the checkpoint's rows keep
+# ids that name it ckpt
 @pytest.mark.parametrize("command, mark", [
     ("validate", "aa.iob2"), ("perturb", "aa.iob2"), ("perturb", "languages.csv"),
     ("experiment", "config.json"), ("experiment", "corpus/aa/test.iob2"),
     ("experiment", "corpus/aa/train.iob2"), ("experiment", "languages.csv"),
-    ("resume", "out/*/config_snapshot.json"), ("evaluate", "ckpt/manifest.json"),
-    ("evaluate", "ckpt/model.json"),
+    ("resume", "out/*/config_snapshot.json"),
+    *(pytest.param("evaluate", f"out/*/checkpoints/{AA_CELL}/{name}",
+                   id=f"evaluate-ckpt/{name}") for name in ("manifest.json", "model.json")),
 ])
 def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, command, mark):
     argv = {
@@ -1253,13 +974,9 @@ def test_input_with_a_byte_order_mark_runs_like_its_twin(tmp_path, capsys, comma
         "experiment": _EXPERIMENT,
         "resume": _EXPERIMENT,
         "evaluate": ["evaluate", "--config", "{root}/config.json",
-                     "--checkpoint", "{root}/ckpt", "--language", "aa"],
+                     "--checkpoint", "{slot}", "--language", "aa"],
     }[command]
-    first = {
-        "resume": _EXPERIMENT,
-        "evaluate": ["train", "--config", "{root}/config.json", "--language", "aa",
-                     "--sparsity", "50", "--seed", "0", "--out", "{root}/ckpt"],
-    }.get(command)
+    first = _EXPERIMENT if command in ("resume", "evaluate") else None
     plain = _run_in_world(tmp_path / "plain", argv, capsys, first=first)
     assert plain[0] == 0
     assert _run_in_world(tmp_path / "marked", argv, capsys, mark, first) == plain

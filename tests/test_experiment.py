@@ -410,6 +410,8 @@ def test_diverged_cells_are_failures_not_zero_scores(tmp_path):
     assert all(f["error"] == "DivergenceError" for f in failures)
     assert all("at step" in f["message"] for f in failures)
     assert results.read_text() == ""
+    # no run slot and no staging directory
+    assert list(results.parent.glob("checkpoints/*")) == []
 
 
 def test_output_directory_guard_rejects_foreign_configs(world):
@@ -680,6 +682,45 @@ def test_cell_that_fails_after_staging_leaves_no_staging(world, monkeypatch):
         s.run_id for s in plan(world) if s.run_id != failing)
 
 
+# a leftover that rmtree cannot remove (as under another owner's
+# permissions) fails its cell, and the leftover stays as it was
+@pytest.mark.parametrize("name, error", [
+    ("mono-aa-s50-partial-seed0", "OSError"),
+    (".mono-aa-s50-partial-seed0.partial", "FileExistsError"),
+])
+def test_a_leftover_that_cannot_be_removed_fails_its_cell(world, monkeypatch, name, error):
+    stale = world.output_path / world.config_hash[:12] / "checkpoints" / name
+    stale.mkdir(parents=True)
+    (stale / "notes.txt").write_text("cannot be removed")
+    rmtree = shutil.rmtree
+    monkeypatch.setattr(shutil, "rmtree", lambda path, **kwargs: (
+        None if Path(path) == stale else rmtree(path, **kwargs)))
+    results = run(world)
+    (failure,) = _failures(results)
+    assert (failure["run_id"], failure["error"]) == ("mono-aa-s50-partial-seed0", error)
+    assert "mono-aa-s50-partial-seed0" not in results.read_text()
+    assert [p.name for p in stale.iterdir()] == ["notes.txt"]
+    assert sorted(p.name for p in stale.parent.iterdir()) == sorted(
+        [name] + [s.run_id for s in plan(world) if s.run_id != "mono-aa-s50-partial-seed0"])
+
+
+def test_cells_under_a_checkpoints_file_fail_before_training(world, monkeypatch, capsys):
+    checkpoints = world.output_path / world.config_hash[:12] / "checkpoints"
+    checkpoints.parent.mkdir(parents=True)
+    checkpoints.write_text("a regular file")
+    calls = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: calls.append(args))
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 0
+    results = Path(capsys.readouterr().out.strip())
+    failures = _failures(results)
+    assert [f["run_id"] for f in failures] == [s.run_id for s in plan(world)]
+    assert all(f["error"] == "ConfigError" for f in failures)
+    assert all(f["message"].endswith("checkpoints: not a directory") for f in failures)
+    assert calls == []
+    assert results.read_text() == ""
+    assert checkpoints.read_text() == "a regular file"
+
+
 # what a kill between staging and renaming leaves is cleared on resume
 def test_grid_clears_a_stale_staging_directory(world):
     checkpoints = world.output_path / world.config_hash[:12] / "checkpoints"
@@ -694,7 +735,8 @@ def test_grid_clears_a_stale_staging_directory(world):
 # Runs the grid of the config file argv[1] and SIGKILLs itself at a fixed
 # point of the third cell: right after its checkpoint is renamed into
 # place ("renamed"), or after writing the first argv[3] characters of its
-# result lines ("torn").
+# result lines ("torn"); or after writing half of the config snapshot
+# ("snapshot").
 KILLED_GRID = """
 import os, pathlib, signal, sys
 from nerprune import experiment
@@ -720,6 +762,16 @@ if point == "renamed":
         return result
 
     pathlib.Path.rename = renaming
+elif point == "snapshot":
+    write_text = pathlib.Path.write_text
+
+    def cutting(self, data, **kwargs):
+        if "config_snapshot" in self.name:
+            write_text(self, data[:len(data) // 2], **kwargs)
+            die()
+        return write_text(self, data, **kwargs)
+
+    pathlib.Path.write_text = cutting
 else:
     class Torn:
         def __init__(self, f):
@@ -748,13 +800,9 @@ raise SystemExit("the grid finished without reaching its kill point")
 """
 
 
-# the third cell's lines are cut inside its first line or inside its last
-# line; either way the second cell's lines are whole and stay
-@pytest.mark.parametrize("point, cut", [("renamed", 0), ("torn", 40), ("torn", -40)])
-def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, point, cut):
-    whole = config_from_file(write_world(tmp_path / "whole"))
-    expected = run(whole).read_bytes()
-    config_path = write_world(tmp_path / "killed")
+def _kill_grid(config_path, point, cut=0):
+    """Run KILLED_GRID on the config file config_path in a child process,
+    which must die by its SIGKILL."""
     src = str(Path(experiment.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -763,6 +811,16 @@ def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, poi
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == -signal.SIGKILL, child.stderr
+
+
+# the third cell's lines are cut inside its first line or inside its last
+# line; either way the second cell's lines are whole and stay
+@pytest.mark.parametrize("point, cut", [("renamed", 0), ("torn", 40), ("torn", -40)])
+def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, point, cut):
+    whole = config_from_file(write_world(tmp_path / "whole"))
+    expected = run(whole).read_bytes()
+    config_path = write_world(tmp_path / "killed")
+    _kill_grid(config_path, point, cut)
     config = config_from_file(config_path)
     out_dir = config.output_path / config.config_hash[:12]
     killed_cell = plan(config)[2].run_id
@@ -774,3 +832,18 @@ def test_grid_killed_mid_cell_resumes_to_the_uninterrupted_results(tmp_path, poi
     assert run(config).read_bytes() == expected
     assert sorted(p.name for p in (out_dir / "checkpoints").iterdir()) == sorted(
         s.run_id for s in plan(config))
+
+
+# a snapshot cut short used to fail every resume with exit 2
+def test_grid_killed_writing_its_snapshot_resumes_to_the_uninterrupted_results(
+        tmp_path, capsys):
+    whole = run(config_from_file(write_world(tmp_path / "whole"))).parent
+    config_path = write_world(tmp_path / "killed")
+    _kill_grid(config_path, "snapshot")
+    config = config_from_file(config_path)
+    out_dir = config.output_path / config.config_hash[:12]
+    assert not (out_dir / "results.jsonl").exists()
+    assert main(["experiment", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == f"{out_dir / 'results.jsonl'}\n"
+    for name in ("results.jsonl", "config_snapshot.json"):
+        assert (out_dir / name).read_bytes() == (whole / name).read_bytes()
