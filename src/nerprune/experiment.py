@@ -579,11 +579,16 @@ def _cell_outcome(spec: RunSpec, config: ExperimentConfig, bundle: Bundle,
     """Run one cell; returns the file name under out_dir and the text to
     append to it: the cell's result lines, or its failure record. What an
     earlier attempt left in the cell's checkpoint slot or its staging
-    directory is removed first, so that execute_run finds the slot absent."""
+    directory is removed first, so that execute_run finds the slot absent;
+    a removal that fails, other than of a missing path, fails the cell
+    before it trains. Under a checkpoints path that is not a directory
+    nothing is removed, and execute_run refuses the cell."""
     slot = out_dir / "checkpoints" / spec.run_id
-    for stale in (slot, slot.with_name(f".{spec.run_id}.partial")):
-        shutil.rmtree(stale, ignore_errors=True)
+    stale = (slot, slot.with_name(f".{spec.run_id}.partial")) if slot.parent.is_dir() else ()
     try:
+        for path in stale:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.rmtree(path)
         lines = execute_run(spec, config, bundle, slot)
     except Exception as exc:  # a bug or MemoryError fails its cell only
         return _failure(spec, exc)

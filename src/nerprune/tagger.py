@@ -47,8 +47,9 @@ PAD_ID = 1
 
 MODEL_SIDECAR = "model.json"
 
-# sentences per forward pass in predict_ids
-PREDICT_CHUNK = 64
+# distinct window rows per forward pass in predict_ids, which bounds
+# the size of its embedding, hidden and score arrays
+PREDICT_CHUNK = 512
 
 
 def require_int(name: str, value) -> None:
@@ -219,6 +220,13 @@ def encode_windows(
         inside = (source >= 0) & (source < length)
         ids[:, j] = np.where(inside, padded[j:j + n], PAD_ID)
     return Encoded(ids, tags, offsets, vocab, window)
+
+
+def _check_encoded(model: TaggerModel, encoded: Encoded) -> None:
+    """Window ids a model reads come from its vocab (or a copy) and window."""
+    if encoded.window != model.config.window or (
+            encoded.vocab is not model.vocab and encoded.vocab != model.vocab):
+        raise ConfigError("window ids were encoded with another vocab or window")
 
 
 def encode_sentence(
@@ -395,8 +403,7 @@ def train(
     config = model.config
     if not isinstance(train_data, Encoded):
         train_data = encode_windows(model.vocab, config.window, train_data)
-    elif train_data.window != config.window or train_data.vocab != model.vocab:
-        raise ConfigError("training arrays were encoded with another vocab or window")
+    _check_encoded(model, train_data)
     if len(train_data.offsets) == 1:
         raise ConfigError("training data has no sentences")
     offsets = train_data.offsets
@@ -504,25 +511,38 @@ def _max_abs_masked(*checked: tuple[np.ndarray, np.ndarray]) -> float:
     return float(worst)
 
 
-def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
-    """Most likely tag id per row of sentences encoded with the model's
-    vocab and window; ties resolve to the lowest id, which puts O first.
+def _distinct_rows(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of window ids (n, k) below vocab_size, and the
+    inverse with ids == rows[inverse]. Columns are folded into one key,
+    key * vocab_size + id, and np.unique compacts the key to its rank
+    among the distinct keys (below n) before a fold could pass int64's
+    maximum, so that no key overflows whatever k and vocab_size."""
+    key, bound = np.zeros(len(ids), dtype=np.int64), 1
+    for column in ids.T:
+        if bound > np.iinfo(np.int64).max // vocab_size:
+            key, bound = np.unique(key, return_inverse=True)[1], len(ids)
+        key, bound = key * vocab_size + column, bound * vocab_size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return ids[first], inverse
 
-    Sentences are scored PREDICT_CHUNK at a time, which bounds the size
-    of the hidden and score arrays.
+
+def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
+    """Most likely tag id per row of window ids encoded with the model's
+    vocab and window (else a ConfigError); ties resolve to the lowest id,
+    which puts O first. Each distinct row is scored once, PREDICT_CHUNK
+    per forward pass, and its tag spread back to the rows that repeat it.
     """
-    ids, offsets = encoded.ids, encoded.offsets
-    best = np.empty(len(ids), dtype=np.int64)
-    n_sentences = len(offsets) - 1
-    for begin in range(0, n_sentences, PREDICT_CHUNK):
-        a = offsets[begin]
-        b = offsets[min(begin + PREDICT_CHUNK, n_sentences)]
-        best[a:b] = _forward(model.params, ids[a:b])[2].argmax(axis=1)
-    return best
+    _check_encoded(model, encoded)
+    rows, inverse = _distinct_rows(encoded.ids, len(model.vocab))
+    best = np.empty(len(rows), dtype=np.int64)
+    for a in range(0, len(rows), PREDICT_CHUNK):
+        scores = _forward(model.params, rows[a:a + PREDICT_CHUNK])[2]
+        best[a:a + PREDICT_CHUNK] = scores.argmax(axis=1)
+    return best[inverse]
 
 
 def predict(model: TaggerModel, corpus: Corpus) -> list[list[str]]:
-    """Most likely tag per token, from predict_ids."""
+    """Most likely tag per token, from one predict_ids call."""
     encoded = encode_windows(model.vocab, model.config.window, corpus)
     labels = [model.tagset[i] for i in predict_ids(model, encoded).tolist()]
     bounds = encoded.offsets.tolist()

@@ -683,21 +683,35 @@ def test_cell_that_fails_after_staging_leaves_no_staging(world, monkeypatch):
 
 
 # a leftover that rmtree cannot remove (as under another owner's
-# permissions) fails its cell, and the leftover stays as it was
-@pytest.mark.parametrize("name, error", [
-    ("mono-aa-s50-partial-seed0", "OSError"),
-    (".mono-aa-s50-partial-seed0.partial", "FileExistsError"),
+# permissions) fails its cell before it trains, and the leftover stays
+# as it was
+@pytest.mark.parametrize("name", [
+    "mono-aa-s50-partial-seed0",
+    ".mono-aa-s50-partial-seed0.partial",
 ])
-def test_a_leftover_that_cannot_be_removed_fails_its_cell(world, monkeypatch, name, error):
+def test_a_leftover_that_cannot_be_removed_fails_its_cell(world, monkeypatch, name):
     stale = world.output_path / world.config_hash[:12] / "checkpoints" / name
     stale.mkdir(parents=True)
     (stale / "notes.txt").write_text("cannot be removed")
     rmtree = shutil.rmtree
-    monkeypatch.setattr(shutil, "rmtree", lambda path, **kwargs: (
-        None if Path(path) == stale else rmtree(path, **kwargs)))
+
+    def refusing(path, **kwargs):
+        if Path(path) == stale:
+            raise PermissionError(13, "Permission denied", str(path))
+        rmtree(path, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", refusing)
+    trained = []
+    train = experiment.train
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: (
+        trained.append(None), train(*args, **kwargs))[1])
     results = run(world)
     (failure,) = _failures(results)
-    assert (failure["run_id"], failure["error"]) == ("mono-aa-s50-partial-seed0", error)
+    assert "in _cell_outcome" in failure.pop("traceback")
+    assert failure == {"run_id": "mono-aa-s50-partial-seed0", "error": "PermissionError",
+                       "message": f"[Errno 13] Permission denied: '{stale}'"}
+    # every other cell trains once, the failing one not at all
+    assert len(trained) == len(plan(world)) - 1
     assert "mono-aa-s50-partial-seed0" not in results.read_text()
     assert [p.name for p in stale.iterdir()] == ["notes.txt"]
     assert sorted(p.name for p in stale.parent.iterdir()) == sorted(

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, sent
@@ -16,6 +16,7 @@ from nerprune.tagger import (
     PREDICT_CHUNK,
     UNK_ID,
     TaggerConfig,
+    _distinct_rows,
     build_vocab,
     encode_sentence,
     encode_windows,
@@ -23,6 +24,7 @@ from nerprune.tagger import (
     init_model,
     load_model,
     predict,
+    predict_ids,
     save_model,
     train,
 )
@@ -147,20 +149,72 @@ def test_encode_windows_matches_the_per_sentence_loop(window, sentences):
         assert np.array_equal(one_tags, expected[0][1])
 
 
+# ids drawn from a few values per example (with <unk> and <pad>), so rows
+# repeat. At window 2 a key packing a whole row, vocab ** 5, does not fit
+# in int64: at vocab 2**16 its first id is multiplied by 2**64, which
+# wraps to 0, so rows that differ only there would share a key
+@settings(max_examples=200, deadline=None)
+@example(window=2, vocab_size=2**16, data=None)
+@example(window=2, vocab_size=10**5, data=None)
+@given(window=st.sampled_from([0, 1, 2]), vocab_size=st.integers(2, 10**5), data=st.data())
+def test_distinct_rows_are_distinct_and_give_the_ids_back(window, vocab_size, data):
+    k = 2 * window + 1
+    if data is None:  # the largest ids, repeats, and rows that differ in one id
+        top = vocab_size - 1
+        ids = np.array([[top] * k, [top] * k, [UNK_ID] * k,
+                        [PAD_ID, *[top] * (k - 1)], [UNK_ID, *[top] * (k - 1)]])
+    else:
+        values = data.draw(st.lists(st.integers(0, vocab_size - 1), max_size=3))
+        value_st = st.sampled_from([UNK_ID, PAD_ID, *values])
+        rows = data.draw(st.lists(st.lists(value_st, min_size=k, max_size=k), max_size=30))
+        ids = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    rows, inverse = _distinct_rows(ids, vocab_size)
+    assert rows.dtype == inverse.dtype == np.int64
+    assert rows.shape[1] == k and inverse.shape == (len(ids),)
+    assert np.array_equal(rows[inverse], ids)
+    assert len(set(map(tuple, rows.tolist()))) == len(rows)
+
+
 def test_predict_matches_per_sentence_prediction_across_chunks():
-    corpus = toy_corpus()
-    model = init_model(SMALL, build_vocab(corpus))
-    rows = [s for _ in range(40) for s in corpus]
-    # empty sentences first and last in a chunk, and a one-token sentence
-    for edge in (0, PREDICT_CHUNK - 1, PREDICT_CHUNK, 2 * PREDICT_CHUNK - 1,
-                 2 * PREDICT_CHUNK, len(rows)):
-        rows.insert(edge, sent([], []))
+    # 150 random 10-token sentences over 150 tokens give more distinct
+    # windows than two chunks; each appears twice, and the toy sentences
+    # 40 times, so most windows repeat
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(150)]
+    drawn = [sent(rng.choice(words, 10).tolist(), ["O"] * 10) for _ in range(150)]
+    rows = [s for _ in range(40) for s in toy_corpus()] + drawn + drawn
     rows.append(sent(["oslo"], ["B-LOC"]))
+    # empty sentences first, last, and where the rows pass each chunk edge
+    lengths = np.cumsum([len(s) for s in rows])
+    edges = [0, len(rows)] + [int(np.searchsorted(lengths, PREDICT_CHUNK * c)) for c in (1, 2)]
+    for edge in sorted(edges, reverse=True):
+        rows.insert(edge, sent([], []))
     big = corpus_of(rows)
-    assert len(big) > 2 * PREDICT_CHUNK
+    model = init_model(SMALL, build_vocab(big))
+    ids = encode_windows(model.vocab, SMALL.window, big).ids
+    distinct = len(np.unique(ids, axis=0))
+    assert 2 * PREDICT_CHUNK < distinct < len(ids) / 1.5
     predictions = predict(model, big)
     assert predictions == oracle_predict(model, big)
     assert len({tag for labels in predictions for tag in labels}) > 1
+    assert predict(model, corpus_of([])) == oracle_predict(model, corpus_of([])) == []
+
+
+def test_predict_ids_refuses_ids_of_another_vocab_or_window():
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    model = init_model(SMALL, vocab)
+    # an equal copy of the vocab (as the grid's bundle holds) is accepted
+    assert model.vocab is not vocab
+    expected = predict_ids(model, encode_windows(model.vocab, SMALL.window, corpus))
+    assert np.array_equal(predict_ids(model, encode_windows(vocab, SMALL.window, corpus)),
+                          expected)
+    with pytest.raises(ConfigError, match="another vocab or window"):
+        predict_ids(model, encode_windows(vocab, SMALL.window + 1, corpus))
+    # "oslo" gets an id past the model's embedding table
+    bigger = {**vocab, "oslo": len(vocab)}
+    with pytest.raises(ConfigError, match="another vocab or window"):
+        predict_ids(model, encode_windows(bigger, SMALL.window, corpus))
 
 
 def test_gradients_match_finite_differences():
