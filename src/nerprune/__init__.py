@@ -50,6 +50,7 @@ from .evaluation import (
 )
 from .experiment import (
     ExperimentConfig,
+    Paths,
     RunSpec,
     config_from_file,
     plan,

@@ -25,7 +25,8 @@ import shutil
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -85,13 +86,24 @@ LOCK_NAME = ".lock"
 
 
 @dataclass(frozen=True)
+class Paths:
+    """The config's paths object, each path as written."""
+
+    corpus_root: str
+    metadata: str
+    output: str
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; hashable and JSON-round-trippable.
 
-    Paths are kept as written and resolved against base_dir, normally
-    the directory of the config file. The config hash covers everything
-    except base_dir, so a config file moved together with its data keeps
-    its hash and its result directory.
+    Its fields but base_dir are the config file's keys, and those of
+    paths and tagger its nested objects' keys. Paths are kept as written
+    and resolved against base_dir, normally the directory of the config
+    file. The config hash covers everything except base_dir, so a config
+    file moved together with its data keeps its hash and its result
+    directory.
     """
 
     mode: str
@@ -99,9 +111,7 @@ class ExperimentConfig:
     sparsity_levels: tuple[int, ...]
     seeds: tuple[int, ...]
     perturbation_seed: int
-    corpus_root: str
-    metadata_path: str
-    output_dir: str
+    paths: Paths
     strategies: tuple[str, ...] = STRATEGY_NAMES
     scopes: tuple[str, ...] = SCOPE_NAMES
     tagger: TaggerConfig = TaggerConfig()
@@ -117,8 +127,7 @@ class ExperimentConfig:
             values = getattr(self, axis)
             if not isinstance(values, tuple):
                 raise ConfigError(f"{axis} must be an array, got {values!r}")
-        named = [("corpus_root", self.corpus_root), ("metadata_path", self.metadata_path),
-                 ("output_dir", self.output_dir)]
+        named = [(f.name, getattr(self.paths, f.name)) for f in fields(Paths)]
         named += [("languages entry", language) for language in self.languages]
         for name, value in named:
             if not isinstance(value, str):
@@ -180,26 +189,12 @@ class ExperimentConfig:
                 raise ConfigError(f"schedule for size {size}: {exc}") from None
 
     def canonical_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "languages": list(self.languages),
-            "sparsity_levels": list(self.sparsity_levels),
-            "strategies": list(self.strategies),
-            "seeds": list(self.seeds),
-            "scopes": list(self.scopes),
-            "perturbation_seed": self.perturbation_seed,
-            "tagger": asdict(self.tagger),
-            "schedule_table": {
-                str(size): list(row) for size, row in self.schedule_table
-            },
-            "paths": {
-                "corpus_root": self.corpus_root,
-                "metadata": self.metadata_path,
-                "output": self.output_dir,
-            },
-        }
+        data = asdict(self)
+        del data["base_dir"]
+        data["schedule_table"] = {str(size): list(row) for size, row in self.schedule_table}
+        return data
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
         payload = json.dumps(
             self.canonical_dict(), sort_keys=True, separators=(",", ":")
@@ -211,15 +206,15 @@ class ExperimentConfig:
 
     @property
     def corpus_root_path(self) -> Path:
-        return self._resolve(self.corpus_root)
+        return self._resolve(self.paths.corpus_root)
 
     @property
     def metadata_file(self) -> Path:
-        return self._resolve(self.metadata_path)
+        return self._resolve(self.paths.metadata)
 
     @property
     def output_path(self) -> Path:
-        return self._resolve(self.output_dir)
+        return self._resolve(self.paths.output)
 
     def schedule_for(self, train_size: int) -> tuple[int, int, int]:
         """Schedule row of the largest size not above a training set
@@ -231,11 +226,19 @@ class ExperimentConfig:
         return best
 
 
-_TOP_KEYS = {
-    "mode", "languages", "sparsity_levels", "strategies", "seeds", "scopes",
-    "perturbation_seed", "tagger", "schedule_table", "paths",
-}
-_PATH_KEYS = {"corpus_root", "metadata", "output"}
+def _keys_checked(cls, data, name: str, noun: str) -> Mapping:
+    """data, a JSON value read as the fields of the dataclass cls: it must
+    be an object, with no key that is not a field of cls and every field
+    that has no default. base_dir is no key: it is where the file is."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(data) - {f.name for f in fields(cls) if f.name != "base_dir"}
+    if unknown:
+        raise ConfigError(f"unknown {noun} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    if missing:
+        raise ConfigError(f"missing {noun} keys: {sorted(missing)}")
+    return data
 
 
 def _tuple(value):
@@ -245,56 +248,29 @@ def _tuple(value):
 
 
 def config_from_dict(data: Mapping, base_dir: str | Path = ".") -> ExperimentConfig:
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    required = {"mode", "languages", "sparsity_levels", "seeds",
-                "perturbation_seed", "paths"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    paths = data["paths"]
-    if not isinstance(paths, Mapping):
-        raise ConfigError("paths must be an object")
-    unknown = set(paths) - _PATH_KEYS
-    if unknown:
-        raise ConfigError(f"unknown path keys: {sorted(unknown)}")
-    missing = _PATH_KEYS - set(paths)
-    if missing:
-        raise ConfigError(f"missing path keys: {sorted(missing)}")
-    try:
-        tagger = TaggerConfig(**data.get("tagger", {}))
-    except TypeError as exc:
-        raise ConfigError(f"tagger: {exc}") from None
-    schedule_raw = data.get("schedule_table")
-    if schedule_raw is None:
-        schedule_table = DEFAULT_SCHEDULE_TABLE
-    else:
+    """The config of a JSON object; a key left out takes its field's
+    default, and a JSON array of a tuple field is read as a tuple."""
+    values = dict(_keys_checked(ExperimentConfig, data, "config", "config"))
+    values["paths"] = Paths(**_keys_checked(Paths, values["paths"], "paths", "path"))
+    if "tagger" in values:
+        values["tagger"] = TaggerConfig(
+            **_keys_checked(TaggerConfig, values["tagger"], "tagger", "tagger"))
+    if "schedule_table" in values:
+        raw = values["schedule_table"]
         try:
-            schedule_table = tuple(sorted(
-                (int(size), _tuple(row)) for size, row in schedule_raw.items()
+            values["schedule_table"] = tuple(sorted(
+                (int(size), _tuple(row)) for size, row in raw.items()
             ))
-            for key in schedule_raw:  # not coerced: "+100" or "0100" is no size
+            for key in raw:  # not coerced: "+100" or "0100" is no size
                 if str(int(key)) != key:
                     raise ValueError(f"size {key!r} is not a plain decimal integer")
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"schedule_table: {exc}") from None
+    for field in fields(ExperimentConfig):
+        if field.name in values and field.type.startswith("tuple"):
+            values[field.name] = _tuple(values[field.name])
     try:
-        return ExperimentConfig(
-            mode=data["mode"],
-            languages=_tuple(data["languages"]),
-            sparsity_levels=_tuple(data["sparsity_levels"]),
-            seeds=_tuple(data["seeds"]),
-            perturbation_seed=data["perturbation_seed"],
-            corpus_root=paths["corpus_root"],
-            metadata_path=paths["metadata"],
-            output_dir=paths["output"],
-            strategies=_tuple(data.get("strategies", STRATEGY_NAMES)),
-            scopes=_tuple(data.get("scopes", SCOPE_NAMES)),
-            tagger=tagger,
-            schedule_table=schedule_table,
-            base_dir=str(base_dir),
-        )
+        return ExperimentConfig(**values, base_dir=str(base_dir))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -478,19 +454,13 @@ def execute_run(
     split it owes.
 
     Returns the result line dicts. The nominal sparsity must be achieved
-    within 1/N of the prunable weight count or the run fails. Before any
-    training, the nearest of checkpoint_dir and its parents that exists
-    must be a directory, or the call raises ConfigError. Once the cell is
-    scored, the checkpoint is written to .<name>.partial beside
+    within 1/N of the prunable weight count or the run fails. Once the
+    cell is scored, the checkpoint is written to .<name>.partial beside
     checkpoint_dir, which this call makes and which must not exist yet,
     and renamed onto checkpoint_dir; a failure in between removes that
     directory. No file that stood before the call is deleted or
     overwritten.
     """
-    checkpoint_dir = Path(checkpoint_dir).resolve()
-    nearest = next(p for p in (checkpoint_dir, *checkpoint_dir.parents) if p.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"{nearest}: not a directory")
     model = init_model(replace(config.tagger, seed=spec.seed), bundle.train.vocab)
     strategy = PruneStrategy(spec.strategy)
     if spec.sparsity == 0:
@@ -527,7 +497,6 @@ def execute_run(
                           report).to_json_dict(), **cell}
              for (language, split), report in zip(bundle.pairs, reports)]
     staging = checkpoint_dir.with_name(f".{checkpoint_dir.name}.partial")
-    checkpoint_dir.parent.mkdir(parents=True, exist_ok=True)
     staging.mkdir()
     try:
         save_model(staging, model)
@@ -581,12 +550,10 @@ def _cell_outcome(spec: RunSpec, config: ExperimentConfig, bundle: Bundle,
     earlier attempt left in the cell's checkpoint slot or its staging
     directory is removed first, so that execute_run finds the slot absent;
     a removal that fails, other than of a missing path, fails the cell
-    before it trains. Under a checkpoints path that is not a directory
-    nothing is removed, and execute_run refuses the cell."""
+    before it trains."""
     slot = out_dir / "checkpoints" / spec.run_id
-    stale = (slot, slot.with_name(f".{spec.run_id}.partial")) if slot.parent.is_dir() else ()
     try:
-        for path in stale:
+        for path in (slot, slot.with_name(f".{spec.run_id}.partial")):
             with contextlib.suppress(FileNotFoundError):
                 shutil.rmtree(path)
         lines = execute_run(spec, config, bundle, slot)
@@ -629,9 +596,12 @@ def _existing_run_ids(results_path: Path, line_counts: Mapping[str, int]) -> set
     the last run short, inside a line or at a line boundary: the file is
     truncated just past the last line that completes a run, and the cut
     run reruns. A malformed complete line, a line of a run the plan does
-    not hold, or a line past its run's count, is a ConfigError."""
-    if not results_path.is_file():
+    not hold, or a line past its run's count, is a ConfigError, and so is
+    a results_path that is there but is no regular file."""
+    if not results_path.exists():
         return set()
+    if not results_path.is_file():
+        raise ConfigError(f"{results_path}: not a regular file")
     data = results_path.read_bytes()
     seen: dict[str, int] = {}
     done = set()
@@ -669,8 +639,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
 
     Completed run ids found in an existing results file are skipped, so
     rerunning a finished experiment writes no file and reads no
-    metadata or corpus. Failures are recorded per run in failures.jsonl
-    and do not stop the rest of the grid. Each language set with a
+    metadata or corpus. With a cell pending, checkpoints/ is made before
+    anything else is written or read, and a regular file in its place
+    raises FileExistsError. Failures are recorded per run in
+    failures.jsonl and do not stop the rest of the grid. Each language set with a
     pending cell gets one bundle, built before its cells start and
     dropped when they finish. With workers > 1 a language set's runs
     execute on a thread pool, and each cell's outcome is appended in plan
@@ -716,6 +688,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> Path:
         if not pending:
             return results_path
 
+        (out_dir / "checkpoints").mkdir(exist_ok=True)
         (out_dir / "failures.jsonl").write_text("", encoding="utf-8")
         inputs = load_cell_inputs(config)
         write_perturbed(out_dir / "perturbed", inputs[2])

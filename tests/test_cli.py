@@ -509,7 +509,9 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
     ("languages", ["aa", ""], "languages entry must be non-empty letters"),
     ("languages", ["aa", "a.b"], "languages entry must be non-empty letters"),
     ("paths", "corpus", "paths must be an object"),
-    ("tagger", [4, 6], "tagger: "),
+    ("tagger", [4, 6], "tagger must be an object"),
+    ("tagger", {"embed_dim": 4, "turbo": True}, "unknown tagger keys: ['turbo']"),
+    ("schedule_table", None, "schedule_table: "),
     ("schedule_table", [[4, 2, 10, 2]], "schedule_table: "),
     *(("schedule_table", {key: [2, 10, 2]},
        f"schedule_table: size {key!r} is not a plain decimal integer")
@@ -522,7 +524,8 @@ def test_non_integer_tagger_field_exits_two(tmp_path, capsys, field, value):
 ], ids=["float-level", "float-perturbation-seed", "string-seeds", "bool-seed",
         "string-languages", "float-schedule-start", "four-schedule-entries",
         "array-corpus-root", "slash-language", "empty-language", "dotted-language",
-        "string-paths", "array-tagger", "array-schedule-table", "signed-schedule-size",
+        "string-paths", "array-tagger", "unknown-tagger-key", "null-schedule-table",
+        "array-schedule-table", "signed-schedule-size",
         "spaced-schedule-size", "underscored-schedule-size", "zero-padded-schedule-size",
         "arabic-indic-schedule-size", "negative-seed",
         "negative-perturbation-seed", "zero-schedule-size", "negative-schedule-size"])

@@ -22,7 +22,7 @@ from nerprune.corpus import (
     serialize_iob2,
 )
 from nerprune.evaluation import score_corpus
-from nerprune.experiment import ExperimentConfig, build_bundle, build_perturbed
+from nerprune.experiment import ExperimentConfig, Paths, build_bundle, build_perturbed
 from nerprune.perturb import SCOPE_NAMES, Scope, build_pool, perturb_corpus
 from nerprune.tagger import TaggerConfig, build_vocab, encode_windows, init_model, predict
 
@@ -51,8 +51,7 @@ def test_hot_paths_do_not_build_sentences():
 
     config = ExperimentConfig(
         mode="multilingual", languages=synth.LANGUAGES, sparsity_levels=(0,),
-        seeds=(0,), perturbation_seed=0, corpus_root="c", metadata_path="m",
-        output_dir="o", scopes=SCOPE_NAMES,
+        seeds=(0,), perturbation_seed=0, paths=Paths("c", "m", "o"), scopes=SCOPE_NAMES,
         tagger=TaggerConfig(embed_dim=4, window=1, hidden_dim=4, epochs=1),
     )
     perturbed = build_perturbed(synth.META, tests, synth.LANGUAGES, SCOPE_NAMES, 0)

@@ -21,7 +21,7 @@ from nerprune.evaluation import (
     score_corpus,
     score_ids,
 )
-from nerprune.experiment import ExperimentConfig, build_bundle
+from nerprune.experiment import ExperimentConfig, Paths, build_bundle
 from oracles import oracle_read_run_records, oracle_score_corpus
 
 tags_st = st.lists(st.sampled_from(TAGSET), min_size=1, max_size=10)
@@ -139,8 +139,7 @@ def _bundle_report(gold, pred_rows):
     train = corpus_of([sent(["w"], ["O"])], split="train")
     config = ExperimentConfig(
         mode="monolingual", languages=("xx",), sparsity_levels=(0,), seeds=(0,),
-        perturbation_seed=0, corpus_root="c", metadata_path="m",
-        output_dir="o", scopes=(),
+        perturbation_seed=0, paths=Paths("c", "m", "o"), scopes=(),
     )
     bundle = build_bundle(config, ["xx"], {"xx": train}, {"xx": gold}, {})
     assert bundle.pairs == (("xx", "regular"),)

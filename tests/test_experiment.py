@@ -22,6 +22,7 @@ from nerprune.evaluation import read_run_records, score_corpus
 from nerprune.experiment import (
     DEFAULT_SCHEDULE_TABLE,
     ExperimentConfig,
+    Paths,
     RunSpec,
     build_bundle,
     build_perturbed,
@@ -50,9 +51,7 @@ def base_kwargs(**overrides):
         sparsity_levels=(0, 50),
         seeds=(0,),
         perturbation_seed=7,
-        corpus_root="corpus",
-        metadata_path="languages.csv",
-        output_dir="out",
+        paths=Paths("corpus", "languages.csv", "out"),
     )
     kwargs.update(overrides)
     return kwargs
@@ -84,7 +83,7 @@ def test_config_hash_ignores_base_dir_but_not_contents():
     a = ExperimentConfig(**base_kwargs())
     b = ExperimentConfig(**base_kwargs(base_dir="/somewhere/else"))
     c = ExperimentConfig(**base_kwargs(languages=("aa", "bb")))
-    d = ExperimentConfig(**base_kwargs(corpus_root="other"))
+    d = ExperimentConfig(**base_kwargs(paths=Paths("other", "languages.csv", "out")))
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
     assert a.config_hash != d.config_hash
@@ -95,6 +94,28 @@ def test_config_hash_is_pinned():
     config = ExperimentConfig(**base_kwargs())
     assert config.config_hash == (
         "438c88ef34465ff659e0c2ce9661cb66f1216244626c3de405e4c874efe7d3fd"
+    )
+
+
+def test_config_hash_of_a_config_without_defaults_is_pinned():
+    # every key set off its default, so a field that enters the hash
+    # without notice moves it
+    config = config_from_dict({
+        "mode": "multilingual",
+        "languages": ["aa", "bb"],
+        "sparsity_levels": [0, 70, 98],
+        "strategies": ["incl_embeddings"],
+        "seeds": [1, 2],
+        "scopes": ["in-script", "in-family"],
+        "perturbation_seed": 13,
+        "tagger": {"embed_dim": 8, "window": 2, "hidden_dim": 12, "learning_rate": 0.05,
+                   "epochs": 3, "batch_size": 4, "vocab_min_count": 2},
+        "schedule_table": {"50": [5, 25, 5], "400": [10, 90, 20]},
+        "paths": {"corpus_root": "data/corpus", "metadata": "data/languages.csv",
+                  "output": "runs"},
+    })
+    assert config.config_hash == (
+        "db426b9c0708872e28cf947b558a0d3a7c794ee43e32e5c23bf862ecf5a7d4f5"
     )
 
 
@@ -117,16 +138,29 @@ def test_config_round_trips_through_canonical_dict():
 
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     good = ExperimentConfig(**base_kwargs()).canonical_dict()
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match=r"^config must be an object$"):
+        config_from_dict(["mode"])
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['turbo'\]$"):
         config_from_dict({**good, "turbo": True})
-    with pytest.raises(ConfigError, match="missing config keys"):
+    # where the file is, not a key of it
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['base_dir'\]$"):
+        config_from_dict({**good, "base_dir": "."})
+    with pytest.raises(ConfigError, match=r"^missing config keys: \['mode'\]$"):
         config_from_dict({k: v for k, v in good.items() if k != "mode"})
-    bad_paths = {**good, "paths": {"corpus_root": "x", "metadata": "y"}}
-    with pytest.raises(ConfigError, match="missing path keys"):
-        config_from_dict(bad_paths)
-    bad_paths = {**good, "paths": {**good["paths"], "scratch": "z"}}
-    with pytest.raises(ConfigError, match="unknown path keys"):
-        config_from_dict(bad_paths)
+    for key, noun in (("paths", "path"), ("tagger", "tagger")):
+        with pytest.raises(ConfigError, match=f"^{key} must be an object$"):
+            config_from_dict({**good, key: ["corpus"]})
+        with pytest.raises(ConfigError, match=f"^{key} must be an object$"):
+            config_from_dict({**good, key: None})
+        with pytest.raises(ConfigError, match=rf"^unknown {noun} keys: \['scratch'\]$"):
+            config_from_dict({**good, key: {**good[key], "scratch": "z"}})
+    with pytest.raises(ConfigError, match=r"^missing path keys: \['output'\]$"):
+        config_from_dict({**good, "paths": {"corpus_root": "x", "metadata": "y"}})
+    # every tagger key has a default, so none is missing
+    assert config_from_dict({**good, "tagger": {}}).tagger == TaggerConfig()
+    # null is no value of an optional key, as it is none of a required one
+    with pytest.raises(ConfigError, match="^schedule_table: "):
+        config_from_dict({**good, "schedule_table": None})
 
 
 def test_config_defaults_fill_strategies_scopes_and_schedule():
@@ -718,21 +752,39 @@ def test_a_leftover_that_cannot_be_removed_fails_its_cell(world, monkeypatch, na
         [name] + [s.run_id for s in plan(world) if s.run_id != "mono-aa-s50-partial-seed0"])
 
 
+# the grid makes checkpoints/ once, before it writes or reads anything
+# for its pending cells, so a regular file there ends the run
 def test_cells_under_a_checkpoints_file_fail_before_training(world, monkeypatch, capsys):
-    checkpoints = world.output_path / world.config_hash[:12] / "checkpoints"
-    checkpoints.parent.mkdir(parents=True)
+    out_dir = world.output_path / world.config_hash[:12]
+    out_dir.mkdir(parents=True)
+    checkpoints = out_dir / "checkpoints"
     checkpoints.write_text("a regular file")
+    (out_dir / "failures.jsonl").write_text("left by an earlier run\n")
     calls = []
     monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: calls.append(args))
-    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 0
-    results = Path(capsys.readouterr().out.strip())
-    failures = _failures(results)
-    assert [f["run_id"] for f in failures] == [s.run_id for s in plan(world)]
-    assert all(f["error"] == "ConfigError" for f in failures)
-    assert all(f["message"].endswith("checkpoints: not a directory") for f in failures)
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: [Errno 17] File exists: '{checkpoints}'\n")
     assert calls == []
-    assert results.read_text() == ""
     assert checkpoints.read_text() == "a regular file"
+    assert (out_dir / "failures.jsonl").read_text() == "left by an earlier run\n"
+    assert not (out_dir / "results.jsonl").exists()
+    assert not (out_dir / "perturbed").exists()
+
+
+def test_results_path_that_is_no_regular_file_exits_two_before_training(
+        world, monkeypatch, capsys):
+    results = world.output_path / world.config_hash[:12] / "results.jsonl"
+    results.mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: calls.append(args))
+    assert main(["experiment", "--config", str(Path(world.base_dir) / "config.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"nerprune: error: {results}: not a regular file\n")
+    assert calls == []
+    assert list(results.iterdir()) == []
+    assert sorted(p.name for p in results.parent.iterdir()) == [
+        ".lock", "config_snapshot.json", "results.jsonl"]
 
 
 # what a kill between staging and renaming leaves is cleared on resume

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 import synth
 from conftest import corpus_of, sent
-from nerprune.experiment import ExperimentConfig, build_bundle
+from nerprune.experiment import ExperimentConfig, Paths, build_bundle
 from nerprune.pruning import PruneSchedule, PruneStrategy
 from nerprune.tagger import (
     PAD_ID,
@@ -256,8 +256,7 @@ def test_multilingual_bundle_matches_the_dense_step(strategy):
     trains, tests, _ = synth.build_world()
     config = ExperimentConfig(
         mode="multilingual", languages=synth.LANGUAGES, sparsity_levels=(0,),
-        seeds=(0,), perturbation_seed=0, corpus_root="c", metadata_path="m",
-        output_dir="o", scopes=(),
+        seeds=(0,), perturbation_seed=0, paths=Paths("c", "m", "o"), scopes=(),
         tagger=TaggerConfig(embed_dim=6, window=1, hidden_dim=8,
                             learning_rate=0.4, epochs=2, batch_size=16),
     )
