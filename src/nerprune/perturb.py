@@ -215,8 +215,9 @@ def perturb_corpus(
 def write_replacement_log(
     records: Iterable[ReplacementRecord], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            # same bytes as dataclasses.asdict (json writes tuples as
-            # arrays) without its deep copy of every value
-            f.write(json.dumps(vars(record), sort_keys=True) + "\n")
+    # one line per record with the bytes of json.dumps(asdict(record),
+    # sort_keys=True) (json writes tuples as arrays), from one encoder and
+    # without asdict's deep copy of every value
+    encode = json.JSONEncoder(sort_keys=True).encode
+    text = "".join(f"{encode(vars(record))}\n" for record in records)
+    Path(path).write_text(text, encoding="utf-8")

@@ -19,9 +19,10 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -180,17 +181,24 @@ def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     return TaggerModel(config, dict(vocab), TAGSET, params)
 
 
-class Encoded(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Encoded:
     """Sentences laid end to end: window token ids (N, 2w+1), gold tag
     ids (N,) and offsets (sentences + 1,); sentence i owns rows
     offsets[i]:offsets[i + 1]. vocab and window are those the ids were
-    encoded with, so that train can check them."""
+    encoded with, so that train can check them; encode_windows makes ids
+    read-only, so distinct is found once, as Corpus.spans is."""
 
     ids: np.ndarray
     tags: np.ndarray
     offsets: np.ndarray
     vocab: Mapping[str, int]
     window: int
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """_distinct_rows of ids, found once for every model that reads them."""
+        return _distinct_rows(self.ids, len(self.vocab))
 
 
 def encode_windows(
@@ -219,6 +227,7 @@ def encode_windows(
         source = position + (j - w)
         inside = (source >= 0) & (source < length)
         ids[:, j] = np.where(inside, padded[j:j + n], PAD_ID)
+    ids.flags.writeable = False
     return Encoded(ids, tags, offsets, vocab, window)
 
 
@@ -234,7 +243,8 @@ def encode_sentence(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window token ids (n, 2w+1) and gold tag ids (n,) for one sentence."""
     corpus = Corpus((sentence,), sentence.language, "test")
-    return encode_windows(model.vocab, model.config.window, corpus)[:2]
+    encoded = encode_windows(model.vocab, model.config.window, corpus)
+    return encoded.ids, encoded.tags
 
 
 def _forward(params: dict[str, ParamTensor],
@@ -255,8 +265,10 @@ def _forward(params: dict[str, ParamTensor],
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Log-softmax over each row of scores, computed in place in scores."""
-    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    """Log-softmax over each row of scores, computed in place in scores.
+    The row max runs down the columns of a transposed copy, which costs
+    less than a loop per row; it is the same max, NaN for a NaN row."""
+    scores -= np.maximum.reduce(scores.T.copy(), axis=0)[:, None]
     scores -= np.log(np.add.reduce(np.exp(scores), axis=1, keepdims=True))
     return scores
 
@@ -281,16 +293,18 @@ def _zero_dead(gh: np.ndarray, z1: np.ndarray) -> None:
     np.bitwise_and(bits, keep, out=bits)
 
 
-def _embedding_grad(slot: np.ndarray, n_rows: int, gx: np.ndarray) -> np.ndarray:
+def _embedding_grad(slot: np.ndarray, n_rows: int, gx: np.ndarray,
+                    bins: np.ndarray) -> np.ndarray:
     """Per embedding row a batch reads, the sum of its gx rows; entry i of
-    gx belongs to row slot[i]. bincount adds each row's terms in input
-    order from 0.0, as np.add.at into a zeroed table does, so the bits are
-    the same. Entry (i, j) of gx goes to bin slot[i] * d + j: the bins of
-    each row are gathered from one arange, which costs less than
-    broadcasting slot[:, None] * d + arange(d)."""
+    gx belongs to row slot[i], below n_rows. bincount adds each row's terms
+    in input order from 0.0, as np.add.at into a zeroed table does, so the
+    bits are the same. Entry (i, j) of gx goes to bin slot[i] * d + j: the
+    bins of each row are gathered from bins, arange(m * d).reshape(m, d)
+    for any m >= n_rows, which train builds once per epoch and which
+    costs less than broadcasting slot[:, None] * d + arange(d)."""
     d = gx.shape[1]
-    bins = np.arange(n_rows * d).reshape(n_rows, d).take(slot, axis=0)
-    grad = np.bincount(bins.reshape(-1), weights=gx.reshape(-1), minlength=n_rows * d)
+    index = bins.take(slot, axis=0).reshape(-1)
+    grad = np.bincount(index, weights=gx.reshape(-1), minlength=n_rows * d)
     return grad.reshape(n_rows, d)
 
 
@@ -301,14 +315,19 @@ def _plan_rows(ids: np.ndarray, batch_bounds: Sequence[int],
     and c = batch_bounds[b + 1]. Returns (rows, first, slots): batch b
     reads rows[first[b]:first[b + 1]] (sorted, unique), and
     slots[k * a:k * c] holds the position among them of each of its ids
-    in row-major order. One np.unique over the keys batch * vocab_size +
-    id gives them all; keys sort by batch first, so each batch's rows and
-    slots are those np.unique gives for the batch alone."""
+    in row-major order. The sorted distinct keys batch * vocab_size + id
+    give them all (by one bincount over the table of keys while it is at
+    most 4 times the keys, else by np.unique); keys sort by batch first,
+    so each batch's rows and slots are what np.unique gives it alone."""
     k = ids.shape[1]
     n_batches = len(batch_bounds) - 1
     batch = np.repeat(np.arange(n_batches), np.diff(batch_bounds) * k)
-    keys, inverse = np.unique(batch * vocab_size + ids.reshape(-1),
-                              return_inverse=True)
+    keys = batch * vocab_size + ids.reshape(-1)
+    if n_batches * vocab_size <= 4 * keys.size:
+        seen = np.bincount(keys, minlength=n_batches * vocab_size) > 0
+        keys, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
     first = np.searchsorted(keys, np.arange(n_batches + 1) * vocab_size)
     return keys % vocab_size, first.tolist(), inverse - first[batch]
 
@@ -335,20 +354,21 @@ def _flatten_dense(params: dict[str, ParamTensor]) -> tuple[np.ndarray, np.ndarr
 
 
 def _batch_loss_grads(
-    params: dict[str, ParamTensor], ids: np.ndarray, tags: np.ndarray,
+    params: dict[str, ParamTensor], ids: np.ndarray, picked: np.ndarray,
     rows: np.ndarray, slot: np.ndarray, grads: Mapping[str, np.ndarray],
+    bins: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch tokens and the gradient of the
+    """Mean cross-entropy over the batch tokens, whose gold tags are at
+    picked in the flat scores (_flat_picks), and the gradient of the
     embedding rows the batch reads, which are rows (sorted, unique) with
     entry i of ids.reshape(-1) at rows[slot[i]]: shape (rows, embed_dim),
-    from _embedding_grad. The DENSE gradients are written into grads,
-    arrays of their tensors' shapes.
+    from _embedding_grad over bins. The DENSE gradients are written into
+    grads, arrays of their tensors' shapes.
     """
     w1, w2 = params["W1"].values, params["W2"].values
     n, k = ids.shape
     x, h, scores = _forward(params, ids)
     logp = _log_softmax(scores)
-    picked = _flat_picks(tags, logp.shape[1])
     # the bits of -logp[arange(n), tags].mean(), without its wrapper's cost
     loss = float(-(logp.take(picked).sum() / n))
 
@@ -363,7 +383,7 @@ def _batch_loss_grads(
     np.matmul(x.T, gh, out=grads["W1"])
     np.add.reduce(gh, axis=0, out=grads["b1"])
     gx = (gh @ w1.T).reshape(n * k, -1)
-    return loss, _embedding_grad(slot, rows.size, gx)
+    return loss, _embedding_grad(slot, rows.size, gx, bins)
 
 
 def train(
@@ -391,8 +411,9 @@ def train(
     sparsity is measured only when masks change. The first step and
     event steps make a full pass over every tensor. Fixed costs are few:
     batches are slices of one gather per epoch, each batch's embedding
-    rows are slices of one _plan_rows per epoch, and the embedding
-    gradient is one bincount. The dense tensors W1, b1, W2 and b2 are
+    rows, tag picks and gradient bins are slices of one _plan_rows, one
+    _flat_picks and one bin table per epoch, and the embedding gradient
+    is one bincount. The dense tensors W1, b1, W2 and b2 are
     rebound as views of one flat values array and one flat mask array
     (arrays read from them before the call no longer follow the model),
     so a step updates and (only while one holds a masked weight)
@@ -428,6 +449,7 @@ def train(
     dense_grad = np.empty_like(dense)
     grads = dict(zip(DENSE, _flat_views(dense_grad, [params[n].shape for n in DENSE])))
     k = train_data.ids.shape[1]
+    n_tags, d = params["W2"].shape[1], emb.shape[1]
     lr = config.learning_rate
     history: list[TrainStep] = []
     step = 0
@@ -443,6 +465,11 @@ def train(
         firsts = np.minimum(np.arange(n_batches + 1) * config.batch_size, n_sentences)
         bounds = np.concatenate(([0], ends))[firsts]
         plan_rows, plan_first, slots = _plan_rows(epoch_ids, bounds, emb.shape[0])
+        # each row's pick in its batch's scores; bins for its largest batch
+        picks = _flat_picks(epoch_tags, n_tags)
+        picks -= np.repeat(bounds[:-1] * n_tags, np.diff(bounds))
+        max_rows = int(np.diff(plan_first).max())
+        bins = np.arange(max_rows * d).reshape(max_rows, d)
         bounds = bounds.tolist()
         for b in range(n_batches):
             step += 1
@@ -459,8 +486,8 @@ def train(
             else:
                 rows = plan_rows[plan_first[b]:plan_first[b + 1]]
                 loss, grad_rows = _batch_loss_grads(
-                    params, epoch_ids[start:stop], epoch_tags[start:stop],
-                    rows, slots[k * start:k * stop], grads)
+                    params, epoch_ids[start:stop], picks[start:stop],
+                    rows, slots[k * start:k * stop], grads, bins)
                 # update (and re-mask) E's rows in one gather and one
                 # scatter, in place in grad_rows
                 grad_rows *= lr
@@ -529,11 +556,12 @@ def _distinct_rows(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.nda
 def predict_ids(model: TaggerModel, encoded: Encoded) -> np.ndarray:
     """Most likely tag id per row of window ids encoded with the model's
     vocab and window (else a ConfigError); ties resolve to the lowest id,
-    which puts O first. Each distinct row is scored once, PREDICT_CHUNK
-    per forward pass, and its tag spread back to the rows that repeat it.
+    which puts O first. Each distinct row (encoded.distinct, found once
+    per encoded set) is scored once, PREDICT_CHUNK per forward pass, and
+    its tag spread back to the rows that repeat it.
     """
     _check_encoded(model, encoded)
-    rows, inverse = _distinct_rows(encoded.ids, len(model.vocab))
+    rows, inverse = encoded.distinct
     best = np.empty(len(rows), dtype=np.int64)
     for a in range(0, len(rows), PREDICT_CHUNK):
         scores = _forward(model.params, rows[a:a + PREDICT_CHUNK])[2]
@@ -568,14 +596,17 @@ def grad_check(
         return None
     ids, tags = encode_sentence(model, sentence)
     rows, _, slot = _plan_rows(ids, [0, len(ids)], len(model.vocab))
+    picked = _flat_picks(tags, len(model.tagset))
+    bins = np.arange(rows.size * model.config.embed_dim).reshape(rows.size, -1)
     grads = {name: np.empty(model.params[name].shape) for name in DENSE}
-    loss0, grad_rows = _batch_loss_grads(model.params, ids, tags, rows, slot, grads)
+    loss0, grad_rows = _batch_loss_grads(model.params, ids, picked, rows, slot, grads, bins)
     if loss0 == 0.0:
         return None
     grads["E"] = np.zeros_like(model.params["E"].values)
     grads["E"][rows] = grad_rows
     # the probes below write their DENSE gradients into a scratch set
-    batch = (ids, tags, rows, slot, {name: np.empty_like(grads[name]) for name in DENSE})
+    scratch = {name: np.empty_like(grads[name]) for name in DENSE}
+    batch = (ids, picked, rows, slot, scratch, bins)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name in ("E", "W1", "b1", "W2", "b2"):

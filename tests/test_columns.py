@@ -93,8 +93,9 @@ def test_columns_and_sentences_give_the_same_corpus(rows, window):
     assert serialize_iob2(from_columns) == serialize_iob2(from_sentences) == "".join(
         "".join(f"{t}\t{g}\n" for t, g in row) + "\n" for row in rows)
     vocab = {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3}
-    for got, want in zip(encode_windows(vocab, window, from_columns)[:3],
-                         encode_windows(vocab, window, from_sentences)[:3]):
+    encoded = [encode_windows(vocab, window, c) for c in (from_columns, from_sentences)]
+    for name in ("ids", "tags", "offsets"):
+        got, want = (getattr(e, name) for e in encoded)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert "sentences" not in vars(from_columns)
     assert from_columns.sentences == sentences

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nerprune import experiment
+from nerprune import experiment, tagger
 from nerprune.cli import main
 from nerprune.corpus import decode_span_ids, serialize_iob2
 from nerprune.errors import ConfigError, MissingMetadataError
@@ -551,14 +551,14 @@ def _failures(results):
             for l in (results.parent / "failures.jsonl").read_text().splitlines()]
 
 
-def _count_calls(monkeypatch, name, calls):
-    original = getattr(experiment, name)
+def _count_calls(monkeypatch, name, calls, module=experiment):
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -566,9 +566,10 @@ def _count_calls(monkeypatch, name, calls):
 def test_one_bundle_per_language_set_and_one_training_per_cell(
         tmp_path, monkeypatch, mode, bundles, workers):
     config = config_from_file(write_world(tmp_path, mode=mode))
-    vocab_calls, train_calls, builds = [], [], []
+    vocab_calls, train_calls, distinct_calls, builds = [], [], [], []
     _count_calls(monkeypatch, "build_vocab", vocab_calls)
     _count_calls(monkeypatch, "train", train_calls)
+    _count_calls(monkeypatch, "_distinct_rows", distinct_calls, tagger)
     original = experiment.build_bundle
     alive = []
 
@@ -588,6 +589,9 @@ def test_one_bundle_per_language_set_and_one_training_per_cell(
     assert all(main for main, _ in builds)
     if workers == 1:
         assert [held for _, held in builds] == [0] * bundles
+        # the cells of a set share the distinct windows of its test set;
+        # pool threads may race to find them, with the same result
+        assert len(distinct_calls) == bundles < len(plan(config))
     assert len(train_calls) == len(plan(config))
     vocab_calls.clear()
     train_calls.clear()

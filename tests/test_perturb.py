@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -223,15 +224,20 @@ def test_replacement_log_round_trip(tmp_path):
     records = [
         ReplacementRecord(0, 1, 2, "LOC", ("Peru",), ("Lima",), 0, True),
         ReplacementRecord(3, 0, 2, "PER", ("Ada", "L"), ("Ada", "L"), None, False),
+        ReplacementRecord(4, 1, 3, "ORG", ("Zoë \u0410",), ("\"q\"",), 5, True),
     ]
     path = tmp_path / "log.jsonl"
     write_replacement_log(records, path)
+    assert path.read_bytes() == b"".join(
+        json.dumps(dataclasses.asdict(r), sort_keys=True).encode() + b"\n" for r in records)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line) for line in lines] == [
         {**vars(record), "original": list(record.original),
          "replacement": list(record.replacement)}
         for record in records
     ]
+    write_replacement_log([], path)
+    assert path.read_bytes() == b""
 
 
 # a small alphabet so that mentions often are pool surfaces

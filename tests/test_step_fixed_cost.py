@@ -15,6 +15,7 @@ reference reads their input. All must give the same bytes.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from hypothesis.extra import numpy as hnp
 
 import synth
 from conftest import corpus_of, sent
+from nerprune import tagger
+from nerprune.errors import DivergenceError
 from nerprune.experiment import ExperimentConfig, Paths, build_bundle
 from nerprune.pruning import PruneSchedule, PruneStrategy
 from nerprune.tagger import (
@@ -84,9 +87,12 @@ def test_bincount_embedding_grad_has_the_bytes_of_add_at(case):
     so entry i is window row i."""
     flat_ids, gx, vocab_size, cuts = case
     plan_rows, first, slots = _plan_rows(flat_ids[:, None], cuts, vocab_size)
+    # the bins of the largest batch serve every batch, as in train
+    max_rows = max(np.diff(first))
+    bins = np.arange(max_rows * gx.shape[1]).reshape(max_rows, -1)
     for b, (a, c) in enumerate(zip(cuts[:-1], cuts[1:])):
         rows = plan_rows[first[b]:first[b + 1]]
-        grad = _embedding_grad(slots[a:c], rows.size, gx[a:c])
+        grad = _embedding_grad(slots[a:c], rows.size, gx[a:c], bins)
         full = oracle_embedding_grad(flat_ids[a:c], gx[a:c], vocab_size)
         assert rows.tolist() == sorted(set(flat_ids[a:c].tolist()))
         assert grad.shape == (rows.size, gx.shape[1])
@@ -97,8 +103,10 @@ def test_bincount_embedding_grad_has_the_bytes_of_add_at(case):
 def epochs_of_windows(draw):
     """Window ids of sentences laid end to end (some empty, so some
     batches are), with pads at sentence edges and ids that repeat, cut
-    into batches of batch_size sentences as train cuts an epoch."""
-    vocab_size = draw(st.integers(3, 8))
+    into batches of batch_size sentences as train cuts an epoch. Small
+    vocabs mostly take _plan_rows's counting route and large ones its
+    np.unique route."""
+    vocab_size = draw(st.integers(3, 8) | st.integers(9, 300))
     window = draw(st.integers(0, 2))
     batch_size = draw(st.integers(1, 4))
     ids = st.integers(2, vocab_size - 1)
@@ -111,13 +119,26 @@ def epochs_of_windows(draw):
     return encoded.ids, encoded.offsets[firsts].tolist(), vocab_size
 
 
+def _plan_rows_route(ids, bounds, vocab_size):
+    """_plan_rows's result, and whether it took the counting route, that
+    is, made no np.unique call."""
+    with mock.patch.object(tagger.np, "unique", wraps=np.unique) as unique:
+        plan = _plan_rows(ids, bounds, vocab_size)
+    return plan, not unique.called
+
+
 @settings(max_examples=300, deadline=None)
 @given(epochs_of_windows())
 @example((np.full((4, 3), PAD_ID, dtype=np.int64), [0, 0, 4], 3))
+# a table of 2 * 10 keys against 4 * 5: the counting route at its bound
+@example((np.array([[2], [3], [2], [9], [4]]), [0, 3, 5], 10))
+# a table of 2 * 11 keys, past the bound: np.unique
+@example((np.array([[2], [3], [2], [9], [4]]), [0, 3, 5], 11))
 def test_epoch_row_plan_matches_per_batch_unique(case):
     ids, bounds, vocab_size = case
     k = ids.shape[1]
-    plan_rows, first, slots = _plan_rows(ids, bounds, vocab_size)
+    (plan_rows, first, slots), counted = _plan_rows_route(ids, bounds, vocab_size)
+    assert counted == ((len(bounds) - 1) * vocab_size <= 4 * ids.size)
     assert len(first) == len(bounds)
     assert slots.shape == (ids.size,)
     for b, (a, c) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -195,22 +216,66 @@ def test_flat_picks_index_as_the_tuple_index(case):
     assert got.tobytes() == want.tobytes()
 
 
+# two quiet NaNs whose payloads and signs differ
+NAN_A, NAN_B = np.array([0x7FF8000000000001, 0xFFF800000000BEEF], dtype=np.uint64).view(np.float64)
+
+
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)),
                   elements=relu_floats_st))
 @example(np.array([[0.0, -0.0, -40.0], [-0.0, -0.0, -800.0]]))
+@example(np.array([[1.0, NAN_A, -2.0, NAN_B], [NAN_B, 0.0, NAN_A, 3.0], [1.0, 2.0, 3.0, 4.0]]))
+@example(np.array([[np.inf, -np.inf, 0.0], [-np.inf, 5.0, np.inf], [1.0, -0.0, 0.0]]))
+@example(np.array([[-np.inf, -np.inf, -np.inf], [-1.0, -np.inf, -2.0]]))
 def test_in_place_log_softmax_has_the_bytes_of_the_shifted_form(scores):
+    """The row max may take a NaN's payload from another entry than the
+    reference does, so NaN is pinned by place; every other entry, and
+    every entry of an input without NaN, has the reference's bytes."""
     with np.errstate(all="ignore"):
         shifted = scores - scores.max(axis=1, keepdims=True)
         want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         got = _log_softmax(scores.copy())
-    assert got.tobytes() == want.tobytes()
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    if not np.isnan(scores).any():
+        assert got.tobytes() == want.tobytes()
 
 
 GATHER_CONFIG = TaggerConfig(
     embed_dim=5, window=1, hidden_dim=7, learning_rate=0.5,
     epochs=4, batch_size=3, seed=2,
 )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_score_stops_training_at_the_reference_step():
+    """A NaN embedding row for a token of one late sentence makes its
+    batch's scores NaN; training stops at the step where the reference,
+    which takes each row max along the row, first reads a NaN loss."""
+    corpus = toy_corpus()
+    vocab = build_vocab(corpus)
+    config = replace(GATHER_CONFIG, batch_size=1)
+    models = [init_model(config, vocab) for _ in range(2)]
+    for model in models:
+        model.params["E"].values[vocab["nothing"]] = np.nan
+    expected = oracle_train(models[1], corpus, None, PruneStrategy.PARTIAL)
+    step = next(s.step for s in expected if math.isnan(s.loss))
+    assert step > 1
+    with pytest.raises(DivergenceError, match=f"at step {step}: loss nan"):
+        train(models[0], corpus)
+
+
+def test_tag_picks_are_built_once_per_epoch():
+    """No per-step fixed cost creeps back: train makes one _flat_picks
+    call per epoch, however many steps the epoch has."""
+    corpus = toy_corpus()
+    config = replace(GATHER_CONFIG, batch_size=1)
+    model = init_model(config, build_vocab(corpus))
+    with mock.patch.object(tagger, "_flat_picks", wraps=tagger._flat_picks) as picks:
+        _, history = train(model, corpus)
+    assert len(history) == config.epochs * len(corpus)
+    assert picks.call_count == config.epochs
 
 
 def test_forward_pass_has_the_bytes_of_the_unfused_form():

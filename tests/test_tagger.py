@@ -10,6 +10,7 @@ from conftest import corpus_of, sent
 from oracles import oracle_encode_sentence, oracle_predict
 from nerprune.corpus import TAGSET
 from nerprune.errors import CheckpointError, ConfigError, ScheduleError
+from nerprune import tagger
 from nerprune.pruning import PruneSchedule, PruneStrategy, Role, measure_sparsity
 from nerprune.tagger import (
     PAD_ID,
@@ -135,7 +136,8 @@ sentence_st = st.lists(st.tuples(token_st, st.sampled_from(TAGSET)), max_size=5)
 def test_encode_windows_matches_the_per_sentence_loop(window, sentences):
     config = TaggerConfig(embed_dim=2, window=window, hidden_dim=2)
     model = init_model(config, {"<unk>": 0, "<pad>": 1, "ada": 2, "oslo": 3, "acme": 4})
-    ids, tags, offsets = encode_windows(model.vocab, window, corpus_of(sentences))[:3]
+    encoded = encode_windows(model.vocab, window, corpus_of(sentences))
+    ids, tags, offsets = encoded.ids, encoded.tags, encoded.offsets
     expected = [oracle_encode_sentence(model, s) for s in sentences]
     assert offsets.tolist() == np.cumsum([0] + [len(s) for s in sentences]).tolist()
     assert ids.dtype == tags.dtype == np.int64
@@ -198,6 +200,28 @@ def test_predict_matches_per_sentence_prediction_across_chunks():
     assert predictions == oracle_predict(model, big)
     assert len({tag for labels in predictions for tag in labels}) > 1
     assert predict(model, corpus_of([])) == oracle_predict(model, corpus_of([])) == []
+
+
+def test_an_encoded_set_finds_its_distinct_windows_once(monkeypatch):
+    corpus = toy_corpus()
+    model = init_model(SMALL, build_vocab(corpus))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _distinct_rows(*args)
+
+    monkeypatch.setattr(tagger, "_distinct_rows", counted)
+    encoded = encode_windows(model.vocab, SMALL.window, corpus)
+    first = predict_ids(model, encoded)
+    trained, _ = train(init_model(SMALL, model.vocab), encoded)
+    assert np.array_equal(predict_ids(model, encoded), first)
+    assert len(calls) == 1
+    assert not np.array_equal(predict_ids(trained, encoded), first)
+    assert len(calls) == 1
+    # the cached rows stay those of the ids because the ids cannot change
+    with pytest.raises(ValueError, match="read-only"):
+        encoded.ids[0, 0] = PAD_ID
 
 
 def test_predict_ids_refuses_ids_of_another_vocab_or_window():
