@@ -317,15 +317,18 @@ def _plan_rows(ids: np.ndarray, batch_bounds: Sequence[int],
     slots[k * a:k * c] holds the position among them of each of its ids
     in row-major order. The sorted distinct keys batch * vocab_size + id
     give them all (by one bincount over the table of keys while it is at
-    most 4 times the keys, else by np.unique); keys sort by batch first,
-    so each batch's rows and slots are what np.unique gives it alone."""
+    most 4 times the keys, with each key's rank scattered to the table,
+    else by np.unique); keys sort by batch first, so each batch's rows
+    and slots are what np.unique gives it alone."""
     k = ids.shape[1]
     n_batches = len(batch_bounds) - 1
     batch = np.repeat(np.arange(n_batches), np.diff(batch_bounds) * k)
     keys = batch * vocab_size + ids.reshape(-1)
     if n_batches * vocab_size <= 4 * keys.size:
-        seen = np.bincount(keys, minlength=n_batches * vocab_size) > 0
-        keys, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+        seen = np.flatnonzero(np.bincount(keys, minlength=n_batches * vocab_size))
+        rank = np.empty(n_batches * vocab_size, dtype=np.intp)
+        rank[seen] = np.arange(seen.size)
+        keys, inverse = seen, rank[keys]
     else:
         keys, inverse = np.unique(keys, return_inverse=True)
     first = np.searchsorted(keys, np.arange(n_batches + 1) * vocab_size)

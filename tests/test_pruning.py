@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,8 +42,10 @@ def test_tensor_rejects_unsafe_names_and_bad_masks():
         ParamTensor("a/b", np.zeros(2), Role.DENSE)
     with pytest.raises(ValueError, match="mask shape"):
         ParamTensor("w", np.zeros(3), Role.DENSE, mask=np.ones(2, dtype=np.uint8))
-    with pytest.raises(ValueError, match="0 or 1"):
-        ParamTensor("w", np.zeros(2), Role.DENSE, mask=np.array([1, 2]))
+    # each of these would pass as binary once cast to uint8
+    for mask in ([1, 2], [0.5, 1.0], [256, 1], [1.9, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ParamTensor("w", np.zeros(2), Role.DENSE, mask=np.array(mask))
 
 
 def test_strategy_role_scope():
@@ -234,9 +238,31 @@ def mostly_masked_tensors():
     ]
 
 
+def transposed_tensors():
+    """Values and masks that are transposed views, not C-contiguous, with
+    tied magnitudes spread over rows and columns, so ties taken in memory
+    order, or a mask written through a flattened copy, would differ."""
+    values = np.array([[0.25, -0.5, 0.25, 1.0, -0.25, 0.5],
+                       [0.5, 0.25, -1.0, -0.25, 0.5, 0.0],
+                       [-0.25, 1.0, 0.5, 0.25, -0.0, -0.5],
+                       [1.0, -0.25, 0.0, 0.5, 0.25, -1.0]])
+    mask = np.ones(values.shape, dtype=np.uint8)
+    mask[1, 2] = mask[3, 0] = 0
+    return [
+        ParamTensor("w2", values.T, Role.DENSE, mask.T),
+        ParamTensor("emb", -values[:, ::2].T, Role.EMBEDDING, mask[:, ::2].copy().T),
+        ParamTensor("w1", np.array([0.25, -0.5, 1.0]), Role.DENSE),
+        ParamTensor("bias", np.array([0.0, 0.5]), Role.EXCLUDED),
+    ]
+
+
 # the non-finite examples start with most weights live and end with few,
 # so both sides of compute_masks' live-only cut see inf and NaN ties
 @settings(max_examples=200, deadline=None)
+@example(params=transposed_tensors(), levels=[0.3, 0.5, 0.8, 1.0],
+         strategy=PruneStrategy.PARTIAL)
+@example(params=transposed_tensors(), levels=[0.2, 0.5, 0.6, 0.9],
+         strategy=PruneStrategy.INCL_EMBEDDINGS)
 @example(params=mostly_masked_tensors(), levels=[0.875, 1.0],
          strategy=PruneStrategy.PARTIAL)
 @example(params=mostly_masked_tensors(), levels=[0.8, 1.0],
@@ -264,6 +290,26 @@ def test_mask_selection_matches_the_full_sort(params, levels, strategy):
         oracle_compute_masks(reference, sparsity, strategy)
         for got, want in zip(params, reference):
             assert got.mask.tobytes() == want.mask.tobytes()
+
+
+def test_an_event_allocates_little_beyond_one_magnitude_array():
+    # a first event on an all-live model of about 1M weights; the
+    # magnitudes are partitioned in place, and masks are updated through
+    # a few booleans per weight of one tensor at a time
+    rng = np.random.default_rng(5)
+    params = [ParamTensor("embed", rng.normal(size=(30000, 32)), Role.EMBEDDING),
+              ParamTensor("dense.0", rng.normal(size=(96, 64)), Role.DENSE),
+              ParamTensor("dense.1", rng.normal(size=(64, 9)), Role.DENSE),
+              ParamTensor("bias", rng.normal(size=(64,)), Role.EXCLUDED)]
+    mags_bytes = 8 * sum(p.size for p in params[:3])
+    tracemalloc.start()
+    try:
+        compute_masks(params, 0.5, PruneStrategy.INCL_EMBEDDINGS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure_sparsity(params, PruneStrategy.INCL_EMBEDDINGS) == 0.5
+    assert peak <= 1.5 * mags_bytes
 
 
 def test_checkpoint_round_trip(tmp_path):
