@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -179,9 +179,11 @@ def parse_iob2(
     when no tab is present. Whitespace-only lines end sentences. Tokens
     are read as written. One leading UTF-8 byte-order mark is dropped.
 
-    The text is split and checked in bulk. Text that fails a check is
-    walked line by line instead, which raises ParseError or TagError with
-    the 1-based number of the first bad line.
+    The text is checked and cut in bulk on its UTF-8 bytes: a separator
+    byte once on each non-empty line and never first, and a tag's bytes
+    after it (see _bulk_columns). Text that fails a check is walked line
+    by line instead, which raises ParseError or TagError with the 1-based
+    number of the first bad line.
     """
     text = _text(source, name, ParseError)
     columns = _bulk_columns(text, "\t" if "\t" in text else " ")
@@ -189,25 +191,56 @@ def parse_iob2(
     return Corpus.from_columns(*columns, language, split)
 
 
+# tag ids by the tag's UTF-8 bytes: O's by its one byte, and those of
+# the _WIDE_TAG-byte B-XXX and I-XXX by their bytes as a big-endian
+# integer, sorted
+_BYTE_IDS = np.full(256, -1, dtype=np.int8)
+_BYTE_IDS[ord(TAGSET[0])] = 0
+_WIDE_TAG = len(TAGSET[1])
+_WIDE_KEYS, _WIDE_IDS = np.array(sorted(
+    (int.from_bytes(t.encode(), "big"), i) for i, t in enumerate(TAGSET) if i)).T
+
+
 def _bulk_columns(text: str, sep: str) -> tuple | None:
-    """Tokens, tag ids and offsets of text from bulk splits, when every
-    line is empty or one non-empty token, sep and a known tag; else None.
-    Empty lines end sentences."""
+    """Tokens, tag ids and offsets of text, cut from its UTF-8 bytes by
+    position, when every line is empty or one non-empty token, sep and a
+    known tag; else None. Empty lines end sentences. The checks are on
+    the bytes: one sep byte per non-empty line, never its first, and one
+    tag's bytes after it. The tokens, each with the sep after it, are
+    decoded in one piece and split at sep."""
     codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     # line i spans codes[bounds[i] + 1:bounds[i + 1]]
     bounds = np.concatenate(([-1], np.flatnonzero(codes == 10), [codes.size]))
     filled = np.diff(bounds) > 1
-    seps = np.diff(np.searchsorted(np.flatnonzero(codes == ord(sep)), bounds))
-    # with one sep per filled line, fields pair up unless one is empty
-    fields = list(filter(None, text.replace("\n", sep).split(sep)))
-    n = int(np.count_nonzero(filled))
-    if (seps != filled).any() or len(fields) != 2 * n:
+    seps = np.flatnonzero(codes == ord(sep))
+    # as many seps as filled lines, the j-th past the first byte of filled
+    # line j and (by its tag's width) before its end: one sep per line
+    if seps.size != np.count_nonzero(filled) or (seps <= bounds[:-1][filled] + 1).any():
         return None
-    tag_ids = np.fromiter(map(TAG_IDS.get, fields[1::2], repeat(-1)), dtype=np.int8, count=n)
+    tags = seps + 1  # where each tag starts
+    width = bounds[1:][filled] - tags
+    wide = np.flatnonzero(width != 1)
+    if (width[wide] != _WIDE_TAG).any():
+        return None
+    tag_ids = _BYTE_IDS[codes[tags]]
+    keep = codes != 10
+    keep[tags] = False
+    # only wide tags gather further bytes, all of them inside the tag
+    first = tags[wide]
+    keys = codes[first].astype(np.int64)
+    for k in range(1, _WIDE_TAG):
+        keep[first + k] = False
+        keys = keys << 8 | codes[first + k]
+    found = np.searchsorted(_WIDE_KEYS, keys).clip(max=_WIDE_KEYS.size - 1)
+    tag_ids[wide] = np.where(_WIDE_KEYS[found] == keys, _WIDE_IDS[found], -1)
     if (tag_ids < 0).any():
         return None
-    ends = np.cumsum(filled)[~filled]
-    return tuple(fields[0::2]), tag_ids, np.unique(np.concatenate(([0], ends, [n])))
+    tokens = codes[keep].tobytes().decode("utf-8", "surrogatepass").split(sep)
+    tokens.pop()  # the empty string after the last sep
+    # a sentence ends at each empty line, after the filled lines before it
+    blank = np.flatnonzero(~filled)
+    cuts = np.concatenate(([0], blank - np.arange(blank.size), [seps.size]))
+    return tuple(tokens), tag_ids, cuts[np.diff(cuts, prepend=-1) > 0]
 
 
 def _walk(lines: list[str], name: str) -> str:

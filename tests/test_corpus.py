@@ -1,6 +1,7 @@
 import io
 from collections import Counter
 from itertools import accumulate, chain
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from nerprune.corpus import (
     parse_iob2,
     serialize_iob2,
 )
+from nerprune.corpus import _bulk_columns, _text, _walk
 from nerprune.errors import MetadataError, ParseError, TagError
 
 tokens_st = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
@@ -140,10 +142,12 @@ def test_line_separators_other_than_newlines_stay_in_tokens():
 
 
 # lines of an IOB2 text: well-formed pairs, whitespace-only lines, and
-# malformed ones (one or three fields, an unknown tag, an empty token)
+# malformed ones (one or three fields, an unknown tag, an empty token);
+# tokens hold multi-byte and astral characters, and unknown tags include
+# ones of a known tag's length and known tags with non-ASCII after them
 token_text_st = st.builds(
     "".join, st.tuples(st.sampled_from(["", "xx:"]),
-                       st.text(alphabet="ab :\x85\u2028\x0b", max_size=3)))
+                       st.text(alphabet="ab :\x85\u2028\x0bé€𝄞", max_size=3)))
 pair_line_st = st.builds(
     "".join, st.tuples(token_text_st, st.sampled_from(["\t", " "]), st.sampled_from(TAGSET)))
 blank_line_st = st.sampled_from(["", "\t", "  ", "\x0b", " \t "])
@@ -152,7 +156,8 @@ bad_line_st = st.one_of(
     st.builds("{}\t{}\t{}".format, token_text_st, st.sampled_from(TAGSET),
               st.sampled_from(TAGSET)),
     st.builds("{}{}{}".format, token_text_st, st.sampled_from(["\t", " "]),
-              st.sampled_from(["B-MISC", "o", "", "O "])),
+              st.sampled_from(["B-MISC", "o", "", "O ", "B-PEO", "X-PER", "B_LOC", "I-ORg",
+                               "BBPER", "0", "B-PER\xa0", "O\u2028"])),
 )
 
 
@@ -184,6 +189,13 @@ def _parse_outcome(parse, text):
 # two tabs in all, but foo has none and the next line two: line 1 raises
 @example(text="foo\nO\tO\tO\n")
 @example(text="a b\tO\n  \nc O\r\n\x0b\rd\tB-PER")
+# an entity tag with no line end after it, as the text's last bytes
+@example(text="a\tO\nb\tI-LOC")
+@example(text="a B-ORG")
+# runs of empty lines at the start, in the middle and at the end
+@example(text="\n\n\na\tB-ORG\n\n\n\nb\tO\nc\tI-PER\n\n\n")
+# a lone surrogate, which only a str source can hold
+@example(text="\ud800x\tB-PER\ny\udfff\tO\n")
 def test_parse_matches_the_line_walk(text):
     want = _parse_outcome(oracle_parse_iob2, text)
     assert _parse_outcome(parse_iob2, text) == want
@@ -194,6 +206,41 @@ def test_parse_matches_the_line_walk(text):
         assert corpus.tag_ids.tolist() == [TAG_IDS[t] for t in chain.from_iterable(tags)]
         assert corpus.offsets.tolist() == [0, *accumulate(map(len, tokens))]
         assert "sentences" not in vars(corpus)
+
+
+@st.composite
+def bulk_text_st(draw):
+    """Texts of pair lines and empty lines alone, with one separator
+    throughout, which the byte route parses whole."""
+    sep = draw(st.sampled_from(["\t", " "]))
+    token_st = st.text(alphabet="ab:\x85\u2028\x0bé€𝄞" + " " * (sep == "\t"),
+                       min_size=1, max_size=4)
+    pair_st = st.builds("{}{}{}".format, token_st, st.just(sep), st.sampled_from(TAGSET))
+    lines = draw(st.lists(st.one_of(pair_st, st.just("")), max_size=10))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=bulk_text_st())
+@example(text="\ufeffa b\tB-PER\r\n\r\n\r\nc\tI-PER\r\n")
+@example(text="\n\né€ B-LOC\n𝄞 O")
+def test_pair_and_empty_lines_never_walk(text):
+    with mock.patch("nerprune.corpus._walk", side_effect=AssertionError("walked")):
+        corpus = parse_iob2(text, "xx")
+    assert list(corpus.sentences) == oracle_parse_iob2(text, "xx")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=iob2_text_st())
+@example(text=" \t \n\x0b\na O\n\t\nb\tB-ORG\n  \n")
+def test_the_byte_route_takes_every_text_the_walk_writes(text):
+    try:
+        walked = _walk(_text(text, "t.iob2", ParseError).split("\n"), "t.iob2")
+    except (ParseError, TagError):
+        return
+    assert _bulk_columns(walked, "\t") is not None
 
 
 @given(st.lists(tagged_st, min_size=0, max_size=5))

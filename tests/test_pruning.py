@@ -224,6 +224,22 @@ def non_finite_tensors():
     ]
 
 
+def masked_zero_tensors():
+    """Most weights live, with masked +0.0 and -0.0 (whose v / 0 is NaN,
+    not inf) beside live +-inf and NaN, so that events on the full path
+    rank marked zeros among live non-finite magnitudes."""
+    inf, nan = np.inf, np.nan
+    return [
+        ParamTensor("w2", np.array([0.0, 0.5, inf, -0.25, nan, 1.0]), Role.DENSE,
+                    np.array([0, 1, 1, 1, 1, 1])),
+        ParamTensor("emb", np.array([-0.0, -inf, 0.25, nan]), Role.EMBEDDING,
+                    np.array([0, 1, 1, 1])),
+        ParamTensor("w1", np.array([-0.0, 2.0, -inf, 0.0, 0.5]), Role.DENSE,
+                    np.array([1, 1, 1, 0, 1])),
+        ParamTensor("bias", np.array([nan, 0.0]), Role.EXCLUDED),
+    ]
+
+
 def mostly_masked_tensors():
     """Tied finite magnitudes with under half of every strategy's weights
     live, so a first event already ranks only the live ones."""
@@ -262,6 +278,9 @@ def transposed_tensors():
 @example(params=transposed_tensors(), levels=[0.3, 0.5, 0.8, 1.0],
          strategy=PruneStrategy.PARTIAL)
 @example(params=transposed_tensors(), levels=[0.2, 0.5, 0.6, 0.9],
+         strategy=PruneStrategy.INCL_EMBEDDINGS)
+# two full-path events, the second with more to take than live numbers
+@example(params=masked_zero_tensors(), levels=[0.5, 0.8, 1.0],
          strategy=PruneStrategy.INCL_EMBEDDINGS)
 @example(params=mostly_masked_tensors(), levels=[0.875, 1.0],
          strategy=PruneStrategy.PARTIAL)
