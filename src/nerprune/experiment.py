@@ -429,7 +429,9 @@ def build_bundle(
     perturbed: Mapping[tuple[str, str], tuple[Corpus, list]],
 ) -> Bundle:
     """Vocab, encoded training set and encoded test set with gold spans
-    for the cells that train on languages."""
+    for the cells that train on languages. The test set's distinct rows
+    are found here, before any cell reads them: cached_property takes no
+    lock, so pool threads could each find them."""
     train_corpora = [trains[l] for l in languages]
     vocab = build_vocab(train_corpora, config.tagger.vocab_min_count)
     window = config.tagger.window
@@ -439,6 +441,7 @@ def build_bundle(
                else perturbed[(language, name.removeprefix("perturbed-"))][0]
                for language, name in pairs]
     test = encode_windows(vocab, window, corpora)
+    test.distinct
     return Bundle(train_set, test, tuple(pairs), np.cumsum([0, *map(len, corpora)]),
                   decode_span_ids(test.tags, test.offsets))
 

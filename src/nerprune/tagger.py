@@ -5,10 +5,6 @@ window around it: one hidden ReLU layer, then a linear layer over the
 tagset. Everything runs in float64, gradients are derived by hand, and
 updates are plain SGD so training composes cleanly with the masking
 pass that runs after every step.
-
-Parameter roles: the embedding table E prunes only under the strategy
-that includes embeddings, the two weight matrices W1 and W2 always
-prune, the biases b1 and b2 never do.
 """
 
 from __future__ import annotations
@@ -48,6 +44,11 @@ PAD_ID = 1
 
 MODEL_SIDECAR = "model.json"
 
+# the tagger's tensors in checkpoint order, each with its pruning role:
+# E prunes only under incl_embeddings, W1 and W2 always, b1 and b2 never
+ROLES = {"E": Role.EMBEDDING, "W1": Role.DENSE, "b1": Role.EXCLUDED,
+         "W2": Role.DENSE, "b2": Role.EXCLUDED}
+
 # distinct window rows per forward pass in predict_ids, which bounds
 # the size of its embedding, hidden and score arrays
 PREDICT_CHUNK = 512
@@ -65,7 +66,7 @@ class TaggerConfig:
     embed_dim: int = 32
     window: int = 1
     hidden_dim: int = 64
-    learning_rate: float = 7e-5
+    learning_rate: float = 0.4
     epochs: int = 60
     batch_size: int = 16
     seed: int = 0
@@ -103,7 +104,7 @@ class TaggerModel:
 
     @property
     def param_list(self) -> list[ParamTensor]:
-        return [self.params[name] for name in ("E", "W1", "b1", "W2", "b2")]
+        return [self.params[name] for name in ROLES]
 
 
 @dataclass(frozen=True)
@@ -165,18 +166,16 @@ def _check_vocab(vocab: Mapping[str, int]) -> None:
 def init_model(config: TaggerConfig, vocab: dict[str, int]) -> TaggerModel:
     """Initialize weights uniformly in [-0.1, 0.1], biases at zero.
 
-    Draw order is fixed (E, then W1, then W2) so a seed pins the exact
-    parameter values.
+    Weights are drawn in ROLES order (E, then W1, then W2), so a seed
+    pins the exact parameter values.
     """
     _check_vocab(vocab)
     rng = np.random.default_rng(config.seed)
     shapes = _param_shapes(config, len(vocab))
     params = {
-        "E": ParamTensor("E", rng.uniform(-0.1, 0.1, shapes["E"]), Role.EMBEDDING),
-        "W1": ParamTensor("W1", rng.uniform(-0.1, 0.1, shapes["W1"]), Role.DENSE),
-        "b1": ParamTensor("b1", np.zeros(shapes["b1"]), Role.EXCLUDED),
-        "W2": ParamTensor("W2", rng.uniform(-0.1, 0.1, shapes["W2"]), Role.DENSE),
-        "b2": ParamTensor("b2", np.zeros(shapes["b2"]), Role.EXCLUDED),
+        name: ParamTensor(name, np.zeros(shapes[name]) if role is Role.EXCLUDED
+                          else rng.uniform(-0.1, 0.1, shapes[name]), role)
+        for name, role in ROLES.items()
     }
     return TaggerModel(config, dict(vocab), TAGSET, params)
 
@@ -335,7 +334,8 @@ def _plan_rows(ids: np.ndarray, batch_bounds: Sequence[int],
     return keys % vocab_size, first.tolist(), inverse - first[batch]
 
 
-DENSE = ("W1", "b1", "W2", "b2")
+# every tensor but the embedding table, which train flattens into one array
+DENSE = tuple(name for name, role in ROLES.items() if role is not Role.EMBEDDING)
 
 
 def _flat_views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
@@ -612,7 +612,7 @@ def grad_check(
     batch = (ids, picked, rows, slot, scratch, bins)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name in ("E", "W1", "b1", "W2", "b2"):
+    for name in ROLES:
         tensor = model.params[name]
         size = tensor.size
         if size <= samples_per_tensor:
@@ -688,5 +688,10 @@ def load_model(directory: str | Path) -> TaggerModel:
             raise CheckpointError(
                 f"{name} shape {params[name].shape} does not match the "
                 f"{shape} of its vocab and config"
+            )
+        if params[name].role is not ROLES[name]:
+            raise CheckpointError(
+                f"{name}: role {params[name].role.value!r} in the checkpoint, "
+                f"but the tagger's {name} is {ROLES[name].value!r}"
             )
     return TaggerModel(config, vocab, tagset, params)

@@ -386,6 +386,15 @@ def _unknown_role(ckpt):
     _edit_manifest(ckpt, lambda tensors: tensors[0].update(role="sparse"))
 
 
+def _e_dense_and_w2_excluded(ckpt):
+    # used to load, and compute_masks then pruned E under partial
+    def edit(tensors):
+        roles = {"E": "dense", "W2": "excluded"}
+        for entry in tensors:
+            entry["role"] = roles.get(entry["name"], entry["role"])
+    _edit_manifest(ckpt, edit)
+
+
 def _b2_unlisted(ckpt):
     _edit_manifest(ckpt, lambda tensors: tensors.pop())
 
@@ -438,6 +447,8 @@ def _masked_weight_in_w1(ckpt):
     (_e_listed_twice, "duplicate tensor names: ['E', 'W1', 'b1', 'W2', 'b2', 'E']"),
     (_name_climbs_out, "unsafe tensor name '../E'"),
     (_unknown_role, "E: unknown role 'sparse'"),
+    (_e_dense_and_w2_excluded,
+     "E: role 'dense' in the checkpoint, but the tagger's E is 'embedding'"),
     (_b2_unlisted, "checkpoint tensors ['E', 'W1', 'W2', 'b1'] do not match"),
     (_short_mask_file, "b2: mask file holds 6 bytes, expected 7"),
 ])

@@ -93,7 +93,7 @@ def test_config_hash_is_pinned():
     # the hash names the output directory, so a change moves every grid
     config = ExperimentConfig(**base_kwargs())
     assert config.config_hash == (
-        "438c88ef34465ff659e0c2ce9661cb66f1216244626c3de405e4c874efe7d3fd"
+        "2421b98ef4be918269a9b7be0eb499251805f689c9295e2f5b7d0e1a37cee332"
     )
 
 
@@ -574,24 +574,28 @@ def test_one_bundle_per_language_set_and_one_training_per_cell(
     alive = []
 
     def tracked(*args, **kwargs):
-        # (built on the main thread, bundles still alive); a pool thread
-        # may drop its last reference to a bundle a moment after its cell
-        # is done, so only the serial grid pins the second
-        builds.append((threading.current_thread() is threading.main_thread(),
-                       sum(ref() is not None for ref in alive)))
+        # (built on the main thread, bundles still alive, distinct rows
+        # found by the build); a pool thread may drop its last reference
+        # to a bundle a moment after its cell is done, so only the serial
+        # grid pins the second
+        main = threading.current_thread() is threading.main_thread()
+        held = sum(ref() is not None for ref in alive)
+        found = len(distinct_calls)
         bundle = original(*args, **kwargs)
+        builds.append((main, held, len(distinct_calls) - found))
         alive.append(weakref.ref(bundle))
         return bundle
 
     monkeypatch.setattr(experiment, "build_bundle", tracked)
     run(config, workers=workers)
     assert len(vocab_calls) == bundles
-    assert all(main for main, _ in builds)
+    assert all(main for main, _, _ in builds)
     if workers == 1:
-        assert [held for _, held in builds] == [0] * bundles
-        # the cells of a set share the distinct windows of its test set;
-        # pool threads may race to find them, with the same result
-        assert len(distinct_calls) == bundles < len(plan(config))
+        assert [held for _, held, _ in builds] == [0] * bundles
+    # the cells of a set share the distinct windows of its test set, which
+    # the bundle finds before any pool thread reads them
+    assert [found for _, _, found in builds] == [1] * bundles
+    assert len(distinct_calls) == bundles < len(plan(config))
     assert len(train_calls) == len(plan(config))
     vocab_calls.clear()
     train_calls.clear()

@@ -407,3 +407,20 @@ def test_load_model_validates_sidecar(tmp_path):
         load_model(tmp_path / "m")
     with pytest.raises(CheckpointError, match="no model sidecar"):
         load_model(tmp_path)
+
+
+@pytest.mark.parametrize("name, role", [("W2", "excluded"), ("E", "dense"), ("b1", "dense")])
+def test_load_model_refuses_a_tensor_of_another_role(tmp_path, name, role):
+    # the manifest names each tensor's role; the tagger's own table decides
+    model, _ = fitted()
+    save_model(tmp_path / "m", model)
+    manifest_path = tmp_path / "m" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry, = (e for e in manifest["tensors"] if e["name"] == name)
+    want = entry["role"]
+    entry["role"] = role
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=(
+            f"^{name}: role '{role}' in the checkpoint, "
+            f"but the tagger's {name} is '{want}'$")):
+        load_model(tmp_path / "m")

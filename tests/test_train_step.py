@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nerprune
 import synth
 from conftest import corpus_of, sent
 from nerprune.corpus import TAGSET
@@ -207,10 +206,6 @@ def test_live_nan_in_an_unread_row_trains_as_the_dense_step():
         make_model, corpus, PruneSchedule(10, 40, 15, 0.5),
         PruneStrategy.INCL_EMBEDDINGS,
     )
-
-
-def test_package_exports_divergence_error():
-    assert nerprune.DivergenceError is DivergenceError
 
 
 def test_training_stops_at_a_nan_masked_weight():
